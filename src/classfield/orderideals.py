@@ -17,8 +17,8 @@ from .numerics import BigComplex, DomainError, InvariantViolation, ResourceError
 from .quadforms import (
     Form,
     OrderContext,
+    _expected_order,
     _unit_coords,
-    class_number,
     enumerate_reduced,
     reduce_form,
     xgcd,
@@ -396,15 +396,16 @@ class IdealClassOracle:
 
     @property
     def identity_index(self) -> int:
-        return self.labels.index(self._identity_label)
+        return self._index[self._identity_label]
 
     def __post_init__(self):
         self._base = _class_bases(self.ctx, self.level)
         self._identity_label = ray_label(QuadLattice.order(self.ctx), self.level, self._base)
+        self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, L: QuadLattice) -> int:
         lab = ray_label(_integral_ray_model(L, self.level), self.level, self._base)
-        return self.labels.index(lab)
+        return self._index[lab]
 
     def to_json(self) -> dict:
         return {
@@ -443,19 +444,6 @@ def ray_label(L: QuadLattice, N: int, bases: Dict[Form, QuadLattice]) -> Tuple:
     return (tuple(R), min(orbit))
 
 
-def expected_ray_class_count(ctx: OrderContext, N: int) -> int:
-    """h * |(O/NO)*| / |image of O*|: the kernel-order identity."""
-    h = class_number(ctx.disc)
-    units = sum(
-        1
-        for s in range(N)
-        for t in range(N)
-        if gcd(ctx.elem_norm(t, s), N) == 1
-    )
-    img = {(x % N, y % N) for (x, y) in _unit_coords(ctx)}
-    return h * units // len(img)
-
-
 def oracle_class_group(
     ctx: OrderContext, N: int, norm_bound: Optional[int] = None
 ) -> IdealClassOracle:
@@ -466,7 +454,7 @@ def oracle_class_group(
     """
     if N < 1:
         raise DomainError("level must be positive")
-    target = expected_ray_class_count(ctx, N)
+    target = _expected_order(ctx, N)
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
     bound = norm_bound or max(2 * isqrt_ceil(-ctx.disc // 3) * N * N, 10 * N * N)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
 
@@ -30,6 +30,8 @@ __all__ = [
     "dirichlet_compose",
     "make_coprime",
     "gamma1_equivalent",
+    "class_label",
+    "label_form",
     "compose_level",
     "class_enumerate",
     "group_structure",
@@ -431,36 +433,6 @@ def gamma1_equivalent(Q: Form, Q2: Form, N: int) -> Optional[SL2]:
     return None
 
 
-def canonical_form(Q: Form, N: int, budget: int = 400) -> Form:
-    """Small representative of the Gamma_1(N) class of Q.
-
-    Best-first search over the translation and lower-triangular generators,
-    minimizing (a, |b|, sign, c).  The label is cosmetic: class identity
-    decisions always go through gamma1_equivalent.
-    """
-    import heapq
-
-    key = lambda F: (F.a, abs(F.b), F.b < 0, F.c)
-    gens = [SL2(1, 1, 0, 1), SL2(1, -1, 0, 1), SL2(1, 0, N, 1), SL2(1, 0, -N, 1)]
-    best = Q
-    seen = {Q}
-    heap = [(key(Q), Q)]
-    visited = 0
-    while heap and visited < budget:
-        _, F = heapq.heappop(heap)
-        visited += 1
-        for g in gens:
-            G = F.apply(g)
-            if G in seen:
-                continue
-            seen.add(G)
-            if key(G) < key(best):
-                best = G
-            if G.a <= 4 * best.a + 4:  # only explore near the current floor
-                heapq.heappush(heap, (key(G), G))
-    return best
-
-
 def sl2_lift_bottom_row(u: int, v: int, N: int) -> SL2:
     """Some sigma in SL2(Z) with bottom row congruent to (u, v) mod N."""
     if gcd(gcd(u, v), N) != 1:
@@ -475,6 +447,34 @@ def sl2_lift_bottom_row(u: int, v: int, N: int) -> SL2:
                     _, al, be = xgcd(v1, u1)
                     return SL2(al, -be, u1, v1)
     raise InvariantViolation("no SL2 lift found")
+
+
+Label = Tuple[Form, Tuple[int, int]]
+
+
+def class_label(Q: Form, N: int) -> Label:
+    """Canonical hashable label of the Gamma_1(N) class of Q.
+
+    With Q^g = R reduced, the matrices taking Q to R are exactly g * Aut(R),
+    and the right coset Gamma_1(N) h is fixed by the bottom row of h mod N.
+    So (R, least bottom row of g*aut mod N over aut in Aut(R)) names the class.
+    """
+    if gcd(Q.a, N) != 1:
+        raise DomainError("leading coefficient must be coprime to the level")
+    R, g = reduce_form(Q)
+    rows = []
+    for aut in _reduced_automorphisms(R):
+        _, _, r, s = g * aut
+        rows.append((r % N, s % N))
+    return R, min(rows)
+
+
+def label_form(label: Label, N: int) -> Form:
+    """A form with the given class_label: R^(sigma^-1), sigma lifting the row."""
+    R, (u, v) = label
+    if N == 1:
+        return R
+    return R.apply(sl2_lift_bottom_row(u, v, N).inv())
 
 
 def compose_level(
@@ -545,11 +545,19 @@ class ClassGroup:
     def identity_index(self) -> int:
         return 0
 
+    def __post_init__(self):
+        self._index = {class_label(Q, self.level): i for i, Q in enumerate(self.reps)}
+
     def index_of(self, Q: Form) -> int:
-        for i, R in enumerate(self.reps):
-            if gamma1_equivalent(Q, R, self.level) is not None:
-                return i
-        raise DomainError(f"{Q} does not lie in any known class")
+        """Index of the class of Q: a dict lookup on its class_label."""
+        if Q.disc != self.disc:
+            raise DomainError(f"{Q} has discriminant {Q.disc}, not {self.disc}")
+        if gcd(Q.a, self.level) != 1:
+            raise DomainError(f"leading coefficient of {Q} is not coprime to the level")
+        i = self._index.get(class_label(Q, self.level))
+        if i is None:
+            raise DomainError(f"{Q} does not lie in any known class")
+        return i
 
     def inverse_index(self, i: int) -> int:
         return self.table[i].index(0)
@@ -588,17 +596,14 @@ class ClassGroup:
 
 def _expected_order(ctx: OrderContext, N: int) -> int:
     """|C_N(O)| = h * |(O/NO)*| / |image of the unit group|."""
-    h = class_number(ctx.disc)
-    units = [
-        (s, t)
+    units = sum(
+        1
         for s in range(N)
         for t in range(N)
         if gcd(ctx.elem_norm(t, s), N) == 1
-    ]
-    imgs = set()
-    for (x, y) in _unit_coords(ctx):
-        imgs.add((x % N, y % N))
-    return h * len(units) // len(imgs)
+    )
+    img = {(x % N, y % N) for (x, y) in _unit_coords(ctx)}
+    return class_number(ctx.disc) * units // len(img)
 
 
 def _unit_coords(ctx: OrderContext) -> List[Tuple[int, int]]:
@@ -613,34 +618,31 @@ def _unit_coords(ctx: OrderContext) -> List[Tuple[int, int]]:
 
 def class_enumerate(ctx: OrderContext, N: int, expected_order: Optional[int] = None) -> ClassGroup:
     """Build C_N(D) by closing the reduced-form lifts and the principal-coset
-    kernel under compose_level, deduplicating with gamma1_equivalent."""
+    kernel under compose_level.
+
+    Classes are told apart by class_label, so identity is a dict lookup, and
+    each class is stored as the label_form of its label.  The closure composes
+    every unordered pair of classes once; the table is filled from those
+    products.
+    """
     if N < 1:
         raise DomainError("level must be positive")
     target = expected_order if expected_order is not None else _expected_order(ctx, N)
 
     reps: List[Form] = []
-    reduced_cache: List[Form] = []
-
-    def find(Q: Form) -> Optional[int]:
-        R, _ = reduce_form(Q)
-        for i, rep in enumerate(reps):
-            if reduced_cache[i] != R:
-                continue
-            if gamma1_equivalent(Q, rep, N) is not None:
-                return i
-        return None
+    index: Dict[Label, int] = {}
 
     def add(Q: Form) -> int:
-        i = find(Q)
-        if i is not None:
-            return i
-        if len(reps) >= target:
-            raise InvariantViolation(
-                f"closure produced more than the expected {target} classes"
-            )
-        reps.append(canonical_form(Q, N))
-        reduced_cache.append(reduce_form(Q)[0])
-        return len(reps) - 1
+        label = class_label(Q, N)
+        i = index.get(label)
+        if i is None:
+            if len(reps) >= target:
+                raise InvariantViolation(
+                    f"closure produced more than the expected {target} classes"
+                )
+            i = index[label] = len(reps)
+            reps.append(label_form(label, N))
+        return i
 
     Q0 = ctx.principal_form()
     add(Q0)
@@ -655,30 +657,28 @@ def class_enumerate(ctx: OrderContext, N: int, expected_order: Optional[int] = N
             sigma = sl2_lift_bottom_row(u, v, N)
             add(Q0.apply(sigma.inv()))
 
-    # close under composition
+    # close under composition; products[(i, j)] with i <= j
+    products: Dict[Tuple[int, int], int] = {}
     frontier = list(range(len(reps)))
     while frontier:
         new_frontier = []
         for i in frontier:
             for j in range(len(reps)):
+                pair = (min(i, j), max(i, j))
+                if pair in products:
+                    continue
                 before = len(reps)
-                add(compose_level(reps[i], reps[j], ctx, N))
+                products[pair] = add(compose_level(reps[i], reps[j], ctx, N))
                 if len(reps) > before:
-                    new_frontier.append(len(reps) - 1)
+                    new_frontier.append(before)
         frontier = new_frontier
 
-    if len(reps) != target:
-        raise InvariantViolation(
-            f"closure found {len(reps)} classes, expected {target}"
-        )
-
-    table = [[0] * len(reps) for _ in reps]
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            k = find(compose_level(reps[i], reps[j], ctx, N))
-            if k is None:
-                raise InvariantViolation("product escaped the closed class list")
-            table[i][j] = table[j][i] = k
+    n = len(reps)
+    if n != target:
+        raise InvariantViolation(f"closure found {n} classes, expected {target}")
+    table = [[0] * n for _ in reps]
+    for (i, j), k in products.items():
+        table[i][j] = table[j][i] = k
 
     factors, characters = group_structure_from_table(table, identity=0)
     return ClassGroup(ctx.disc, N, reps, table, factors, characters)

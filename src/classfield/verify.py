@@ -27,7 +27,6 @@ from .quadforms import (
     compose_level,
     dirichlet_compose,
     enumerate_reduced,
-    gamma1_equivalent,
     make_coprime,
     reduce_form,
 )

@@ -3,19 +3,24 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from classfield import refdata
 from classfield.numerics import DomainError
 from classfield.quadforms import (
     CompositionError,
     Form,
     OrderContext,
     SL2,
+    _expected_order,
     class_enumerate,
+    class_label,
     compose_level,
     dirichlet_compose,
     enumerate_reduced,
     gamma1_equivalent,
     group_structure_from_table,
+    label_form,
     make_coprime,
     proper_equivalence,
     reduce_form,
@@ -180,6 +185,50 @@ def test_gamma1_disc_mismatch():
         gamma1_equivalent(Form(1, 0, 50), Form(1, 0, 49), 3)
 
 
+# -- class labels ------------------------------------------------------------
+
+T1, T1_INV = SL2(1, 1, 0, 1), SL2(1, -1, 0, 1)
+S = SL2(0, -1, 1, 0)
+
+
+def _word(gens, picks):
+    g = SL2.I
+    for k in picks:
+        g = g * gens[k]
+    return g
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    D=st.sampled_from([-3, -4, -15, -20, -56, -200]),
+    N=st.integers(1, 12),
+    which=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    same_base=st.booleans(),
+    w1=st.lists(st.integers(0, 3), max_size=8),
+    w2=st.lists(st.integers(0, 4), max_size=8),
+)
+def test_class_label_matches_gamma1_witness(D, N, which, same_base, w1, w2):
+    # random reduced forms moved by random SL2 words: equal labels exactly
+    # when the witness search finds gamma in Gamma_1(N) between them
+    reduced = enumerate_reduced(D)
+    sl2_gens = [T1, T1_INV, S, S.inv()]
+    _, Q = make_coprime(reduced[which[0] % len(reduced)].apply(_word(sl2_gens, w1)), N)
+    # Gamma_1(N) generators, plus S so that some words leave the class
+    level_gens = [T1, T1_INV, SL2(1, 0, N, 1), SL2(1, 0, -N, 1), S]
+    base = Q if same_base else reduced[which[1] % len(reduced)]
+    _, Q2 = make_coprime(base.apply(_word(level_gens, w2)), N)
+    same_label = class_label(Q, N) == class_label(Q2, N)
+    assert same_label == (gamma1_equivalent(Q, Q2, N) is not None)
+    rep = label_form(class_label(Q, N), N)
+    assert class_label(rep, N) == class_label(Q, N)
+    assert gamma1_equivalent(Q, rep, N) is not None
+
+
+def test_class_label_rejects_level_sharing_leading_coefficient():
+    with pytest.raises(DomainError):
+        class_label(Form(3, 2, 17), 3)
+
+
 # -- compose_level -----------------------------------------------------------
 
 
@@ -235,6 +284,69 @@ def test_class_counts(ctx200):
     assert class_enumerate(ctx200, 3).order == 12
     assert class_enumerate(ctx200, 1).order == 6
     assert class_enumerate(OrderContext.from_disc(-4), 1).order == 1
+
+
+def reference_enumerate(ctx, N):
+    """Slow-path class group: every new form is compared with each stored
+    representative by the gamma1_equivalent witness search."""
+    reps = []
+
+    def add(Q):
+        for i, rep in enumerate(reps):
+            if gamma1_equivalent(Q, rep, N) is not None:
+                return i
+        reps.append(Q)
+        return len(reps) - 1
+
+    Q0 = ctx.principal_form()
+    add(Q0)
+    for R in enumerate_reduced(ctx.disc):
+        add(make_coprime(R, N)[1])
+    for u in range(N):
+        for v in range(N):
+            if gcd(ctx.elem_norm(v, u), N) == 1:
+                add(Q0.apply(sl2_lift_bottom_row(u, v, N).inv()))
+    frontier = list(range(len(reps)))
+    while frontier:
+        new_frontier = []
+        for i in frontier:
+            for j in range(len(reps)):
+                before = len(reps)
+                add(compose_level(reps[i], reps[j], ctx, N))
+                if len(reps) > before:
+                    new_frontier.append(before)
+        frontier = new_frontier
+    table = [[add(compose_level(P, P2, ctx, N)) for P2 in reps] for P in reps]
+    assert len(reps) == _expected_order(ctx, N)
+    factors, characters = group_structure_from_table(table)
+    return table, factors, characters
+
+
+@pytest.mark.parametrize("D", refdata.BATTERY_DISCS)
+def test_class_enumerate_matches_reference(D):
+    ctx = OrderContext.from_disc(D)
+    for N in refdata.BATTERY_LEVELS:
+        G = class_enumerate(ctx, N)
+        assert (G.table, G.invariant_factors, G.characters) == reference_enumerate(ctx, N)
+
+
+def test_index_of_rejects_wrong_discriminant(G200):
+    with pytest.raises(DomainError):
+        G200.index_of(Form(1, 0, 14))
+
+
+def test_index_of_rejects_level_sharing_leading_coefficient(G200):
+    with pytest.raises(DomainError):
+        G200.index_of(Form(3, 2, 17))
+
+
+def test_index_of_gamma1_moves(G200):
+    rng = random.Random(RNG_SEED)
+    moves = [T1, T1_INV, SL2(1, 0, 3, 1), SL2(1, 0, -3, 1)]
+    for i, Q in enumerate(G200.reps):
+        for _ in range(5):
+            P = Q.apply(_word(moves, [rng.randrange(4) for _ in range(rng.randint(1, 8))]))
+            assert G200.index_of(P) == i
 
 
 def test_identity_is_principal_class(ctx200, G200):
