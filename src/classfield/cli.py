@@ -20,7 +20,13 @@ import mpmath
 from mpmath import mp
 
 from . import cartan, invariants, lfunctions, verify
-from .numerics import DomainError, PrecisionPolicy, bits_for_digits
+from .numerics import (
+    DomainError,
+    InvariantViolation,
+    PrecisionPolicy,
+    ResourceError,
+    bits_for_digits,
+)
 from .orderideals import form_ideal_dictionary, oracle_class_group
 from .quadforms import OrderContext, class_enumerate
 
@@ -30,6 +36,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_UNRECOGNIZED = 3
+EXIT_INVARIANT = 4
+EXIT_RESOURCE = 5
 
 
 def _setup_logging() -> None:
@@ -244,8 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, default=level_default, required=level_default is None)
         p.add_argument("--digits", type=int, default=digits_default)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker cap; evaluation is sequential in this implementation")
         p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
         p.add_argument("--norm-bound", type=int, default=None)
 
@@ -279,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=700)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--norm-bound", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
     return ap
@@ -293,6 +298,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"error: internal invariant violated: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
+    except ResourceError as exc:
+        print(f"error: search limit reached: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

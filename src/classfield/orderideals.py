@@ -1,17 +1,21 @@
-"""Exact ideal arithmetic in imaginary quadratic orders: the brute-force oracle.
+"""Exact ideal arithmetic in imaginary quadratic orders and the ideal-side
+ray class group oracle.
 
 Elements are x + y*tau over Q, lattices are kept in a canonical Hermite basis
-(1/d)(Z(g*tau + t) + Z*m), and ray classes modulo N are decided by an exact
-generator-residue test.  This module is the independent ground truth against
-which the form-side class group is checked.
+(1/d)(Z(g*tau + t) + Z*m).  A ray class modulo N is named by an exact integer
+label: the reduced form of the class and, up to units, the generator residue
+mod N*O of the ideal times a fixed base ideal's conjugate.  The oracle buckets
+integral ideals by label and fills its table from the label group law.  This
+module is the independent ground truth against which the form-side class group
+is checked.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, ResourceError
 from .quadforms import (
@@ -29,7 +33,6 @@ __all__ = [
     "QuadLattice",
     "IdealClassOracle",
     "ideal_norm",
-    "ideal_mul",
     "same_ray_class",
     "oracle_class_group",
     "form_to_lattice",
@@ -261,11 +264,6 @@ def ideal_norm(L: QuadLattice) -> Fraction:
     return L.norm()
 
 
-def ideal_mul(a: QuadLattice, b: QuadLattice) -> QuadLattice:
-    """Module generated by pairwise basis products, re-expressed in Hermite form."""
-    return a.mul(b)
-
-
 def principal_generator(L: QuadLattice) -> Optional[QuadElem]:
     """nu with L = nu*O, or None; via reduction of the attached form.
 
@@ -389,6 +387,7 @@ class IdealClassOracle:
     labels: List[Tuple]
     table: List[List[int]]
     norm_bound: int
+    bases: ClassBases = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -399,12 +398,11 @@ class IdealClassOracle:
         return self._index[self._identity_label]
 
     def __post_init__(self):
-        self._base = _class_bases(self.ctx, self.level)
-        self._identity_label = ray_label(QuadLattice.order(self.ctx), self.level, self._base)
+        self._identity_label = ray_label(QuadLattice.order(self.ctx), self.level, self.bases)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, L: QuadLattice) -> int:
-        lab = ray_label(_integral_ray_model(L, self.level), self.level, self._base)
+        lab = ray_label(_integral_ray_model(L, self.level), self.level, self.bases)
         return self._index[lab]
 
     def to_json(self) -> dict:
@@ -417,31 +415,71 @@ class IdealClassOracle:
         }
 
 
-def _class_bases(ctx: OrderContext, N: int) -> Dict[Form, QuadLattice]:
-    # one fixed ideal per ordinary class, prime to l_O*N so generator residues
-    # of quotients land in (O/NO)*
+class ClassBases(NamedTuple):
+    """One base ideal B_R per reduced form R, prime to l_O*N so generator
+    residues of quotients land in (O/NO)*, and the generator c_R = (x, y),
+    meaning x + y*tau, of the principal ideal form_to_lattice(R)*conj(B_R)."""
+
+    lattice: Dict[Form, QuadLattice]
+    gen: Dict[Form, Tuple[int, int]]
+
+
+def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
     from .quadforms import make_coprime
 
-    out = {}
+    lattice, gen = {}, {}
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
-        out[R] = form_to_lattice(ctx, lifted)
-    return out
+        B = form_to_lattice(ctx, lifted)
+        c = principal_generator(form_to_lattice(ctx, R).mul(B.conj()))
+        if c is None or not c.is_integral():
+            raise InvariantViolation("a reduced form and its base ideal are not in one class")
+        lattice[R], gen[R] = B, (int(c.x), int(c.y))
+    return ClassBases(lattice, gen)
 
 
-def ray_label(L: QuadLattice, N: int, bases: Dict[Form, QuadLattice]) -> Tuple:
-    """Exact ray-class label: (reduced form, unit-orbit of the generator
-    residue of L*conj(base) in (O/NO)*)."""
-    R, _ = reduce_form(L.to_form())
-    base = bases[R]
-    w = principal_generator(L.mul(base.conj()))
-    if w is None:
+def _elem_mul(ctx: OrderContext, u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
+    # (x1 + y1*tau)(x2 + y2*tau) with tau^2 = -b0*tau - c0
+    (x1, y1), (x2, y2) = u, v
+    return x1 * x2 - ctx.c0 * y1 * y2, x1 * y2 + x2 * y1 - ctx.b0 * y1 * y2
+
+
+def _unit_orbit_min(ctx: OrderContext, w: Tuple[int, int], N: int) -> Tuple[int, int]:
+    # least residue mod N*O of z*w over the units z of O
+    return min(
+        (x % N, y % N) for (x, y) in (_elem_mul(ctx, z, w) for z in _unit_coords(ctx))
+    )
+
+
+def ray_label(L: QuadLattice, N: int, bases: ClassBases) -> Tuple:
+    """Exact ray-class label of an integral ideal L: (reduced form R, least
+    generator residue of L*conj(B_R) in (O/NO)* over the units of O).
+
+    L has the form Q = (m/g, b0 - 2t/g, N(t/g + tau)/(m/g)).  Reduction
+    Q^gamma = R moves the basis (alpha, beta) = (g*tau + t, m) of L to
+    (alpha2, beta2) with a_R*alpha2 = beta2*((b0 - b_R)/2 + tau), so
+    L = (beta2/a_R)*form_to_lattice(R) and beta2*c_R/a_R generates
+    L*conj(B_R).  The arithmetic is in exact integers throughout.
+    """
+    if L.den != 1:
+        raise DomainError("ray labels need an integral ideal")
+    ctx = L.ctx
+    b0, c0 = ctx.b0, ctx.c0
+    g, t, m = L.g, L.t, L.m
+    if t % g or m % g:
+        raise DomainError("lattice is not an O-module")
+    a, h = m // g, t // g
+    c, rem = divmod(h * h - b0 * h + c0, a)
+    if rem:
+        raise DomainError("lattice is not proper for this order")
+    R, (p, q, r, s) = reduce_form(Form(a, b0 - 2 * h, c))
+    beta2 = (m * p - t * r, -g * r)
+    if _elem_mul(ctx, beta2, ((b0 - R.b) // 2, 1)) != (R.a * (t * s - m * q), R.a * g * s):
+        raise InvariantViolation("reduction witness did not reach the reduced basis")
+    x, y = _elem_mul(ctx, beta2, bases.gen[R])
+    if x % R.a or y % R.a:
         raise InvariantViolation("ideal and its reduction base are not in one class")
-    orbit = []
-    for z in _unit_elems(L.ctx):
-        u = z * w
-        orbit.append((int(u.x) % N, int(u.y) % N))
-    return (tuple(R), min(orbit))
+    return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
 
 
 def oracle_class_group(
@@ -451,6 +489,10 @@ def oracle_class_group(
 
     Ideals prime to l_O*N are enumerated up to a norm bound (doubled until the
     independently known class count is reached) and grouped by ray label.
+    The table follows from the label group law: if w1, w2 generate
+    L1*conj(B1), L2*conj(B2) and c12 generates B1*B2*conj(B3), then
+    w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).  So only the base
+    products B1*B2 are labelled, once per pair of reduced forms.
     """
     if N < 1:
         raise DomainError("level must be positive")
@@ -477,12 +519,20 @@ def oracle_class_group(
     labels = sorted(buckets)
     reps = [buckets[lab] for lab in labels]
     idx = {lab: i for i, lab in enumerate(labels)}
+    base_products: Dict[Tuple, Tuple] = {}
     table = [[0] * len(reps) for _ in reps]
-    for i in range(len(reps)):
-        for j in range(i, len(reps)):
-            lab = ray_label(reps[i].mul(reps[j]), N, bases)
-            table[i][j] = table[j][i] = idx[lab]
-    return IdealClassOracle(ctx, N, reps, labels, table, bound)
+    for i, (R1, w1) in enumerate(labels):
+        for j in range(i, len(labels)):
+            R2, w2 = labels[j]
+            if (R1, R2) not in base_products:
+                B1, B2 = bases.lattice[R1], bases.lattice[R2]
+                R3, c12 = ray_label(B1.mul(B2), N, bases)
+                n12_inv = pow(int(B1.norm() * B2.norm()), -1, N)
+                base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
+            R3, c = base_products[R1, R2]
+            w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
+            table[i][j] = table[j][i] = idx[R3, w3]
+    return IdealClassOracle(ctx, N, reps, labels, table, bound, bases)
 
 
 def isqrt_ceil(n: int) -> int:

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from classfield import cli
+from classfield.numerics import InvariantViolation, ResourceError
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,35 @@ def test_classgroup_small_disc_edge(capsys, schema):
 def test_classgroup_invalid_disc_exit_2(capsys):
     code, _ = run_cli(capsys, "classgroup", "--disc", "-21", "--level", "3")
     assert code == cli.EXIT_USAGE
+
+
+def _raise(exc):
+    def fn(*args, **kwargs):
+        raise exc
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "target, exc, code",
+    [
+        ("class_enumerate", InvariantViolation("table is not a group"), cli.EXIT_INVARIANT),
+        ("oracle_class_group", ResourceError("found 5 of 6 ray classes"), cli.EXIT_RESOURCE),
+    ],
+)
+def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc, code):
+    monkeypatch.setattr(cli, target, _raise(exc))
+    got = cli.main(["classgroup", "--disc", "-200", "--level", "3", "--check-oracle"])
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
+
+
+def test_threads_option_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["classgroup", "--disc", "-200", "--level", "3", "--threads", "2"])
 
 
 def test_classgroup_text_table(capsys):

@@ -1,21 +1,26 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from classfield.numerics import DomainError
 from classfield.orderideals import (
     QuadElem,
     QuadLattice,
+    _class_bases,
     _integral_ray_model,
+    _unit_elems,
     form_ideal_dictionary,
     form_to_lattice,
     fractional_omega_lattice,
-    ideal_mul,
     ideal_norm,
     integral_ideals,
     oracle_class_group,
     principal_generator,
+    ray_label,
     same_ray_class,
 )
 from classfield.quadforms import (
@@ -24,7 +29,10 @@ from classfield.quadforms import (
     class_enumerate,
     dirichlet_compose,
     enumerate_reduced,
+    make_coprime,
+    reduce_form,
 )
+from classfield.refdata import BATTERY_DISCS, BATTERY_LEVELS
 
 RNG_SEED = 1729
 
@@ -61,7 +69,7 @@ def test_ideal_mul_identity(ctx200):
     O = QuadLattice.order(ctx200)
     for Q in enumerate_reduced(-200):
         L = form_to_lattice(ctx200, Q)
-        assert ideal_mul(O, L) == L
+        assert O.mul(L) == L
 
 
 def test_ideal_times_conjugate_is_norm(ctx200):
@@ -69,7 +77,7 @@ def test_ideal_times_conjugate_is_norm(ctx200):
     pool = list(integral_ideals(ctx200, 60, coprime_to=1))
     for _ in range(20):
         n, L = rng.choice(pool)
-        assert ideal_mul(L, L.conj()) == QuadLattice.order(ctx200).scale(n)
+        assert L.mul(L.conj()) == QuadLattice.order(ctx200).scale(n)
 
 
 def test_norm_multiplicative(ctx200):
@@ -77,14 +85,14 @@ def test_norm_multiplicative(ctx200):
     pool = list(integral_ideals(ctx200, 60, coprime_to=5))
     for _ in range(30):
         (n1, a), (n2, b) = rng.choice(pool), rng.choice(pool)
-        assert ideal_norm(ideal_mul(a, b)) == n1 * n2
+        assert ideal_norm(a.mul(b)) == n1 * n2
 
 
 def test_lattice_product_matches_dirichlet(ctx200):
     # [omega_Q,1][omega_Q'',1] = [omega_Q''',1] for the Dirichlet composite
     Q, Q2 = Form(2, 0, 25), Form(3, -2, 17)
     Q3 = dirichlet_compose(Q, Q2)
-    lhs = ideal_mul(fractional_omega_lattice(ctx200, Q), fractional_omega_lattice(ctx200, Q2))
+    lhs = fractional_omega_lattice(ctx200, Q).mul(fractional_omega_lattice(ctx200, Q2))
     assert lhs == fractional_omega_lattice(ctx200, Q3)
 
 
@@ -161,3 +169,90 @@ def test_sympy_roots_match_naive(ctx200):
     naive = list(integral_ideals(ctx200, 120, coprime_to=3))
     fast = list(integral_ideals(ctx200, 120, coprime_to=3, sqrt_roots=roots))
     assert sorted(L.key() for _, L in naive) == sorted(L.key() for _, L in fast)
+
+
+# -- ray labels against the Fraction-based reference --------------------------
+
+
+def reference_class_bases(ctx, N):
+    """The base ideals of `_class_bases` (one per reduced form, prime to
+    l_O*N), without the precomputed generators."""
+    out = {}
+    for R in enumerate_reduced(ctx.disc):
+        _, lifted = make_coprime(R, ctx.conductor * N)
+        out[R] = form_to_lattice(ctx, lifted)
+    return out
+
+
+def reference_ray_label(L, N, ref_bases):
+    """Slow-path label: reduce the attached form, then search the generator
+    of L*conj(base) with principal_generator, all in Fraction arithmetic."""
+    R, _ = reduce_form(L.to_form())
+    w = principal_generator(L.mul(ref_bases[R].conj()))
+    assert w is not None
+    orbit = []
+    for z in _unit_elems(L.ctx):
+        u = z * w
+        orbit.append((int(u.x) % N, int(u.y) % N))
+    return (tuple(R), min(orbit))
+
+
+def reference_table(oracle):
+    """Product-filled table: every product of two representatives is
+    labelled by the Fraction reference."""
+    ref_bases = reference_class_bases(oracle.ctx, oracle.level)
+    idx = {reference_ray_label(L, oracle.level, ref_bases): i for i, L in enumerate(oracle.reps)}
+    n = oracle.order
+    table = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            lab = reference_ray_label(oracle.reps[i].mul(oracle.reps[j]), oracle.level, ref_bases)
+            table[i][j] = table[j][i] = idx[lab]
+    return table
+
+
+@lru_cache(maxsize=None)
+def _ideal_pool(D, N):
+    ctx = OrderContext.from_disc(D)
+    pool = [L for _, L in integral_ideals(ctx, 150, coprime_to=ctx.conductor * N)]
+    return ctx, pool, _class_bases(ctx, N), reference_class_bases(ctx, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from([-3, -4, -15, -20, -56, -180, -200]),
+    N=st.integers(1, 12),
+    picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+    lam=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    kind=st.sampled_from(["pool", "product", "scaled", "ray_scaled"]),
+)
+def test_ray_label_matches_reference_and_same_ray_class(D, N, picks, lam, kind):
+    ctx, pool, bases, ref_bases = _ideal_pool(D, N)
+    a, b, c = (pool[k % len(pool)] for k in picks)
+    if kind == "product":
+        b = b.mul(c)
+    elif kind in ("scaled", "ray_scaled"):
+        # a principal multiple; lambda = 1 mod N*O keeps the ray class
+        x, y = lam if kind == "scaled" else (1 + N * lam[0], N * lam[1])
+        assume((x, y) != (0, 0) and gcd(ctx.elem_norm(x, y), ctx.conductor * N) == 1)
+        b = a.scale(elem(ctx, x, y))
+    for L in (a, b, a.mul(c)):
+        assert ray_label(L, N, bases) == reference_ray_label(L, N, ref_bases)
+    assert (ray_label(a, N, bases) == ray_label(b, N, bases)) == same_ray_class(a, b, N)
+    if kind == "ray_scaled":
+        assert ray_label(a, N, bases) == ray_label(b, N, bases)
+
+
+@pytest.mark.parametrize(
+    "D, N",
+    [(D, N) for D in BATTERY_DISCS for N in BATTERY_LEVELS] + [(-200, 5), (-160, 8)],
+)
+def test_oracle_table_law_matches_product_labels(D, N):
+    oracle = oracle_class_group(OrderContext.from_disc(D), N)
+    assert oracle.table == reference_table(oracle)
+
+
+def test_ray_label_rejects_fractional_ideal(ctx200):
+    L = fractional_omega_lattice(ctx200, Form(2, 0, 25))
+    with pytest.raises(DomainError):
+        ray_label(L, 3, _class_bases(ctx200, 3))
