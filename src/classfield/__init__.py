@@ -23,7 +23,6 @@ from .quadforms import (
     dirichlet_compose,
     enumerate_reduced,
     gamma1_equivalent,
-    group_structure,
     make_coprime,
     reduce_form,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "dirichlet_compose",
     "enumerate_reduced",
     "gamma1_equivalent",
-    "group_structure",
     "make_coprime",
     "rat_normalize",
     "recognize_integer",

@@ -27,7 +27,7 @@ from .numerics import (
     ResourceError,
     bits_for_digits,
 )
-from .orderideals import form_ideal_dictionary, oracle_class_group
+from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import OrderContext, class_enumerate
 
 log = logging.getLogger("classfield")
@@ -63,12 +63,7 @@ def cmd_classgroup(args) -> int:
     if args.check_oracle:
         oracle = oracle_class_group(ctx, args.level, norm_bound=args.norm_bound)
         phi = form_ideal_dictionary(oracle, G)
-        ok = all(
-            phi[G.table[i][j]] == oracle.table[phi[i]][phi[j]]
-            for i in range(G.order)
-            for j in range(G.order)
-        )
-        payload["oracle_isomorphic"] = ok
+        payload["oracle_isomorphic"] = tables_isomorphic(oracle, G, phi)
         payload["oracle_dictionary"] = phi
         payload["oracle"] = oracle.to_json()
 
@@ -252,12 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, default=level_default, required=level_default is None)
         p.add_argument("--digits", type=int, default=digits_default)
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-        p.add_argument("--norm-bound", type=int, default=None)
 
     p = sub.add_parser("classgroup", help="level-N form class group")
     common(p)
     p.add_argument("--check-oracle", action="store_true")
+    p.add_argument("--norm-bound", type=int, default=None)
     p.set_defaults(fn=cmd_classgroup)
 
     p = sub.add_parser("minpoly", help="integer minimal polynomial of the identity invariant")

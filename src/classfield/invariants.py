@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Literal, Optional, Tuple
 
 import mpmath
@@ -89,19 +90,13 @@ def _point_form(ctx: OrderContext, xi: QuadElem) -> Form:
     # A xi^2 + B xi + C = 0 with (A, B, C) = t*(1, -(2x - b0 y), N(xi))
     b = -(2 * xi.x - ctx.b0 * xi.y)
     c = xi.norm()
-    den = b.denominator * c.denominator // gcd_int(b.denominator, c.denominator)
+    den = b.denominator * c.denominator // gcd(b.denominator, c.denominator)
     a_i, b_i, c_i = den, int(b * den), int(c * den)
-    g = gcd_int(gcd_int(a_i, b_i), c_i)
+    g = gcd(gcd(a_i, b_i), c_i)
     a_i, b_i, c_i = a_i // g, b_i // g, c_i // g
     if a_i < 0:
         a_i, b_i, c_i = -a_i, -b_i, -c_i
     return Form(a_i, b_i, c_i)
-
-
-def gcd_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def _family_value_at(
@@ -139,8 +134,6 @@ def class_invariant(
     _check_ctx(ctx)
     if Q.disc != ctx.disc:
         raise DomainError("form does not belong to the order")
-    from math import gcd
-
     if gcd(Q.a, N) != 1:
         raise DomainError("leading coefficient must be coprime to the level")
     M = _fmatrix(Q, ctx, N)
@@ -159,8 +152,6 @@ def general_invariant(
     evaluation point is xi1/xi2.
     """
     _check_ctx(ctx)
-    from math import gcd
-
     if not ideal.is_proper_ideal() or not ideal.is_integral():
         raise DomainError("need an integral proper O-ideal")
     if gcd(int(ideal.norm()), N) != 1:
@@ -265,7 +256,6 @@ def minimal_polynomial(
     N: int,
     policy: PrecisionPolicy,
     class_group: Optional[ClassGroup] = None,
-    expected_order: Optional[int] = None,
 ) -> MinimalPolynomialResult:
     """Expand prod_C (x - g_ON(C)) and recognize integer coefficients.
 
@@ -276,7 +266,7 @@ def minimal_polynomial(
     _check_ctx(ctx)
     if N < 2:
         raise DomainError("minimal polynomial needs level >= 2")
-    G = class_group or class_enumerate(ctx, N, expected_order=expected_order)
+    G = class_group or class_enumerate(ctx, N)
     tol = policy.recognition_tol()
     pol = policy
     for attempt in range(policy.max_escalations + 1):

@@ -22,9 +22,7 @@ from .invariants import g_ON
 from .modfun import GUARD_DIGITS
 from .numerics import BigComplex, DomainError, bits_for_digits
 from .orderideals import (
-    QuadLattice,
     _class_bases,
-    _integral_ray_model,
     _unit_elems,
     integral_ideals,
     ray_label,
@@ -35,7 +33,6 @@ __all__ = [
     "Character",
     "ZetaPartial",
     "gamma_ON",
-    "zeta_ideal_partial",
     "zeta_ideal_partial_all",
     "zeta_lattice_partial",
     "log_g_values",
@@ -132,23 +129,6 @@ def zeta_ideal_partial_all(
             tail = float(2 * kappa * bound ** (1 - float(s.re)) / (float(s.re) - 1))
             out[lab] = ZetaPartial(BigComplex.from_mpc(total, prec), len(ns), tail)
     return out
-
-
-def zeta_ideal_partial(
-    rep: QuadLattice, ctx: OrderContext, N: int, s: BigComplex, bound: int, digits: int = 30
-) -> ZetaPartial:
-    """Sum of N(a)^-s over integral ideals of the class of `rep`, norms <= bound."""
-    _require_res_gt1(s)
-    if bound <= 0:
-        prec = bits_for_digits(digits)
-        return ZetaPartial(BigComplex(0, 0, prec), 0, 0.0)
-    bases = _class_bases(ctx, N)
-    target = ray_label(_integral_ray_model(rep, N), N, bases)
-    table = zeta_ideal_partial_all(ctx, N, s, bound, digits)
-    if target not in table:
-        prec = bits_for_digits(digits)
-        return ZetaPartial(BigComplex(0, 0, prec), 0, 0.0)
-    return table[target]
 
 
 def zeta_lattice_partial(

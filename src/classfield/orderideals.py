@@ -553,3 +553,13 @@ def form_ideal_dictionary(oracle: IdealClassOracle, class_group) -> List[int]:
     if sorted(out) != list(range(oracle.order)):
         raise InvariantViolation("form-to-ideal map is not a bijection")
     return out
+
+
+def tables_isomorphic(oracle: IdealClassOracle, class_group, phi: Sequence[int]) -> bool:
+    """Whether phi carries the form table onto the oracle table, cell by cell."""
+    table = class_group.table
+    return all(
+        phi[table[i][j]] == oracle.table[phi[i]][phi[j]]
+        for i in range(class_group.order)
+        for j in range(class_group.order)
+    )

@@ -9,12 +9,11 @@ well defined.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
 
@@ -34,7 +33,6 @@ __all__ = [
     "label_form",
     "compose_level",
     "class_enumerate",
-    "group_structure",
 ]
 
 
@@ -400,17 +398,6 @@ def _reduced_automorphisms(R: Form) -> List[SL2]:
     return auts
 
 
-def proper_equivalence(Q: Form, Q2: Form) -> Optional[SL2]:
-    """Some gamma with Q^gamma = Q2, or None."""
-    if Q.disc != Q2.disc:
-        raise DomainError("discriminants differ")
-    R1, g1 = reduce_form(Q)
-    R2, g2 = reduce_form(Q2)
-    if R1 != R2:
-        return None
-    return g1 * g2.inv()
-
-
 def gamma1_equivalent(Q: Form, Q2: Form, N: int) -> Optional[SL2]:
     """Witness gamma in Gamma_1(N) with Q^gamma = Q2, or None.
 
@@ -525,9 +512,11 @@ def compose_level(
 class ClassGroup:
     """Level-N form class group: representatives, table, structure, characters.
 
-    `table[i][j]` is the index of [reps[i]][reps[j]]; index 0 is the class of
-    the principal form.  Characters are stored as exact root-of-unity
-    exponents: characters[k][i] = r in Q/Z means chi_k(reps[i]) = e^(2 pi i r).
+    Classes are numbered by sorted class_label and reps[i] is the label_form
+    of the i-th label, so index 0 is the class of the principal form.
+    `table[i][j]` is the index of [reps[i]][reps[j]].  Characters are stored
+    as exact root-of-unity exponents: characters[k][i] = r in Q/Z means
+    chi_k(reps[i]) = e^(2 pi i r).
     """
 
     disc: int
@@ -616,69 +605,39 @@ def _unit_coords(ctx: OrderContext) -> List[Tuple[int, int]]:
     return units
 
 
-def class_enumerate(ctx: OrderContext, N: int, expected_order: Optional[int] = None) -> ClassGroup:
-    """Build C_N(D) by closing the reduced-form lifts and the principal-coset
-    kernel under compose_level.
+def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
+    """Build C_N(D) straight from its class labels.
 
-    Classes are told apart by class_label, so identity is a dict lookup, and
-    each class is stored as the label_form of its label.  The closure composes
-    every unordered pair of classes once; the table is filled from those
-    products.
+    The labels are (R, least row of (u, v)*Aut(R) mod N) over the reduced
+    forms R and the rows (u, v) mod N with R(v, -u) coprime to N, since
+    label_form gives R^(sigma^-1), whose leading coefficient is R(v, -u) mod N.
+    Classes are numbered by sorted label, so index 0 is the principal class.
+    Each unordered pair is composed once and its product found by class_label.
     """
     if N < 1:
         raise DomainError("level must be positive")
-    target = expected_order if expected_order is not None else _expected_order(ctx, N)
-
-    reps: List[Form] = []
-    index: Dict[Label, int] = {}
-
-    def add(Q: Form) -> int:
-        label = class_label(Q, N)
-        i = index.get(label)
-        if i is None:
-            if len(reps) >= target:
-                raise InvariantViolation(
-                    f"closure produced more than the expected {target} classes"
-                )
-            i = index[label] = len(reps)
-            reps.append(label_form(label, N))
-        return i
-
-    Q0 = ctx.principal_form()
-    add(Q0)
+    labels = set()
     for R in enumerate_reduced(ctx.disc):
-        _, lifted = make_coprime(R, N)
-        add(lifted)
-    # kernel of C_N -> C_1: classes of principal ideals (u*tau + v) coprime to N
-    for u in range(N):
-        for v in range(N):
-            if gcd(ctx.elem_norm(v, u), N) != 1:
-                continue
-            sigma = sl2_lift_bottom_row(u, v, N)
-            add(Q0.apply(sigma.inv()))
-
-    # close under composition; products[(i, j)] with i <= j
-    products: Dict[Tuple[int, int], int] = {}
-    frontier = list(range(len(reps)))
-    while frontier:
-        new_frontier = []
-        for i in frontier:
-            for j in range(len(reps)):
-                pair = (min(i, j), max(i, j))
-                if pair in products:
-                    continue
-                before = len(reps)
-                products[pair] = add(compose_level(reps[i], reps[j], ctx, N))
-                if len(reps) > before:
-                    new_frontier.append(before)
-        frontier = new_frontier
-
-    n = len(reps)
+        auts = _reduced_automorphisms(R)
+        for u in range(N):
+            for v in range(N):
+                if gcd(R.evaluate(v, -u), N) == 1:
+                    rows = (((u * p + v * r) % N, (u * q + v * s) % N) for p, q, r, s in auts)
+                    labels.add((R, min(rows)))
+    labels = sorted(labels)
+    n = len(labels)
+    target = _expected_order(ctx, N)
     if n != target:
-        raise InvariantViolation(f"closure found {n} classes, expected {target}")
-    table = [[0] * n for _ in reps]
-    for (i, j), k in products.items():
-        table[i][j] = table[j][i] = k
+        raise InvariantViolation(f"found {n} class labels, expected {target}")
+    reps = [label_form(label, N) for label in labels]
+    index = {label: i for i, label in enumerate(labels)}
+    table = [[0] * n for _ in labels]
+    for i in range(n):
+        for j in range(i, n):
+            k = index.get(class_label(compose_level(reps[i], reps[j], ctx, N), N))
+            if k is None:
+                raise InvariantViolation(f"product of classes {i} and {j} has no known label")
+            table[i][j] = table[j][i] = k
 
     factors, characters = group_structure_from_table(table, identity=0)
     return ClassGroup(ctx.disc, N, reps, table, factors, characters)
@@ -802,7 +761,3 @@ def group_structure_from_table(
     factors = sorted((d for _, d in basis if d > 1))
     return factors, characters
 
-
-def group_structure(G: ClassGroup) -> Tuple[List[int], List[List[Fraction]]]:
-    """Invariant factors and character table of a computed class group."""
-    return group_structure_from_table(G.table, G.identity_index)

@@ -17,18 +17,14 @@ from mpmath import mp
 
 from . import cartan, invariants, modfun, refdata
 from .numerics import BigComplex, PrecisionPolicy, bits_for_digits
-from .orderideals import form_ideal_dictionary, oracle_class_group
+from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import (
     ClassGroup,
     Form,
     OrderContext,
     class_enumerate,
     class_number,
-    compose_level,
-    dirichlet_compose,
     enumerate_reduced,
-    make_coprime,
-    reduce_form,
 )
 
 Check = Tuple[str, bool, str]
@@ -38,11 +34,6 @@ DEFAULT_SEED = 1729
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
     return (name, bool(ok), detail)
-
-
-def reference_class_group() -> ClassGroup:
-    ctx = OrderContext.from_disc(refdata.D200_DISC)
-    return class_enumerate(ctx, refdata.D200_LEVEL)
 
 
 def align_to_reference(G: ClassGroup) -> List[int]:
@@ -92,7 +83,7 @@ def battery_paper(minpoly_digits: int = 700) -> List[Check]:
     return checks
 
 
-def battery_small(seed: int = DEFAULT_SEED, norm_bound=None) -> List[Check]:
+def battery_small(norm_bound=None) -> List[Check]:
     """Form-side vs ideal-side oracle across the discriminant/level battery."""
     checks: List[Check] = []
     for D in refdata.BATTERY_DISCS:
@@ -100,19 +91,13 @@ def battery_small(seed: int = DEFAULT_SEED, norm_bound=None) -> List[Check]:
         h = class_number(D)
         for N in refdata.BATTERY_LEVELS:
             oracle = oracle_class_group(ctx, N, norm_bound=norm_bound)
-            G = class_enumerate(ctx, N, expected_order=oracle.order)
+            G = class_enumerate(ctx, N)
             label = f"oracle-match D={D} N={N}"
             if G.order != oracle.order:
                 checks.append(_check(label, False, "orders differ"))
                 continue
             phi = form_ideal_dictionary(oracle, G)
-            bad = sum(
-                1
-                for i in range(G.order)
-                for j in range(G.order)
-                if phi[G.table[i][j]] != oracle.table[phi[i]][phi[j]]
-            )
-            checks.append(_check(label, bad == 0, f"|G|={G.order}"))
+            checks.append(_check(label, tables_isomorphic(oracle, G, phi), f"|G|={G.order}"))
             if N >= 2:
                 checks.append(
                     _check(
@@ -194,10 +179,10 @@ def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits: int = 700, 
     if name == "paper":
         return battery_paper(minpoly_digits=minpoly_digits)
     if name == "small":
-        return battery_small(seed=seed, norm_bound=norm_bound)
+        return battery_small(norm_bound=norm_bound)
     if name == "full":
         return (
-            battery_small(seed=seed, norm_bound=norm_bound)
+            battery_small(norm_bound=norm_bound)
             + battery_paper(minpoly_digits=minpoly_digits)
             + battery_modular(seed=seed)
         )

@@ -93,9 +93,17 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
 
 
-def test_threads_option_is_gone(capsys):
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("classgroup", "--threads"),
+        *((c, "--seed") for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants")),
+        *((c, "--norm-bound") for c in ("minpoly", "lderiv", "cartan", "invariants")),
+    ],
+)
+def test_removed_option_is_rejected(capsys, command, option):
     with pytest.raises(SystemExit):
-        cli.main(["classgroup", "--disc", "-200", "--level", "3", "--threads", "2"])
+        cli.main([command, "--disc", "-200", "--level", "3", option, "2"])
 
 
 def test_classgroup_text_table(capsys):

@@ -11,11 +11,16 @@ from classfield.lfunctions import (
     kronecker_xi,
     lderiv0,
     log_g_values,
-    zeta_ideal_partial,
+    zeta_ideal_partial_all,
     zeta_lattice_partial,
 )
 from classfield.numerics import BigComplex, DomainError, bits_for_digits
-from classfield.orderideals import fractional_omega_lattice
+from classfield.orderideals import (
+    _class_bases,
+    _integral_ray_model,
+    fractional_omega_lattice,
+    ray_label,
+)
 from classfield.quadforms import Form
 
 DIGITS = 50
@@ -32,10 +37,15 @@ def test_gamma_on(ctx200):
     assert gamma_ON(ctx200, 2) == 2
 
 
+def ray_label_of(ctx, Q, N):
+    """The ray label of [[omega_Q, 1]], the key of zeta_ideal_partial_all."""
+    return ray_label(_integral_ray_model(fractional_omega_lattice(ctx, Q), N), N, _class_bases(ctx, N))
+
+
 def test_zeta_partial_agreement_single_class(ctx200):
     s = BigComplex(2, 0, PREC)
     Q = Form(2, 0, 25)
-    zi = zeta_ideal_partial(fractional_omega_lattice(ctx200, Q), ctx200, 3, s, 2000)
+    zi = zeta_ideal_partial_all(ctx200, 3, s, 2000)[ray_label_of(ctx200, Q, 3)]
     zl = zeta_lattice_partial(Q, ctx200, 3, s, 120)
     with mp.workprec(PREC):
         diff = abs(zi.value.to_mpc() - zl.value.to_mpc())
@@ -44,14 +54,13 @@ def test_zeta_partial_agreement_single_class(ctx200):
 
 def test_zeta_empty_truncation(ctx200):
     s = BigComplex(2, 0, PREC)
-    z = zeta_ideal_partial(fractional_omega_lattice(ctx200, Form(2, 0, 25)), ctx200, 3, s, 0)
-    assert z.value.to_mpc() == 0 and z.terms == 0
+    assert zeta_ideal_partial_all(ctx200, 3, s, 0) == {}
 
 
 def test_zeta_monotone_in_bound(ctx200):
     s = BigComplex(2, 0, PREC)
-    L = fractional_omega_lattice(ctx200, Form(2, 0, 25))
-    vals = [zeta_ideal_partial(L, ctx200, 3, s, B).value.re for B in (50, 200, 800)]
+    lab = ray_label_of(ctx200, Form(2, 0, 25), 3)
+    vals = [zeta_ideal_partial_all(ctx200, 3, s, B)[lab].value.re for B in (50, 200, 800)]
     assert vals[0] < vals[1] < vals[2]
 
 

@@ -22,7 +22,6 @@ from classfield.quadforms import (
     group_structure_from_table,
     label_form,
     make_coprime,
-    proper_equivalence,
     reduce_form,
     sl2_lift_bottom_row,
 )
@@ -319,15 +318,29 @@ def reference_enumerate(ctx, N):
     table = [[add(compose_level(P, P2, ctx, N)) for P2 in reps] for P in reps]
     assert len(reps) == _expected_order(ctx, N)
     factors, characters = group_structure_from_table(table)
-    return table, factors, characters
+    return reps, table, factors, characters
 
 
 @pytest.mark.parametrize("D", refdata.BATTERY_DISCS)
 def test_class_enumerate_matches_reference(D):
+    # the two numberings differ; match them by the witness search, not by labels
     ctx = OrderContext.from_disc(D)
     for N in refdata.BATTERY_LEVELS:
         G = class_enumerate(ctx, N)
-        assert (G.table, G.invariant_factors, G.characters) == reference_enumerate(ctx, N)
+        reps, table, factors, characters = reference_enumerate(ctx, N)
+        phi = [
+            [j for j, rep in enumerate(G.reps) if gamma1_equivalent(Q, rep, N) is not None]
+            for Q in reps
+        ]
+        assert all(len(hits) == 1 for hits in phi)
+        phi = [hits[0] for hits in phi]
+        assert sorted(phi) == list(range(G.order))
+        n = len(reps)
+        assert all(G.table[phi[i]][phi[j]] == phi[table[i][j]] for i in range(n) for j in range(n))
+        assert G.invariant_factors == factors
+        assert len(G.characters) == len(characters)
+        assert {tuple(chi[phi[i]] for i in range(n)) for chi in G.characters} == set(map(tuple, characters))
+        assert all(G.index_of(Q) == i for i, Q in enumerate(G.reps))
 
 
 def test_index_of_rejects_wrong_discriminant(G200):
