@@ -70,21 +70,6 @@ def unit_group(ctx: OrderContext, N: int) -> List[ResidueElem]:
     return out
 
 
-def _closure(gens: List[Mat], N: int) -> FrozenSet[Mat]:
-    seen = set(gens)
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in list(seen):
-                for c in (_mat_mul(a, b, N), _mat_mul(b, a, N)):
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-        frontier = nxt
-    return frozenset(seen)
-
-
 @dataclass
 class CartanData:
     level: int
@@ -102,8 +87,9 @@ def cartan_groups(ctx: OrderContext, N: int) -> CartanData:
         raise DomainError("level must be at least 2")
     W = frozenset(u.matrix(ctx) for u in unit_group(ctx, N))
     U = frozenset(mu(ctx, N, y, x) for (x, y) in _unit_coords(ctx))
+    # J^2 = I and conjugation is a ring automorphism of O/NO, so J normalizes W
     J = (1 % N, ctx.b0 % N, 0, (-1) % N)
-    What = _closure(list(W) + [J], N)
+    What = W | {_mat_mul(w, J, N) for w in W}
     return CartanData(N, W, U, What)
 
 

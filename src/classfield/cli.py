@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import List, Optional
 
 import mpmath
-from mpmath import mp
 
 from . import cartan, invariants, lfunctions, verify
 from .numerics import (
@@ -112,20 +111,12 @@ def cmd_lderiv(args) -> int:
     logs = lfunctions.log_g_values(G, ctx, args.digits)
     chars = [lfunctions.Character.from_class_group(G, k) for k in range(G.order)]
     which = range(G.order) if args.character is None else [args.character]
-    prec = bits_for_digits(args.digits)
     values = {k: lfunctions.lderiv0(chars[k], G, ctx, args.digits, logs=logs) for k in which}
-
-    with mp.workprec(prec):
-        inversion = mpmath.mpf(0)
-        if args.character is None:
-            # recover ln|g(C)| from all characters: finite Fourier inversion
-            gamma = lfunctions.gamma_ON(ctx, args.level)
-            scale = mpmath.mpf(-gamma * 6 * args.level) / G.order
-            for i in range(G.order):
-                acc = mpmath.mpc(0)
-                for k in range(G.order):
-                    acc += mpmath.conj(chars[k].value(i, prec)) * values[k].to_mpc()
-                inversion = max(inversion, abs(scale * acc - logs[i]))
+    inversion = None
+    if args.character is None:
+        # recover ln|g(C)| from all characters
+        prec = bits_for_digits(args.digits)
+        inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, prec)
     payload = {
         "kind": "lderiv",
         "disc": str(ctx.disc),
@@ -139,7 +130,7 @@ def cmd_lderiv(args) -> int:
             }
             for k in which
         },
-        "inversion_residual": mpmath.nstr(inversion, 5) if args.character is None else None,
+        "inversion_residual": None if inversion is None else mpmath.nstr(inversion, 5),
     }
 
     def text():
@@ -242,10 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="classfield", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, level_default=None, digits_default=60):
+    def common(p, digits_default=None):
         p.add_argument("--disc", type=int, required=True)
-        p.add_argument("--level", type=int, default=level_default, required=level_default is None)
-        p.add_argument("--digits", type=int, default=digits_default)
+        p.add_argument("--level", type=int, required=True)
+        if digits_default is not None:
+            p.add_argument("--digits", type=int, default=digits_default)
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("classgroup", help="level-N form class group")
@@ -270,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_cartan)
 
     p = sub.add_parser("invariants", help="Galois orbit of a family invariant")
-    common(p)
+    common(p, digits_default=60)
     p.add_argument("--family", choices=("siegel", "fricke", "j"), default="siegel")
     p.set_defaults(fn=cmd_invariants)
 

@@ -37,6 +37,7 @@ __all__ = [
     "zeta_lattice_partial",
     "log_g_values",
     "lderiv0",
+    "fourier_inversion_residual",
     "kronecker_xi",
 ]
 
@@ -211,6 +212,30 @@ def lderiv0(
             total += chi.value(i, prec) * logs[i]
         total *= mpmath.mpf(-1) / (gamma * 6 * N)
     return BigComplex.from_mpc(total, prec)
+
+
+def fourier_inversion_residual(
+    G: ClassGroup,
+    ctx: OrderContext,
+    values: Sequence[BigComplex],
+    logs: Sequence[mpmath.mpf],
+    prec: int,
+) -> mpmath.mpf:
+    """max_i |scale * sum_k conj chi_k(C_i) L'(0, chi_k) - ln|g(C_i)||.
+
+    Finite Fourier inversion of lderiv0 with scale = -gamma 6N / |G|:
+    values[k] is L'(0, chi_k) for every character k, at `prec` bits.
+    """
+    chars = [Character.from_class_group(G, k) for k in range(G.order)]
+    with mp.workprec(prec):
+        scale = mpmath.mpf(-gamma_ON(ctx, G.level) * 6 * G.level) / G.order
+        worst = mpmath.mpf(0)
+        for i in range(G.order):
+            acc = mpmath.mpc(0)
+            for k in range(G.order):
+                acc += mpmath.conj(chars[k].value(i, prec)) * values[k].to_mpc()
+            worst = max(worst, abs(scale * acc - logs[i]))
+    return worst
 
 
 def _on_lattice(omega: BigComplex, z: BigComplex, prec: int) -> bool:

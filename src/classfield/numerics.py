@@ -81,10 +81,6 @@ class PrecisionPolicy:
     def working_digits(self) -> int:
         return self.target_decimal_digits + self.guard_digits
 
-    @property
-    def working_bits(self) -> int:
-        return bits_for_digits(self.working_digits)
-
     def recognition_tol(self) -> mpmath.mpf:
         # separates rounding noise from genuine non-integrality by many orders
         with mp.workprec(MIN_PREC_BITS):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from .numerics import BigComplex, DomainError, InvariantViolation, ResourceError
+from .numerics import DomainError, InvariantViolation, ResourceError
 from .quadforms import (
     Form,
     OrderContext,
@@ -96,10 +96,6 @@ class QuadElem:
 
     def is_zero(self) -> bool:
         return self.x == 0 and self.y == 0
-
-    def numeric(self, digits: int) -> BigComplex:
-        tau = self.ctx.tau(digits)
-        return BigComplex(self.x, 0, tau.prec) + BigComplex(self.y, 0, tau.prec) * tau
 
     def __repr__(self):
         return f"QuadElem({self.x} + {self.y}*tau)"
@@ -351,7 +347,6 @@ def integral_ideals(
     ctx: OrderContext,
     bound: int,
     coprime_to: int = 1,
-    with_multiples: bool = True,
     sqrt_roots=None,
 ) -> Iterator[Tuple[int, QuadLattice]]:
     """(norm, ideal) for proper integral ideals of norm <= bound prime to
@@ -372,8 +367,6 @@ def integral_ideals(
             while m * m * a <= bound:
                 if gcd(m, coprime_to) == 1:
                     yield m * m * a, form_to_lattice(ctx, Q, scale=m)
-                if not with_multiples:
-                    break
                 m += 1
 
 

@@ -9,11 +9,11 @@ well defined.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd, isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
 
@@ -525,6 +525,8 @@ class ClassGroup:
     table: List[List[int]]
     invariant_factors: List[int]
     characters: List[List[Fraction]]
+    # class_label -> index, filled in by class_enumerate
+    _index: Dict[Tuple, int] = field(init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -533,9 +535,6 @@ class ClassGroup:
     @property
     def identity_index(self) -> int:
         return 0
-
-    def __post_init__(self):
-        self._index = {class_label(Q, self.level): i for i, Q in enumerate(self.reps)}
 
     def index_of(self, Q: Form) -> int:
         """Index of the class of Q: a dict lookup on its class_label."""
@@ -547,19 +546,6 @@ class ClassGroup:
         if i is None:
             raise DomainError(f"{Q} does not lie in any known class")
         return i
-
-    def inverse_index(self, i: int) -> int:
-        return self.table[i].index(0)
-
-    def character_value(self, k: int, i: int, digits: int = 30) -> BigComplex:
-        """chi_k(reps[i]) as a complex root of unity."""
-        from mpmath import mp, mpf, cos, sin, pi
-
-        r = self.characters[k][i]
-        prec = bits_for_digits(digits)
-        with mp.workprec(prec):
-            t = 2 * pi * mpf(r.numerator) / r.denominator
-            return BigComplex(cos(t), sin(t), prec)
 
     def to_json(self) -> dict:
         return {
@@ -640,7 +626,9 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
             table[i][j] = table[j][i] = k
 
     factors, characters = group_structure_from_table(table, identity=0)
-    return ClassGroup(ctx.disc, N, reps, table, factors, characters)
+    G = ClassGroup(ctx.disc, N, reps, table, factors, characters)
+    G._index = index
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from classfield.cartan import cartan_groups, mu, unit_group, wuog_identity_holds
+from classfield.cartan import _mat_mul, cartan_groups, mu, unit_group
 from classfield.numerics import DomainError
-from classfield.quadforms import OrderContext, class_enumerate, class_number
+from classfield.quadforms import OrderContext
+from classfield.refdata import BATTERY_DISCS, BATTERY_LEVELS
 
 RNG_SEED = 1729
 
@@ -59,16 +60,12 @@ def test_cartan_orders(ctx200):
         cartan_groups(ctx200, 1)
 
 
-def test_what_contains_w_and_conjugation(ctx200):
-    data = cartan_groups(ctx200, 4)
-    assert data.W <= data.What
-    assert (1, ctx200.b0 % 4, 0, 3) in data.What
-
-
-def test_wuog_identity_battery():
-    for D in (-15, -20, -24, -56, -71, -200):
+def test_what_contains_w_and_conjugation():
+    # W-hat = W u W*J is a group: closed under multiplication, over the battery
+    for D in BATTERY_DISCS:
         ctx = OrderContext.from_disc(D)
-        h = class_number(D)
-        for N in (2, 3, 4):
-            G = class_enumerate(ctx, N)
-            assert wuog_identity_holds(ctx, N, G.order, h), (D, N)
+        for N in (N for N in BATTERY_LEVELS if N >= 2):
+            data = cartan_groups(ctx, N)
+            assert data.W <= data.What
+            assert (1, ctx.b0 % N, 0, N - 1) in data.What
+            assert all(_mat_mul(a, b, N) in data.What for a in data.What for b in data.What), (D, N)

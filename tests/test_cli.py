@@ -97,6 +97,7 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     "command, option",
     [
         ("classgroup", "--threads"),
+        *((c, "--digits") for c in ("classgroup", "cartan")),
         *((c, "--seed") for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants")),
         *((c, "--norm-bound") for c in ("minpoly", "lderiv", "cartan", "invariants")),
     ],

@@ -26,7 +26,6 @@ from classfield.orderideals import (
 from classfield.quadforms import (
     Form,
     OrderContext,
-    class_enumerate,
     dirichlet_compose,
     enumerate_reduced,
     make_coprime,
