@@ -93,7 +93,6 @@ def cartan_groups(ctx: OrderContext, N: int) -> CartanData:
     return CartanData(N, W, U, What)
 
 
-def wuog_identity_holds(ctx: OrderContext, N: int, class_count: int, h: int) -> bool:
+def wuog_identity_holds(cd: CartanData, class_count: int, h: int) -> bool:
     """|W|/|U| == |C_N(O)|/h, the computable shadow of the Galois description."""
-    cd = cartan_groups(ctx, N)
     return len(cd.W) * h == len(cd.U) * class_count

@@ -151,21 +151,22 @@ def cmd_cartan(args) -> int:
     if args.level < 2:
         raise DomainError("cartan needs level >= 2")
     data = cartan.cartan_groups(ctx, args.level)
-    units = cartan.unit_group(ctx, args.level)
+    # mu is injective on residues, so W has one matrix per unit of O/NO
+    units = len(data.W)
     G = class_enumerate(ctx, args.level)
     from .quadforms import class_number
 
-    ok = cartan.wuog_identity_holds(ctx, args.level, G.order, class_number(ctx.disc))
+    ok = cartan.wuog_identity_holds(data, G.order, class_number(ctx.disc))
     payload = {
         "kind": "cartan",
         "disc": str(ctx.disc),
         "N": str(args.level),
-        "orders": {k: str(v) for k, v in data.orders().items()} | {"units": str(len(units))},
+        "orders": {k: str(v) for k, v in data.orders().items()} | {"units": str(units)},
         "check_WUOG": ok,
     }
 
     def text():
-        print(f"|(O/NO)*| = {len(units)}, |W| = {len(data.W)}, |U| = {len(data.U)}, |What| = {len(data.What)}")
+        print(f"|(O/NO)*| = {units}, |W| = {len(data.W)}, |U| = {len(data.U)}, |What| = {len(data.What)}")
         print("order identity |W|/|U| = |C_N|/h:", "ok" if ok else "FAILED")
 
     _emit(payload, args.format, text)

@@ -2,13 +2,18 @@
 and derivatives of the order L-functions at s = 0.
 
 Two independent routes compute the same partial zeta data: a direct sum over
-integral ideals bucketed by ray class, and the shifted lattice sum attached to
-a representing form.  The s = 0 derivative itself is the closed-form finite
-sum over class invariants; no analytic continuation machinery is implemented.
+integral ideals bucketed by ray class, and the shifted lattice zeta attached to
+a representing form, evaluated by Poisson summation over a reduced basis
+(Chowla-Selberg).  The s = 0 derivative itself is the closed-form finite sum
+over class invariants; no analytic continuation machinery is implemented.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -27,7 +32,7 @@ from .orderideals import (
     integral_ideals,
     ray_label,
 )
-from .quadforms import ClassGroup, Form, OrderContext
+from .quadforms import ClassGroup, Form, OrderContext, reduce_form
 
 __all__ = [
     "Character",
@@ -52,7 +57,7 @@ class Character:
     def from_class_group(cls, G: ClassGroup, k: int) -> "Character":
         return cls(tuple(G.characters[k]))
 
-    @property
+    @functools.cached_property
     def order(self) -> int:
         o = 1
         for r in self.exponents:
@@ -70,8 +75,20 @@ class Character:
 
     def value(self, i: int, prec: int) -> mpmath.mpc:
         r = self.exponents[i]
-        with mp.workprec(prec):
-            return mpmath.exp(2j * mpmath.pi * mpmath.mpf(r.numerator) / r.denominator)
+        e = self.order
+        return _roots_of_unity(e, prec)[r.numerator * (e // r.denominator) % e]
+
+
+@functools.lru_cache(maxsize=64)
+def _roots_of_unity(e: int, prec: int) -> Tuple[mpmath.mpc, ...]:
+    """exp(2 pi i k/e) for k = 0, ..., e - 1, each evaluated from k/e in lowest
+    terms, so that it is bit for bit the value from the exponent itself."""
+    out = []
+    with mp.workprec(prec):
+        for k in range(e):
+            r = Fraction(k, e)
+            out.append(mpmath.exp(2j * mpmath.pi * mpmath.mpf(r.numerator) / r.denominator))
+    return tuple(out)
 
 
 def gamma_ON(ctx: OrderContext, N: int) -> int:
@@ -108,7 +125,16 @@ def _sympy_roots(ctx: OrderContext):
 def zeta_ideal_partial_all(
     ctx: OrderContext, N: int, s: BigComplex, bound: int, digits: int = 30
 ) -> Dict[Tuple, ZetaPartial]:
-    """Partial zeta values for every ray class at once, from one enumeration."""
+    """Partial zeta values for every ray class at once, from one enumeration.
+
+    The tail 2 kappa B^(1-s)/(s-1), kappa = (ideals of norm <= B)/B, is an
+    estimate, not a proven bound: it assumes the class's ideal count keeps
+    growing at its rate up to B, with a factor 2 to spare.  At s = 2 against
+    zeta_lattice_partial, over D in {-20, -56, -71, -116, -200} and N in
+    {1, 2, 3, 5}, the worst |ideal - lattice| / tail was 0.56 at B = 10^4,
+    0.60 at B = 2000 and 0.92 at B = 1000; at B <= 200 it exceeds 1 (1.95
+    at B = 100).
+    """
     _require_res_gt1(s)
     bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
@@ -132,55 +158,162 @@ def zeta_ideal_partial_all(
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _hurwitz_pair(z: mpmath.mpc, x: Fraction, prec: int) -> mpmath.mpc:
+    """sum of |n|^-z over n in x + Z, n != 0: zeta(z, x) + zeta(z, 1 - x)."""
+    with mp.workprec(prec):
+        if x == 0:
+            return 2 * mpmath.zeta(z)
+        x = mpmath.mpf(x.numerator) / x.denominator
+        return mpmath.zeta(z, x) + mpmath.zeta(z, 1 - x)
+
+
 def zeta_lattice_partial(
     Q: Form, ctx: OrderContext, N: int, s: BigComplex, M: int, digits: int = 30
 ) -> ZetaPartial:
-    """The form-side lattice sum over the box max(|m|, |n|) <= M.
+    """The form-side partial zeta, by Poisson summation over a reduced basis.
 
-    Terms are accumulated in decreasing magnitude; the tail bound is the
-    integral estimate for the square cutoff.
+    The value is (N^2 a)^-s / gamma * sum |m w + n + a'/N|^-2s over (m, n) in
+    Z^2, with w = Q.point, a' = a^-1 mod N and the zero point left out: that
+    is 1/gamma * sum P(u, v)^-s over the coset (u, v) = (0, a') mod N of
+    P = c u^2 + b u v + a v^2.  Reducing P to R = (A, B, C) = A |x + y tau|^2
+    in exact integers moves the coset to (x, y) = N (n + t, m + mu), and
+    Poisson summation in n gives each row j = m + mu != 0 (Chowla-Selberg) as
+
+        sum_n ((n + x_j)^2 + y_j^2)^-s = sqrt(pi) G(s - 1/2)/G(s) y_j^(1-2s)
+            + 4 pi^s/G(s) sum_k (k/y_j)^(s-1/2) K_(s-1/2)(2 pi k y_j) cos(2 pi k x_j)
+
+    with x_j = t + j Re tau and y_j = |j| Im tau.  Over the rows the leading
+    terms sum to Hurwitz zetas, as does the row j = 0.  M is the row cutoff:
+    rows |m| <= M get their Bessel series, each cut once its remainder is
+    provably below 2^(16 - prec) of the leading terms.  `terms` counts the
+    Bessel terms evaluated, and `tail_bound` bounds the omitted ones: the cut
+    series, charged that budget each, and the rows left out.
     """
     _require_res_gt1(s)
     if gcd(Q.a, N) != 1:
         raise DomainError("form must be coprime to the level")
-    a = Q.a
-    a_inv = pow(a, -1, N) if N > 1 else 1
+    a_inv = pow(Q.a, -1, N)
+    R, g = reduce_form(Form(Q.c, Q.b, Q.a))
+    A, B, _ = R
+    # (x, y) = g^-1 (u, v), so the coset (0, a') becomes N (t, mu) mod N
+    t = Fraction(-g.q * a_inv % N, N)
+    mu = Fraction(g.p * a_inv % N, N)
     gamma = gamma_ON(ctx, N)
     prec = bits_for_digits(digits + GUARD_DIGITS)
-    w = Q.point(digits + GUARD_DIGITS)
+    sr = float(s.re)
+    p = sr - 1
+    # |K_(s-1/2)(X)| <= K_(p+1/2)(X) <= sqrt(pi/(2X)) e^-X beta(X), from the
+    # integral for K_(p+1/2) and (1 + v)^p <= max(1, 2^(p-1)) (1 + v^p)
+    log_cp = max(0.0, (p - 1) * math.log(2))
+    log_gp = math.lgamma(2 * p + 1) - math.lgamma(p + 1)
+
+    def log_term(y: float, k: int) -> float:
+        """ln of a bound on |2 (k/y)^(s-1/2) K_(s-1/2)(2 pi k y)|."""
+        X = 2 * math.pi * k * y
+        log_beta = log_cp + math.log1p(math.exp(log_gp - p * math.log(2 * X)))
+        return log_beta + p * math.log(k) - X - sr * math.log(y)
+
+    def log_rest(y: float, K: int) -> float:
+        """ln of a bound on the same summed over k > K, times |cos| <= 1."""
+        a = 2 * math.pi * y
+        rho = ((K + 2) / (K + 1)) ** p * math.exp(-a)
+        if rho < 1:
+            # the term bounds fall by at least rho from k = K + 1 on
+            return log_term(y, K + 1) - math.log1p(-rho)
+        if K > 0:
+            return math.inf
+        # sum_k k^p e^(-a k) is at most the largest summand plus the integral
+        peak = (p / (a * math.e)) ** p + math.exp(math.lgamma(p + 1) - (p + 1) * math.log(a))
+        return log_term(y, 1) + a + math.log(peak)
+
     with mp.workprec(prec):
-        wx, wy = w.re, w.im
-        shift = mpmath.mpf(a_inv) / N
-        sr = float(s.re)
-        s_int = int(s.re) if (s.im == 0 and s.re == int(s.re)) else None
         s_ = s.to_mpc()
-        one = mpmath.mpf(1)
-        # |mw + n + shift|^2 per term, row-incrementally; ranked largest first
-        terms = []
-        for m in range(-M, M + 1):
-            row_re = m * wx + shift - (M + 1)
-            my2 = (m * wy) ** 2
-            for n in range(-M, M + 1):
-                row_re += 1
-                if N == 1 and m == 0 and n == -a_inv:
-                    continue
-                z2 = row_re * row_re + my2
-                terms.append((float(z2), z2))
-        terms.sort(key=lambda t: t[0])
-        total = mpmath.mpc(0)
-        if s_int is not None:
-            for _, z2 in terms:
-                total += one / z2**s_int
-        else:
-            for _, z2 in terms:
-                total += mpmath.exp(-s_ * mpmath.log(z2))
-        pref = mpmath.exp(-s_ * mpmath.log(mpmath.mpf(N * N * a))) / gamma
-        total *= pref
-        # |m w + n + shift| >= kappa * max(|m|, |n|) on rings beyond the box
-        kappa = min(float(wy) / (2 * (abs(float(wx)) + 1)), 0.25)
-        tail = 8 * kappa ** (-2 * sr) * M ** (2 - 2 * sr) / (2 * sr - 2)
-        tail *= abs(float((N * N * a) ** (-sr))) / gamma
-    return ZetaPartial(BigComplex.from_mpc(total, prec), len(terms), float(tail))
+        nu = s_ - mpmath.mpf(1) / 2
+        im_tau = mpmath.sqrt(-R.disc) / (2 * A)
+        im_f = float(im_tau)
+        lead = mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu) / mpmath.gamma(s_)
+        lead *= im_tau ** (1 - 2 * s_) * _hurwitz_pair(2 * s_ - 1, min(mu, 1 - mu), prec)
+        scale = abs(lead)
+        if mu == 0:
+            row0 = _hurwitz_pair(2 * s_, min(t, 1 - t), prec)
+            lead += row0
+            scale += abs(row0)
+        half_c = 2 * mpmath.pi**s_ / mpmath.gamma(s_)
+        log_eps = (16 - prec) * math.log(2) + float(mpmath.log(scale / abs(half_c)))
+        n = int(sr) - 1 if s.im == 0 and s.re == int(s.re) else None
+        if n is not None:
+            # K_(n+1/2)(X) = sqrt(pi/(2X)) e^-X sum_i (n+i)!/(i!(n-i)!) (2X)^-i
+            poly = [
+                math.factorial(n + i) // (math.factorial(i) * math.factorial(n - i))
+                for i in range(n, -1, -1)
+            ]
+        cospi2 = {}  # cos(2 pi r/d) by (r, d)
+        # the rows N j = N (m + mu) for |m| <= M, by increasing |j|
+        Nmu = mu.numerator * (N // mu.denominator)
+        rows = heapq.merge(
+            range(Nmu or N, Nmu + N * M + 1, N), range(Nmu - N, Nmu - N * M - 1, -N), key=abs
+        )
+        evaluated = {True: 0, False: 0}  # rows with j > 0 and j < 0
+        bessel = mpmath.mpf(0)
+        terms = 0
+        for Nj in rows:
+            if log_rest(abs(Nj) * im_f / N, 0) <= log_eps:
+                break
+            y = abs(Nj) * im_tau / N
+            y_f = float(y)
+            x = t + Fraction(Nj * B, 2 * A * N)
+            xn, xd = x.numerator, x.denominator
+            if n is not None:
+                q = mpmath.exp(-2 * mpmath.pi * y)
+                u = 1 / (4 * mpmath.pi * y)
+                qk = mpmath.mpf(1)
+            row = mpmath.mpf(0)
+            k = 0
+            while True:
+                k += 1
+                r = k * xn % xd
+                cos = cospi2.get((r, xd))
+                if cos is None:
+                    cos = cospi2[r, xd] = mpmath.cospi(mpmath.mpf(2 * r) / xd)
+                if n is not None:
+                    # 2 (k/y)^(n+1/2) K_(n+1/2)(2 pi k y) = k^n q^k poly(u/k) / y^(n+1)
+                    qk *= q
+                    w = u / k
+                    acc = mpmath.mpf(0)
+                    for c in poly:
+                        acc = acc * w + c
+                    row += k**n * qk * acc * cos
+                else:
+                    # bits enough for this term to be right to 2^-10 of the budget
+                    bits = (log_term(y_f, k) - log_eps) / math.log(2) + 10
+                    with mp.workprec(max(53, min(prec, int(bits)))):
+                        kb = mpmath.besselk(nu, 2 * mpmath.pi * k * y)
+                    row += 2 * mpmath.exp(nu * mpmath.log(k / y)) * kb * cos
+                if log_rest(y_f, k) <= log_eps:
+                    break
+            bessel += row / y ** (n + 1) if n is not None else row
+            terms += k
+            evaluated[Nj > 0] += 1
+
+        def side_rest(r: Fraction) -> mpmath.mpf:
+            """Bound on the rows |j| = r, r + 1, ... of one side, none evaluated."""
+            total = mpmath.mpf(0)
+            while True:
+                bound = mpmath.exp(log_rest(r * im_f, 0))
+                if 2**p * math.exp(-2 * math.pi * r * im_f) < 1:
+                    # from here on each row's bound is e^(-2 pi Im tau) times the last
+                    return total + bound / (1 - mpmath.exp(-2 * mpmath.pi * im_tau))
+                total += bound
+                r += 1
+
+        # each side's rows start at |j| = mu (or 1 when mu = 0) and 1 - mu
+        rest = sum(evaluated.values()) * mpmath.exp(log_eps)
+        rest += side_rest((mu or 1) + evaluated[True]) + side_rest(1 - mu + evaluated[False])
+        pref = mpmath.exp(-s_ * mpmath.log(A * N * N)) / gamma
+        total = pref * (lead + half_c * bessel)
+        tail = float(abs(pref * half_c) * rest)
+    return ZetaPartial(BigComplex.from_mpc(total, prec), terms, max(tail, sys.float_info.min))
 
 
 def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.mpf]:

@@ -32,6 +32,9 @@ from .quadforms import (
 Check = Tuple[str, bool, str]
 
 DEFAULT_SEED = 1729
+# D = -200 has b0 = 0, so the conjugation rule also runs at an odd
+# discriminant (b0 = 1), where the b0 entry of J matters
+CONJUGATION_ODD_DISC = -71
 
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
@@ -111,7 +114,8 @@ def check_oracle_match(ctx: OrderContext, G: ClassGroup, norm_bound: Optional[in
 
 
 def check_wuog(ctx: OrderContext, G: ClassGroup) -> Check:
-    ok = cartan.wuog_identity_holds(ctx, G.level, G.order, class_number(ctx.disc))
+    cd = cartan.cartan_groups(ctx, G.level)
+    ok = cartan.wuog_identity_holds(cd, G.order, class_number(ctx.disc))
     return _check(f"cartan-wuog D={ctx.disc} N={G.level}", ok)
 
 
@@ -167,20 +171,19 @@ def check_torsion_coordinates(ctx: OrderContext, vs: Sequence, digits: int) -> C
     return _relative_check("torsion-coordinates", errors, digits)
 
 
-def check_conjugation_rule(ctx: OrderContext, vs: Sequence, digits: int) -> Check:
-    """conj f_v(tau0) = f_{vJ}(tau0) with J = [[1, b0], [0, -1]]."""
-    tau0 = ctx.tau(digits + modfun.GUARD_DIGITS)
-    return _relative_check(
-        "conjugation-rule",
-        (
-            _rel(
-                modfun.fricke(v, tau0, digits).to_mpc().conjugate(),
-                modfun.fricke(v.act((1, ctx.b0, 0, -1)), tau0, digits).to_mpc(),
+def check_conjugation_rule(ctxs: Sequence[OrderContext], vs: Sequence, digits: int) -> Check:
+    """conj f_v(tau0) = f_{vJ}(tau0) with J = [[1, b0], [0, -1]], on every order."""
+    errors = []
+    for ctx in ctxs:
+        tau0 = ctx.tau(digits + modfun.GUARD_DIGITS)
+        for v in vs:
+            errors.append(
+                _rel(
+                    modfun.fricke(v, tau0, digits).to_mpc().conjugate(),
+                    modfun.fricke(v.act((1, ctx.b0, 0, -1)), tau0, digits).to_mpc(),
+                )
             )
-            for v in vs
-        ),
-        digits,
-    )
+    return _relative_check("conjugation-rule", errors, digits)
 
 
 def check_siegel_y_ratio(ctx: OrderContext, digits: int) -> Check:
@@ -206,6 +209,7 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
 
     Five random tau (Im tau in [0.20, 2.00]) for j, then five random 3-torsion
     indices shared by the torsion and conjugation checks, all from `seed`.
+    The conjugation rule runs at D = -200 and at CONJUGATION_ODD_DISC.
     """
     rng = random.Random(seed)
     prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
@@ -218,11 +222,12 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
         for _ in range(5)
     ]
     ctx = OrderContext.from_disc(refdata.D200_DISC)
+    odd = OrderContext.from_disc(CONJUGATION_ODD_DISC)
     with mp.workprec(prec):
         return [
             check_j_siegel_vs_eisenstein(taus, digits),
             check_torsion_coordinates(ctx, vs, digits),
-            check_conjugation_rule(ctx, vs, digits),
+            check_conjugation_rule([ctx, odd], vs, digits),
             check_siegel_y_ratio(ctx, digits),
         ]
 

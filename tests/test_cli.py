@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from classfield import cli
+from classfield import cartan, cli
 from classfield.numerics import InvariantViolation, ResourceError
 
 
@@ -162,6 +162,21 @@ def test_cartan_json(capsys, schema):
     jsonschema.validate(payload, schema)
     assert payload["orders"] == {"W": "4", "U": "2", "What": "8", "units": "4"}
     assert payload["check_WUOG"] is True
+
+
+def test_cartan_builds_groups_once(capsys, monkeypatch):
+    calls = {"cartan_groups": 0, "unit_group": 0}
+    for name in calls:
+        fn = getattr(cartan, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cartan, name, counted)
+    code, payload = run_json(capsys, "cartan", "--disc", "-200", "--level", "5", "--format", "json")
+    assert code == 0 and payload["check_WUOG"] is True
+    assert calls == {"cartan_groups": 1, "unit_group": 1}
 
 
 def test_invariants_json(capsys, schema):

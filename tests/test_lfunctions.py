@@ -1,12 +1,15 @@
 from fractions import Fraction
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from classfield import modfun
 from classfield.lfunctions import (
     Character,
+    ZetaPartial,
     fourier_inversion_residual,
     gamma_ON,
     kronecker_xi,
@@ -21,7 +24,7 @@ from classfield.orderideals import (
     fractional_omega_lattice,
     ray_label,
 )
-from classfield.quadforms import Form
+from classfield.quadforms import SL2, Form, OrderContext, class_enumerate, enumerate_reduced, make_coprime
 
 DIGITS = 50
 PREC = bits_for_digits(DIGITS + modfun.GUARD_DIGITS)
@@ -69,12 +72,62 @@ def test_zeta_requires_res_gt_one(ctx200):
         zeta_lattice_partial(Form(2, 0, 25), ctx200, 3, BigComplex(1, 0, PREC), 10)
 
 
+def reference_box_sum(
+    Q: Form, ctx, N: int, s: BigComplex, M: int, digits: int = 30
+) -> ZetaPartial:
+    """The lattice sum of zeta_lattice_partial over the box max(|m|, |n|) <= M.
+
+    Terms are accumulated in decreasing magnitude; the tail bound is the
+    integral estimate for the square cutoff, valid for M >= 4.
+    """
+    if gcd(Q.a, N) != 1:
+        raise DomainError("form must be coprime to the level")
+    a = Q.a
+    a_inv = pow(a, -1, N) if N > 1 else 1
+    gamma = gamma_ON(ctx, N)
+    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    w = Q.point(digits + modfun.GUARD_DIGITS)
+    with mp.workprec(prec):
+        wx, wy = w.re, w.im
+        shift = mpmath.mpf(a_inv) / N
+        sr = float(s.re)
+        s_int = int(s.re) if (s.im == 0 and s.re == int(s.re)) else None
+        s_ = s.to_mpc()
+        one = mpmath.mpf(1)
+        # |mw + n + shift|^2 per term, row-incrementally; ranked largest first
+        terms = []
+        for m in range(-M, M + 1):
+            row_re = m * wx + shift - (M + 1)
+            my2 = (m * wy) ** 2
+            for n in range(-M, M + 1):
+                row_re += 1
+                if N == 1 and m == 0 and n == -a_inv:
+                    continue
+                z2 = row_re * row_re + my2
+                terms.append((float(z2), z2))
+        terms.sort(key=lambda t: t[0])
+        total = mpmath.mpc(0)
+        if s_int is not None:
+            for _, z2 in terms:
+                total += one / z2**s_int
+        else:
+            for _, z2 in terms:
+                total += mpmath.exp(-s_ * mpmath.log(z2))
+        pref = mpmath.exp(-s_ * mpmath.log(mpmath.mpf(N * N * a))) / gamma
+        total *= pref
+        # |m w + n + shift| >= kappa * max(|m|, |n|) on rings beyond the box
+        kappa = min(float(wy) / (2 * (abs(float(wx)) + 1)), 0.25)
+        tail = 8 * kappa ** (-2 * sr) * M ** (2 - 2 * sr) / (2 * sr - 2)
+        tail *= abs(float((N * N * a) ** (-sr))) / gamma
+    return ZetaPartial(BigComplex.from_mpc(total, prec), len(terms), float(tail))
+
+
 def test_zeta_lattice_term_count(ctx200):
     s = BigComplex(2, 0, PREC)
     # level 1: the excluded shifted-origin term sits inside the box
-    z = zeta_lattice_partial(Form(2, 0, 25), ctx200, 1, s, 15)
+    z = reference_box_sum(Form(2, 0, 25), ctx200, 1, s, 15)
     assert z.terms == 31 * 31 - 1
-    z = zeta_lattice_partial(Form(2, 0, 25), ctx200, 3, s, 15)
+    z = reference_box_sum(Form(2, 0, 25), ctx200, 3, s, 15)
     assert z.terms == 31 * 31
 
 
@@ -82,7 +135,7 @@ def test_zeta_lattice_level_one_is_epstein(ctx200):
     # N = 1 reduces to the plain Epstein sum over the shifted-by-integer lattice
     s = BigComplex(2, 0, PREC)
     Q = ctx200.principal_form()
-    z = zeta_lattice_partial(Q, ctx200, 1, s, 40)
+    z = reference_box_sum(Q, ctx200, 1, s, 40)
     w = Q.point(DIGITS + modfun.GUARD_DIGITS)
     with mp.workprec(PREC):
         direct = mpmath.mpc(0)
@@ -93,6 +146,61 @@ def test_zeta_lattice_level_one_is_epstein(ctx200):
                 direct += abs(m * w.to_mpc() + n + 1) ** -4
         direct /= gamma_ON(ctx200, 1)
         assert abs(direct - z.value.to_mpc()) < tol()
+
+
+T1, S = SL2(1, 1, 0, 1), SL2(0, -1, 1, 0)
+BOX_M = 8  # the reference box tail holds from M = 4 on
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    D=st.sampled_from([-3, -4, -15, -20, -56, -200]),
+    N=st.integers(1, 12),
+    s=st.sampled_from([(2, 0), (3, 0), (Fraction(5, 2), 0), (2, 1)]),
+    which=st.integers(0, 63),
+    word=st.lists(st.sampled_from([T1, T1.inv(), S]), max_size=8),
+    small_M=st.integers(0, 3),
+)
+def test_zeta_lattice_matches_box_sum(D, N, s, which, word, small_M):
+    # reduced forms, and forms moved off the reduced domain by an SL2 word
+    digits = 10
+    Q = enumerate_reduced(D)[which % len(enumerate_reduced(D))]
+    for g in word:
+        Q = Q.apply(g)
+    _, Q = make_coprime(Q, N)
+    ctx = OrderContext.from_disc(D)
+    s = BigComplex(*s, bits_for_digits(digits + modfun.GUARD_DIGITS))
+    box = reference_box_sum(Q, ctx, N, s, BOX_M, digits)
+    new = zeta_lattice_partial(Q, ctx, N, s, 80, digits)
+    cut = zeta_lattice_partial(Q, ctx, N, s, small_M, digits)
+    with mp.workprec(new.value.prec):
+        b, v = box.value.to_mpc(), new.value.to_mpc()
+        if s.im == 0:
+            # every term is positive: the box sum is a partial sum
+            assert b.real <= v.real <= b.real + box.tail_bound
+        assert abs(v - b) <= box.tail_bound + new.tail_bound
+        assert abs(cut.value.to_mpc() - v) <= cut.tail_bound
+
+
+def test_zeta_lattice_unreduced_rep_needs_no_extra_terms(ctx200):
+    # the reduction moves (50, 0, 1) to (1, 0, 50) before any Bessel term
+    s = BigComplex(2, 0, PREC)
+    assert zeta_lattice_partial(Form(50, 0, 1), ctx200, 3, s, 80).terms < 50
+
+
+def test_zeta_ideal_tail_against_closed_form():
+    # the ideal route's tail is an estimate; this is where it was measured
+    s = BigComplex(2, 0, PREC)
+    for D in (-20, -56, -71, -116, -200):
+        ctx = OrderContext.from_disc(D)
+        for N in (1, 2, 3, 5):
+            # at B = 2000 the worst ratio was 0.60
+            table = zeta_ideal_partial_all(ctx, N, s, 2000)
+            for Q in class_enumerate(ctx, N).reps:
+                zi = table[ray_label_of(ctx, Q, N)]
+                zl = zeta_lattice_partial(Q, ctx, N, s, 80)
+                with mp.workprec(PREC):
+                    assert abs(zi.value.to_mpc() - zl.value.to_mpc()) <= zi.tail_bound, (D, N, Q)
 
 
 def test_lderiv_fourier_inversion(ctx200, G200, logs200):
