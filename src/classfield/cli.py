@@ -27,7 +27,7 @@ from .numerics import (
     bits_for_digits,
 )
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
-from .quadforms import OrderContext, class_enumerate
+from .quadforms import OrderContext, class_enumerate, class_number
 
 log = logging.getLogger("classfield")
 
@@ -154,8 +154,6 @@ def cmd_cartan(args) -> int:
     # mu is injective on residues, so W has one matrix per unit of O/NO
     units = len(data.W)
     G = class_enumerate(ctx, args.level)
-    from .quadforms import class_number
-
     ok = cartan.wuog_identity_holds(data, G.order, class_number(ctx.disc))
     payload = {
         "kind": "cartan",

@@ -29,7 +29,7 @@ from .numerics import (
     recognize_integer,
 )
 from .orderideals import QuadElem, QuadLattice, form_to_lattice
-from .quadforms import ClassGroup, Form, OrderContext, class_enumerate
+from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, reduce_form
 
 __all__ = [
     "FamilyId",
@@ -99,18 +99,14 @@ def _point_form(ctx: OrderContext, xi: QuadElem) -> Form:
     return Form(a_i, b_i, c_i)
 
 
-def _family_value_at(
-    family: FamilyId, index_matrix, xi: QuadElem, ctx: OrderContext, N: int, digits: int
-) -> BigComplex:
-    """Family member at index v*M, evaluated at xi via a Gauss-reduced point.
+def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: int) -> BigComplex:
+    """Family member at index v*M, evaluated at the root xi of Qxi via a
+    Gauss-reduced point.
 
     h_w(xi) = h_{w gamma}(omega_R) for the reduction witness Q_xi^gamma = R,
     which keeps the evaluation point high in the upper half-plane regardless
     of the representative's size.
     """
-    from .quadforms import reduce_form
-
-    Qxi = _point_form(ctx, xi)
     R, gam = reduce_form(Qxi)
     point = R.omega(digits + GUARD_DIGITS)
     if family.kind == "j_rational":
@@ -137,9 +133,8 @@ def class_invariant(
     if gcd(Q.a, N) != 1:
         raise DomainError("leading coefficient must be coprime to the level")
     M = _fmatrix(Q, ctx, N)
-    # -conj(omega_Q) = ((b + b0)/2 + tau)/a, exactly
-    xi = QuadElem(ctx, Fraction((Q.b + ctx.b0) // 2, Q.a), Fraction(1, Q.a))
-    return _family_value_at(family, M, xi, ctx, N, digits)
+    # the evaluation point -conj(omega_Q) = (b + sqrt(D))/(2a) is the root of (a, -b, c)
+    return _family_value_at(family, M, Form(Q.a, -Q.b, Q.c), N, digits)
 
 
 def general_invariant(
@@ -168,7 +163,7 @@ def general_invariant(
     A = (int(A11), int(A12), int(A21), int(A22))
     if gcd(A[0] * A[3] - A[1] * A[2], N) != 1:
         raise InvariantViolation("det(A) shares a factor with the level")
-    return _family_value_at(family, A, xi1 / xi2, ctx, N, digits)
+    return _family_value_at(family, A, _point_form(ctx, xi1 / xi2), N, digits)
 
 
 def g_ON(Q: Form, ctx: OrderContext, N: int, digits: int) -> BigComplex:
@@ -187,8 +182,6 @@ def g_ON_from_ideal(L: QuadLattice, ctx: OrderContext, N: int, digits: int) -> B
         return general_invariant(FamilyId.siegel_power(N), L, ctx, N, digits)
     # (2 pi)^12 N([xi,1])^6 |Delta([xi,1])| is basis- and scale-free, so it may
     # be read off the reduced form of the inverse ideal's class
-    from .quadforms import reduce_form
-
     R, _ = reduce_form(L.inverse().to_form())
     prec = bits_for_digits(digits + GUARD_DIGITS)
     e = modfun.eta(R.omega(digits + GUARD_DIGITS), digits)

@@ -112,16 +112,6 @@ def _require_res_gt1(s: BigComplex) -> None:
         raise DomainError("partial zeta sums need Re(s) > 1")
 
 
-def _sympy_roots(ctx: OrderContext):
-    from sympy.ntheory.residue_ntheory import sqrt_mod
-
-    def roots(a: int) -> List[int]:
-        r = sqrt_mod(ctx.disc, 4 * a, all_roots=True)
-        return sorted(r) if r else []
-
-    return roots
-
-
 def zeta_ideal_partial_all(
     ctx: OrderContext, N: int, s: BigComplex, bound: int, digits: int = 30
 ) -> Dict[Tuple, ZetaPartial]:
@@ -138,8 +128,7 @@ def zeta_ideal_partial_all(
     _require_res_gt1(s)
     bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
-    roots = _sympy_roots(ctx)
-    for norm, L in integral_ideals(ctx, bound, coprime_to=N, sqrt_roots=roots):
+    for norm, L in integral_ideals(ctx, bound, coprime_to=N):
         lab = ray_label(L, N, bases)
         norms.setdefault(lab, []).append(norm)
     prec = bits_for_digits(digits + GUARD_DIGITS)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DomainError, InvariantViolation, ResourceError
@@ -24,6 +24,7 @@ from .quadforms import (
     _expected_order,
     _unit_coords,
     enumerate_reduced,
+    make_coprime,
     reduce_form,
     xgcd,
 )
@@ -339,26 +340,73 @@ def same_ray_class(a: QuadLattice, b: QuadLattice, N: int) -> bool:
 # enumeration and the oracle class group
 
 
-def _sqrt_mod_naive(D: int, modulus: int) -> List[int]:
-    return [b for b in range(modulus) if (b * b - D) % modulus == 0]
+def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
+    """A square root of n modulo the odd prime p, or None (Tonelli-Shanks)."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, r, t = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        r, c, t, e = r * b % p, b * b % p, t * b * b % p, i
+    return r
+
+
+def _disc_roots(D: int, a: int) -> List[int]:
+    """The b in [0, 2a) with b^2 = D mod 4a, ascending.
+
+    Roots mod 2m are built up as m runs through the prime factors of a, found
+    by trial division.  The first power of an odd prime p joins the roots
+    +-s of D mod p to those mod 2m by CRT; for p = 2 or a repeated p, each
+    root r mod 2m is tried at its p lifts r + 2m*k.
+    """
+    roots = [b for b in (0, 1) if (b * b - D) % 4 == 0]
+    m, rest, p = 1, a, 2
+    while rest > 1 and roots:
+        if p * p > rest:
+            p = rest
+        if rest % p:
+            p += 1
+            continue
+        rest //= p
+        if p > 2 and m % p:
+            s = _sqrt_mod_prime(D, p)
+            if s is None:
+                return []
+            k = pow(2 * m, -1, p)
+            roots = [r + 2 * m * ((t - r) * k % p) for r in roots for t in {s, -s % p}]
+        else:
+            step, mod = 2 * m, 4 * m * p
+            roots = [b for r in roots for b in range(r, step * p, step) if (b * b - D) % mod == 0]
+        m *= p
+    return sorted(roots)
 
 
 def integral_ideals(
-    ctx: OrderContext,
-    bound: int,
-    coprime_to: int = 1,
-    sqrt_roots=None,
+    ctx: OrderContext, bound: int, coprime_to: int = 1
 ) -> Iterator[Tuple[int, QuadLattice]]:
     """(norm, ideal) for proper integral ideals of norm <= bound prime to
     `coprime_to`; primitive ideals come from forms (a, b mod 2a), and integer
-    multiples m*ideal account for the imprimitive ones."""
-    roots = sqrt_roots or (lambda a: _sqrt_mod_naive(ctx.disc, 4 * a))
+    multiples m*ideal account for the imprimitive ones.
+
+    Ideals come in order of a, then b ascending in [0, 2a), then m; the
+    oracle's representatives are the first ideal of each class in this order.
+    """
     for a in range(1, bound + 1):
         if gcd(a, coprime_to) != 1:
             continue
-        for b in roots(a):
-            if b >= 2 * a:
-                continue
+        for b in _disc_roots(ctx.disc, a):
             c = (b * b - ctx.disc) // (4 * a)
             if gcd(gcd(a, b), c) != 1:
                 continue  # not a proper O-ideal
@@ -418,8 +466,6 @@ class ClassBases(NamedTuple):
 
 
 def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
-    from .quadforms import make_coprime
-
     lattice, gen = {}, {}
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
@@ -492,7 +538,7 @@ def oracle_class_group(
     target = _expected_order(ctx, N)
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
-    bound = norm_bound or max(2 * isqrt_ceil(-ctx.disc // 3) * N * N, 10 * N * N)
+    bound = norm_bound or max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
     for attempt in range(9):
         buckets: Dict[Tuple, QuadLattice] = {}
         order_lattice = QuadLattice.order(ctx)
@@ -526,13 +572,6 @@ def oracle_class_group(
             w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
             table[i][j] = table[j][i] = idx[R3, w3]
     return IdealClassOracle(ctx, N, reps, labels, table, bound, bases)
-
-
-def isqrt_ceil(n: int) -> int:
-    from math import isqrt
-
-    r = isqrt(n)
-    return r if r * r == n else r + 1
 
 
 def form_ideal_dictionary(oracle: IdealClassOracle, class_group) -> List[int]:

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import classfield
 from classfield import cartan, cli
 from classfield.numerics import InvariantViolation, ResourceError
 
@@ -207,3 +211,25 @@ def test_deterministic_output(capsys):
     _, out1 = run_cli(capsys, "classgroup", "--disc", "-56", "--level", "4", "--format", "json")
     _, out2 = run_cli(capsys, "classgroup", "--disc", "-56", "--level", "4", "--format", "json")
     assert out1 == out2
+
+
+NO_SYMPY_SCRIPT = """
+import sys
+from classfield import cli
+from classfield.lfunctions import zeta_ideal_partial_all
+from classfield.numerics import BigComplex
+from classfield.quadforms import OrderContext
+assert cli.main(["classgroup", "--disc", "-200", "--level", "3", "--check-oracle", "--format", "json"]) == 0
+zeta_ideal_partial_all(OrderContext.from_disc(-200), 3, BigComplex(2, 0, 200), 2000)
+assert "sympy" not in sys.modules, "sympy was imported"
+"""
+
+
+def test_oracle_and_ideal_zeta_do_not_import_sympy():
+    # a fresh interpreter, so no other test's imports are in sys.modules
+    src = os.path.dirname(os.path.dirname(classfield.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_SCRIPT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -11,6 +11,7 @@ from classfield.orderideals import (
     QuadElem,
     QuadLattice,
     _class_bases,
+    _disc_roots,
     _integral_ray_model,
     _unit_elems,
     form_ideal_dictionary,
@@ -161,13 +162,74 @@ def test_enumeration_includes_non_conductor_coprime(ctx200):
         assert L.is_proper_ideal()
 
 
-def test_sympy_roots_match_naive(ctx200):
-    from classfield.lfunctions import _sympy_roots
+# -- square roots of D mod 4a against a naive scan ---------------------------
 
-    roots = _sympy_roots(ctx200)
-    naive = list(integral_ideals(ctx200, 120, coprime_to=3))
-    fast = list(integral_ideals(ctx200, 120, coprime_to=3, sqrt_roots=roots))
-    assert sorted(L.key() for _, L in naive) == sorted(L.key() for _, L in fast)
+
+def naive_disc_roots(D, a):
+    """Reference roots: every b in [0, 2a) with b^2 = D mod 4a, by scanning."""
+    return [b for b in range(2 * a) if (b * b - D) % (4 * a) == 0]
+
+
+ROOT_DISCS = [-3, -4, -7, -8, -72, -108, -147, -180, -200, -1620, -4000, -10007]
+SMALL_PRIMES = [p for p in range(2, 55) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def disc_and_a(draw):
+    """D from ROOT_DISCS or any negative discriminant; a in 1..3000, or a
+    prime power, or p^e * k (e >= 2) with p | D."""
+    D = draw(
+        st.one_of(
+            st.sampled_from(ROOT_DISCS),
+            st.integers(1, 5000).flatmap(lambda k: st.sampled_from([-4 * k, 1 - 4 * k])),
+        )
+    )
+    kind = draw(st.sampled_from(["any", "prime_power", "divisor_power"]))
+    if kind == "any":
+        return D, draw(st.integers(1, 3000))
+    primes = [p for p in SMALL_PRIMES if kind == "prime_power" or D % p == 0]
+    assume(primes)
+    p = draw(st.sampled_from(primes))
+    e_max = max(e for e in range(1, 12) if p**e <= 3000)
+    e = draw(st.integers(1 if kind == "prime_power" else 2, e_max))
+    k = 1 if kind == "prime_power" else draw(st.integers(1, 3000 // p**e))
+    return D, p**e * k
+
+
+@settings(max_examples=400, deadline=None)
+@given(disc_and_a())
+def test_disc_roots_match_naive_scan(case):
+    D, a = case
+    assert _disc_roots(D, a) == naive_disc_roots(D, a)
+
+
+def reference_integral_ideals(ctx, bound, coprime_to):
+    """The enumeration of integral_ideals, with naively scanned roots."""
+    out = []
+    for a in range(1, bound + 1):
+        if gcd(a, coprime_to) != 1:
+            continue
+        for b in naive_disc_roots(ctx.disc, a):
+            c = (b * b - ctx.disc) // (4 * a)
+            if gcd(gcd(a, b), c) != 1:
+                continue
+            m = 1
+            while m * m * a <= bound:
+                if gcd(m, coprime_to) == 1:
+                    out.append((m * m * a, form_to_lattice(ctx, Form(a, b, c), scale=m).key()))
+                m += 1
+    return out
+
+
+@pytest.mark.parametrize(
+    "D, N, bound",
+    [(-3, 1, 300), (-4, 2, 300), (-200, 3, 500), (-180, 8, 400), (-147, 5, 400), (-4000, 7, 600)],
+)
+def test_integral_ideals_sequence_matches_naive_roots(D, N, bound):
+    ctx = OrderContext.from_disc(D)
+    lN = ctx.conductor * N
+    got = [(n, L.key()) for n, L in integral_ideals(ctx, bound, coprime_to=lN)]
+    assert got == reference_integral_ideals(ctx, bound, lN)
 
 
 # -- ray labels against the Fraction-based reference --------------------------
