@@ -1,17 +1,21 @@
 """High-precision evaluation of eta, Delta, j, Siegel, theta, Weierstrass and
-Fricke functions by their q-products and q-series.
+Fricke functions by q-series.
 
 All evaluators take a target decimal-digit count; work happens at target plus
-guard digits, products are truncated once the geometric tail bound drops below
-the working precision, and results carry the working precision.
+guard digits, and results carry the working precision.  Eta, Siegel and theta1
+use theta series with q^(n^2/2) decay: the Jacobi triple product and Euler's
+pentagonal series, whose q-powers are built once per point (`_point`) and cut
+by a stated remainder bound.  The Eisenstein and Weierstrass q-series are
+truncated once their geometric tail bound drops below the working precision.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import mpmath
 from mpmath import mp
@@ -59,7 +63,7 @@ class FrickeIndex:
         """Smallest N with N*v integral."""
         d1 = self.v1.denominator
         d2 = self.v2.denominator
-        return d1 * d2 // gcd(d1, d2)
+        return d1 * d2 // math.gcd(d1, d2)
 
     def is_primitive(self, N: int) -> bool:
         return self.level == N
@@ -107,29 +111,103 @@ def _nterms(t, digits: int, extra: int = 0) -> int:
     return n + extra
 
 
-def _qexp(w, scale=1) -> mpmath.mpc:
-    """exp(2*pi*i*w*scale); fractional q-powers always go through here."""
-    return mpmath.exp(2j * mpmath.pi * w * scale)
+def _qexp(w) -> mpmath.mpc:
+    """e(w) = exp(2*pi*i*w); fractional q-powers always go through here."""
+    return mpmath.exp(2j * mpmath.pi * w)
 
 
 def _frac(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
+class _Point(NamedTuple):
+    """Series data that depend only on (tau, prec), shared by every value at tau."""
+
+    q: mpmath.mpc
+    coef: Tuple[mpmath.mpc, ...]  # (-1)^k q^(k(k-1)/2) for k = 0, 1, ...
+    euler: mpmath.mpc  # prod_{n>=1} (1 - q^n)
+    euler_terms: int
+    cut: float  # c of the remainder bound, in units of -ln|q|
+
+    def terms(self, b: float) -> int:
+        """Number of terms of sum_k coef[k] x^k taken when |x| = |q|^b, 0 <= b <= 1."""
+        return _least_n(self.cut, b)
+
+
+def _least_n(c: float, b: float) -> int:
+    """Least n >= 1 with n(n - 1)/2 + n*b >= c."""
+    n = 1
+    while n * (n - 1) / 2 + n * b < c:
+        n += 1
+    return n
+
+
+# one entry per evaluation point: a class group has few ((-104, 5) has 6), and
+# 16 entries at 700 digits hold under 1 MB
+@functools.lru_cache(maxsize=16)
+def _point(re, im, prec: int) -> _Point:
+    """q = e(tau), the coefficients (-1)^k q^(k(k-1)/2) and prod(1 - q^n) at
+    tau = re + i*im, every q-power built by multiplication.
+
+    Remainder bound, with r = |q| and c = ((prec + 1) ln 2 - ln(1 - r))/(-ln r):
+    a term of modulus r^f(k), where f(k + 1) - f(k) >= 1 from k = n >= 1 on,
+    leaves a tail of at most r^f(n)/(1 - r) after the first omitted term k = n.
+    For sum_{k>=0} coef[k] x^k with |x| = r^b, b in [0, 1], f(k) = k(k-1)/2 + k*b
+    (steps k + b), so n = _least_n(c, b) terms leave at most 2^-(prec+1).  The
+    pentagonal series 1 + sum_{k>=1} (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)) has
+    steps 3k + 1 in f(k) = k(3k-1)/2 = 3(k(k-1)/2 + k/3): stopping before the
+    least k with f(k) >= c leaves at most 2 r^f(k)/(1 - r) <= 2^-prec.
+    """
+    L = 2 * math.pi * float(im)
+    cut = ((prec + 1) * math.log(2) - math.log1p(-math.exp(-L))) / L
+    with mp.workprec(prec):
+        q = _qexp(mpmath.mpc(re, im))
+        coef = [mpmath.mpc(1), mpmath.mpc(-1)]
+        qk = mpmath.mpc(1)
+        for _ in range(_least_n(cut, 0) - 2):
+            qk *= q
+            coef.append(-coef[-1] * qk)
+        euler_terms = _least_n(cut / 3, 1 / 3) - 1
+        q3 = q * q * q
+        step = q  # q^(3k-2)
+        pent = mpmath.mpc(1)  # q^(k(3k-1)/2)
+        qk = mpmath.mpc(1)
+        euler = mpmath.mpc(1)
+        for k in range(1, euler_terms + 1):
+            pent *= step
+            step *= q3
+            qk *= q
+            pair = pent + pent * qk
+            euler = euler - pair if k % 2 else euler + pair
+    return _Point(q, tuple(coef), euler, euler_terms, cut)
+
+
+def _power_sum(coef, x, n: int) -> mpmath.mpc:
+    """sum_{k<n} coef[k] x^k by Horner's rule."""
+    acc = coef[n - 1]
+    for k in range(n - 2, -1, -1):
+        acc = acc * x + coef[k]
+    return acc
+
+
+def _triple(pt: _Point, x, b: float) -> mpmath.mpc:
+    """sum over all k in Z of (-1)^k q^(k(k-1)/2) x^k, for |x| = |q|^b with
+    0 <= b <= 1; the k <= 0 half is the k >= 0 series at q/x, |q/x| = |q|^(1-b).
+
+    By the Jacobi triple product this is
+    (1 - x) prod_{n>=1} (1 - q^n x)(1 - q^n/x) * prod_{n>=1} (1 - q^n).
+    """
+    return _power_sum(pt.coef, x, pt.terms(b)) + _power_sum(pt.coef, pt.q / x, pt.terms(1 - b)) - 1
+
+
 def eta(tau: BigComplex, digits: int) -> BigComplex:
-    """Dedekind eta by its product, truncated at the geometric tail bound."""
+    """Dedekind eta q^(1/24) prod(1 - q^n), the product by Euler's pentagonal
+    series (see `_point` for the remainder bound)."""
     _require_upper(tau)
     prec = _working_bits(digits)
+    pt = _point(tau.re, tau.im, prec)
     with mp.workprec(prec):
-        t_ = _mpc(tau)
-        q = _qexp(t_)
-        nmax = _nterms(abs(q), digits)
-        prod = mpmath.mpc(1)
-        qn = mpmath.mpc(1)
-        for _ in range(nmax):
-            qn *= q
-            prod *= 1 - qn
-        val = mpmath.exp(1j * mpmath.pi * t_ / 12) * prod
+        val = mpmath.exp(1j * mpmath.pi * _mpc(tau) / 12) * pt.euler
     return BigComplex.from_mpc(val, prec)
 
 
@@ -200,45 +278,50 @@ def j_eisenstein(tau: BigComplex, digits: int) -> BigComplex:
 
 
 def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
-    """Siegel function by its infinite product, evaluated at the raw index."""
+    """Siegel function at the raw index v = (a1, a2):
+
+        g_v = -q^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n/w)
+
+    with q = e(tau), w = e(a1 tau + a2).  The product is `_triple` over
+    prod(1 - q^n).  a1 is first moved into [0, 1) exactly, by
+    g_{v + (m, 0)} = (-1)^m e^(-pi i m a2) g_v, so every series term is at
+    most 1 in modulus.
+    """
     _require_upper(tau)
     prec = _working_bits(digits)
+    pt = _point(tau.re, tau.im, prec)
+    m = math.floor(v.v1)
+    a1 = v.v1 - m
+    b2 = a1 * a1 - a1 + Fraction(1, 6)  # second Bernoulli polynomial
+    # the sign, the phase and the translation factor as one exact turn
+    turn = ((v.v2 * (a1 - 1 - m) + m + 1) / 2) % 1
     with mp.workprec(prec):
         t_ = _mpc(tau)
-        q = _qexp(t_)
-        z = _frac(v.v1) * t_ + _frac(v.v2)
-        qz = _qexp(z)
-        b2 = v.v1 * v.v1 - v.v1 + Fraction(1, 6)  # second Bernoulli polynomial
-        lead = _qexp(t_, scale=_frac(b2 / 2))
-        phase = mpmath.exp(1j * mpmath.pi * _frac(v.v2 * (v.v1 - 1)))
-        nmax = _nterms(abs(q), digits, extra=2)
-        prod = 1 - qz
-        qn = mpmath.mpc(1)
-        for _ in range(nmax):
-            qn *= q
-            prod *= (1 - qn * qz) * (1 - qn / qz)
-        val = -lead * phase * prod
+        w = _qexp(_frac(a1) * t_ + _frac(v.v2 % 1))
+        lead = _qexp(_frac(b2 / 2) * t_ + _frac(turn))
+        val = lead * _triple(pt, w, float(a1)) / pt.euler
     return BigComplex.from_mpc(val, prec)
 
 
 def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
-    """First Jacobi theta in the product normalization tied to eta."""
+    """First Jacobi theta 2 q^(1/8) sin(pi omega) prod_{n>=1} (1 - q^n)(1 - q^n x)(1 - q^n/x),
+    q = e(z), x = e(omega).
+
+    As 2 sin(pi omega) = i e(-omega/2) (1 - x), this is i q^(1/8) e(-omega/2)
+    times `_triple`.  omega is first moved into 0 <= Im omega < Im z by
+    theta1(omega + m z) = (-1)^m e(-m^2 z/2 - m omega) theta1(omega).
+    """
     _require_upper(z)
     prec = _working_bits(digits)
-    e = eta(z, digits)
+    pt = _point(z.re, z.im, prec)
     with mp.workprec(prec):
-        w = _mpc(omega)
         z_ = _mpc(z)
-        q = _qexp(z_)
-        shift = int(mp.ceil(abs(w.imag) / z_.imag)) + 1
-        nmax = _nterms(abs(q), digits, extra=shift)
-        qw = _qexp(w)
-        prod = mpmath.mpc(1)
-        qn = mpmath.mpc(1)
-        for _ in range(nmax):
-            qn *= q
-            prod *= (1 - qn * qw) * (1 - qn / qw)
-        val = 2 * mpmath.exp(1j * mpmath.pi * z_ / 6) * mpmath.sin(mpmath.pi * w) * _mpc(e) * prod
+        w = _mpc(omega)
+        m = int(mpmath.floor(w.imag / z_.imag))
+        w -= m * z_
+        b = min(max(float(w.imag / z_.imag), 0.0), 1.0)
+        lead = _qexp(z_ / 8 - w / 2 - m * m * z_ / 2 - m * w)
+        val = (-1) ** m * 1j * lead * _triple(pt, _qexp(w), b)
     return BigComplex.from_mpc(val, prec)
 
 

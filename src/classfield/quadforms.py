@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
+from .numerics import BigComplex, DomainError, InvariantViolation, ResourceError, bits_for_digits
 
 __all__ = [
     "xgcd",
@@ -368,13 +368,15 @@ def make_coprime(Q: Form, M: int, skip: int = 0) -> Tuple[SL2, Form]:
     """gamma in SL2(Z) with leading coefficient of Q^gamma coprime to M.
 
     Columns (p, r) are searched in increasing max-norm; `skip` passes over the
-    first matches (used by the lift-independence property tests).
+    first matches (used by the lift-independence property tests).  Raises
+    ResourceError when 12*(skip + 1) + 2 rings hold no such column.
     """
     if M < 1:
         raise DomainError("modulus must be positive")
     if skip == 0 and gcd(Q.a, M) == 1:
         return SL2.I, Q
-    for k in range(0, 12 * (skip + 1) + 2):
+    rings = 12 * (skip + 1) + 2
+    for k in range(rings):
         for (p, r) in _ring_columns(k):
             if gcd(Q.evaluate(p, r), M) != 1:
                 continue
@@ -383,7 +385,7 @@ def make_coprime(Q: Form, M: int, skip: int = 0) -> Tuple[SL2, Form]:
                 continue
             g = _complete_column(p, r)
             return g, Q.apply(g)
-    raise InvariantViolation("no coprime representative found; Q should represent values coprime to M")
+    raise ResourceError(f"no value of {Q} coprime to {M} in {rings} rings of columns")
 
 
 def _reduced_automorphisms(R: Form) -> List[SL2]:

@@ -8,7 +8,7 @@ import jsonschema
 import pytest
 
 import classfield
-from classfield import cartan, cli
+from classfield import cartan, cli, quadforms
 from classfield.numerics import InvariantViolation, ResourceError
 
 
@@ -95,6 +95,18 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
+
+
+def test_exhausted_coprime_search_exit_5(capsys, monkeypatch):
+    # no column in any ring: composition cannot move a form to a coprime leading coefficient
+    monkeypatch.setattr(quadforms, "_ring_columns", lambda k: [])
+    got = cli.main(["classgroup", "--disc", "-200", "--level", "3"])
+    captured = capsys.readouterr()
+    assert got == cli.EXIT_RESOURCE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "coprime to 150 in 14 rings" in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from classfield import modfun
@@ -28,6 +30,137 @@ def moebius(g, tau):
     with mp.workprec(PREC):
         t = tau.to_mpc()
         return BigComplex.from_mpc((p * t + q) / (r * t + s), PREC)
+
+
+# -- reference products --------------------------------------------------------
+# eta, siegel and theta1 by their q-products, each truncated once the geometric
+# tail bound drops below the working precision: the slow path the series replace.
+
+
+def reference_eta_product(tau, digits):
+    prec = modfun._working_bits(digits)
+    with mp.workprec(prec):
+        t_ = tau.to_mpc()
+        q = modfun._qexp(t_)
+        nmax = modfun._nterms(abs(q), digits)
+        prod = mpmath.mpc(1)
+        qn = mpmath.mpc(1)
+        for _ in range(nmax):
+            qn *= q
+            prod *= 1 - qn
+        val = mpmath.exp(1j * mpmath.pi * t_ / 12) * prod
+    return BigComplex.from_mpc(val, prec)
+
+
+def reference_siegel_product(v, tau, digits):
+    """Product at the raw index; its two extra factors cover |a1| < 3."""
+    prec = modfun._working_bits(digits)
+    with mp.workprec(prec):
+        t_ = tau.to_mpc()
+        q = modfun._qexp(t_)
+        z = modfun._frac(v.v1) * t_ + modfun._frac(v.v2)
+        qz = modfun._qexp(z)
+        b2 = v.v1 * v.v1 - v.v1 + Fraction(1, 6)
+        lead = modfun._qexp(t_ * modfun._frac(b2 / 2))
+        phase = mpmath.exp(1j * mpmath.pi * modfun._frac(v.v2 * (v.v1 - 1)))
+        nmax = modfun._nterms(abs(q), digits, extra=2)
+        prod = 1 - qz
+        qn = mpmath.mpc(1)
+        for _ in range(nmax):
+            qn *= q
+            prod *= (1 - qn * qz) * (1 - qn / qz)
+        val = -lead * phase * prod
+    return BigComplex.from_mpc(val, prec)
+
+
+def reference_theta1_product(omega, z, digits):
+    prec = modfun._working_bits(digits)
+    e = reference_eta_product(z, digits)
+    with mp.workprec(prec):
+        w = omega.to_mpc()
+        z_ = z.to_mpc()
+        q = modfun._qexp(z_)
+        shift = int(mp.ceil(abs(w.imag) / z_.imag)) + 1
+        nmax = modfun._nterms(abs(q), digits, extra=shift)
+        qw = modfun._qexp(w)
+        prod = mpmath.mpc(1)
+        qn = mpmath.mpc(1)
+        for _ in range(nmax):
+            qn *= q
+            prod *= (1 - qn * qw) * (1 - qn / qw)
+        val = 2 * mpmath.exp(1j * mpmath.pi * z_ / 6) * mpmath.sin(mpmath.pi * w) * e.to_mpc() * prod
+    return BigComplex.from_mpc(val, prec)
+
+
+@st.composite
+def series_points(draw):
+    """tau = x + iy with y >= 0.15: reduced (|x| <= 1/2, |tau| >= 1) or not."""
+    if draw(st.booleans()):
+        x = draw(st.integers(-50, 50))
+        y = draw(st.integers(isqrt(10000 - x * x - 1) + 1, 250))
+    else:
+        x = draw(st.integers(-300, 300))
+        y = draw(st.integers(15, 250))
+    return Fraction(x, 100), Fraction(y, 100)
+
+
+@st.composite
+def raw_indices(draw):
+    """Index with denominators <= 12 and raw a1 in [-2, 3)."""
+    d1 = draw(st.integers(1, 12))
+    d2 = draw(st.integers(1, 12))
+    a1 = Fraction(draw(st.integers(-2 * d1, 3 * d1 - 1)), d1)
+    a2 = Fraction(draw(st.integers(-2 * d2, 2 * d2)), d2)
+    assume(a1.denominator > 1 or a2.denominator > 1)
+    return FrickeIndex(a1, a2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_points(), raw_indices(), st.sampled_from([20, 60, 300]))
+def test_series_match_reference_products(xy, v, digits):
+    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    tau = BigComplex(*xy, prec)
+    with mp.workprec(prec):
+        omega = BigComplex.from_mpc(modfun._frac(v.v1) * tau.to_mpc() + modfun._frac(v.v2), prec)
+    pairs = [
+        (modfun.eta(tau, digits), reference_eta_product(tau, digits)),
+        (modfun.siegel(v, tau, digits), reference_siegel_product(v, tau, digits)),
+        (modfun.theta1(omega, tau, digits), reference_theta1_product(omega, tau, digits)),
+    ]
+    with mp.workprec(prec):
+        bound = mpmath.mpf(10) ** -(digits + modfun.GUARD_DIGITS - 5)
+        for new, ref in pairs:
+            assert abs(new.to_mpc() - ref.to_mpc()) <= bound * abs(ref.to_mpc())
+
+
+def test_series_truncation_rule(monkeypatch):
+    # every reduced point of (-104, 5) at 700 digits: the a-priori cut gives the
+    # same values as five more terms in every series, and no series has more
+    # than 60 terms
+    digits = 700
+    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    fifths = [Fraction(k, 5) for k in range(5)]
+    indices = [FrickeIndex(a1, a2) for a1 in fifths for a2 in fifths if a1 or a2]
+    taus = [R.omega(digits + modfun.GUARD_DIGITS) for R in enumerate_reduced(-104)]
+    values = []
+    for tau in taus:
+        pt = modfun._point(tau.re, tau.im, prec)
+        assert 2 * pt.euler_terms + 1 <= 60
+        for v in indices:
+            b = float(v.v1)
+            assert pt.terms(b) + pt.terms(1 - b) - 1 <= 60
+        values.append([modfun.eta(tau, digits)] + [modfun.siegel(v, tau, digits) for v in indices])
+    least_n = modfun._least_n
+    monkeypatch.setattr(modfun, "_least_n", lambda c, b: least_n(c, b) + 5)
+    modfun._point.cache_clear()
+    try:
+        for tau, vals in zip(taus, values):
+            more = [modfun.eta(tau, digits)] + [modfun.siegel(v, tau, digits) for v in indices]
+            with mp.workprec(prec):
+                for a, b in zip(vals, more):
+                    assert abs(a.to_mpc() - b.to_mpc()) <= mpmath.mpf(2) ** -prec * abs(b.to_mpc())
+    finally:
+        modfun._point.cache_clear()
 
 
 # -- eta ----------------------------------------------------------------------
