@@ -263,8 +263,8 @@ def minimal_polynomial(
     tol = policy.recognition_tol()
     pol = policy
     for attempt in range(policy.max_escalations + 1):
-        digits = pol.target_decimal_digits
-        prec = bits_for_digits(pol.working_digits)
+        digits, working = pol.target_decimal_digits, pol.working_digits
+        prec = bits_for_digits(working)
         values = [g_ON(Q, ctx, N, digits) for Q in G.reps]
         coeffs = _expand_monic(values, prec)
         ints: List[Optional[int]] = []
@@ -284,7 +284,7 @@ def minimal_polynomial(
             )
         pol = pol.escalate()
     with mp.workprec(prec):
-        raw = [BigComplex.from_mpc(c, prec).to_decimal(pol.working_digits) for c in coeffs[::-1]]
+        raw = [BigComplex.from_mpc(c, prec).to_decimal(working) for c in coeffs[::-1]]
     return MinimalPolynomialResult(
         ctx.disc, N, G.order, False, None, residuals_desc, digits, policy.max_escalations, raw
     )

@@ -173,10 +173,18 @@ class BigComplex:
         return self._binop(other, lambda a, b: b / a)
 
     def __pow__(self, n: int):
+        # repeated squaring: mpmath's integer power takes a log and an exp
+        # once n times the operand's bit size passes 10000
         if not isinstance(n, int):
             return NotImplemented
         with mp.workprec(self.prec):
-            z = self.to_mpc() ** n
+            base, z = self.to_mpc(), mpmath.mpc(1)
+            for bit in bin(abs(n))[2:]:
+                z *= z
+                if bit == "1":
+                    z *= base
+            if n < 0:
+                z = 1 / z
         return BigComplex.from_mpc(z, self.prec)
 
     def __neg__(self):

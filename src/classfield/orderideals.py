@@ -300,17 +300,13 @@ def _congruent_mod_no(w: QuadElem, v: QuadElem, N: int) -> bool:
 
 
 def _integral_ray_model(L: QuadLattice, N: int) -> QuadLattice:
-    """Integral ideal in the same ray class: scale by den^phi(N) = 1 mod N."""
+    """Integral ideal in the same ray class: scale by den*(den^-1 mod N), a
+    positive multiple of den that is 1 mod N (den itself at N = 1)."""
     if L.den == 1:
         return L
     if gcd(L.den, N) != 1:
         raise DomainError("ideal is not prime to the level")
-    e = _euler_phi(N)
-    return L.scale(L.den**e)
-
-
-def _euler_phi(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1) if n > 1 else 1
+    return L.scale(L.den * pow(L.den, -1, N) if N > 1 else L.den)
 
 
 def same_ray_class(a: QuadLattice, b: QuadLattice, N: int) -> bool:
@@ -443,8 +439,14 @@ class IdealClassOracle:
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, L: QuadLattice) -> int:
+        """Index of the ray class of L, a proper ideal prime to N."""
+        if gcd(L.den * L.norm().numerator, self.level) != 1:
+            raise DomainError(f"{L} is not prime to the level {self.level}")
         lab = ray_label(_integral_ray_model(L, self.level), self.level, self.bases)
-        return self._index[lab]
+        i = self._index.get(lab)
+        if i is None:
+            raise InvariantViolation(f"{L} has ray label {lab}, which no class has")
+        return i
 
     def to_json(self) -> dict:
         return {
@@ -570,7 +572,10 @@ def oracle_class_group(
                 base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
             R3, c = base_products[R1, R2]
             w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
-            table[i][j] = table[j][i] = idx[R3, w3]
+            k = idx.get((R3, w3))
+            if k is None:
+                raise InvariantViolation(f"product of ray classes {i} and {j} has no known label")
+            table[i][j] = table[j][i] = k
     return IdealClassOracle(ctx, N, reps, labels, table, bound, bases)
 
 

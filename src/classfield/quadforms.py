@@ -15,7 +15,7 @@ from itertools import product as iproduct
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .numerics import BigComplex, DomainError, InvariantViolation, ResourceError, bits_for_digits
+from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
 
 __all__ = [
     "xgcd",
@@ -316,10 +316,10 @@ def class_number(D: int) -> int:
 # composition
 
 
-def dirichlet_compose(Q: Form, Q2: Form, b_shift: int = 0) -> Form:
+def dirichlet_compose(Q: Form, Q2: Form) -> Form:
     """Dirichlet composite a*a''*x^2 + B*x*y + ... with B solving the three
     congruences B = b (2a), B = b'' (2a''), B^2 = D (4aa''); B is reduced to
-    the least nonnegative residue mod 2aa'' (shifted by b_shift periods)."""
+    the least nonnegative residue mod 2aa''."""
     D = Q.disc
     if Q2.disc != D:
         raise DomainError("discriminants differ")
@@ -333,59 +333,43 @@ def dirichlet_compose(Q: Form, Q2: Form, b_shift: int = 0) -> Form:
     x, y = x1 * u, y1 * u
     m = 2 * a * a2
     B = (x * a * b2 + y * a2 * b + z * (b * b2 + D) // 2) % m
-    B += b_shift * m
     if (B - b) % (2 * a) or (B - b2) % (2 * a2) or (B * B - D) % (2 * m):
         raise InvariantViolation("composition congruences failed")
     return Form(a * a2, B, (B * B - D) // (4 * a * a2))
 
 
-def _ring_columns(k: int) -> List[Tuple[int, int]]:
-    pts = [
-        (p, r)
-        for p in range(-k, k + 1)
-        for r in range(-k, k + 1)
-        if max(abs(p), abs(r)) == k and gcd(p, r) == 1
-    ]
-    pts.sort(key=lambda t: (abs(t[0]) + abs(t[1]), (t[0] < 0) + (t[1] < 0), t[0] < 0, t[1] < 0, t[0], t[1]))
-    return pts
+def _part_prime_to(m: int, n: int) -> int:
+    """Largest divisor of m > 0 prime to n, by gcd-stripping (no factoring)."""
+    g = gcd(m, n)
+    while g > 1:
+        m //= g
+        g = gcd(m, g)
+    return m
 
 
-def _complete_column(p: int, r: int) -> SL2:
-    # canonical gamma with first column (p, r); minimal (|s|, |q|) completion
-    g, x, y = xgcd(p, r)
-    assert g == 1
-    s0, q0 = x, -y
-    best = None
-    for t in range(-(abs(s0) + abs(q0) + 2), abs(s0) + abs(q0) + 3):
-        q, s = q0 + t * p, s0 + t * r
-        key = (abs(s), s < 0, abs(q), q > 0)
-        if best is None or key < best[0]:
-            best = (key, q, s)
-    return SL2(p, best[1], r, best[2])
+def make_coprime(Q: Form, M: int) -> Tuple[SL2, Form]:
+    """gamma in SL2(Z) with leading coefficient of Q^gamma prime to M.
 
-
-def make_coprime(Q: Form, M: int, skip: int = 0) -> Tuple[SL2, Form]:
-    """gamma in SL2(Z) with leading coefficient of Q^gamma coprime to M.
-
-    Columns (p, r) are searched in increasing max-norm; `skip` passes over the
-    first matches (used by the lift-independence property tests).  Raises
-    ResourceError when 12*(skip + 1) + 2 rings hold no such column.
+    Q^gamma has leading coefficient Q(p, r) for the first column (p, r) of
+    gamma.  gamma = I when gcd(a, M) = 1.  Otherwise r is the part of M prime
+    to a and p the part of M/r prime to c (Cox, Lemma 2.25).  Every prime of
+    M/r divides a and none of r does, so gcd(p, r) = 1 and xgcd completes the
+    column.  For a prime l | M: if l does not divide a, then l | r and l does
+    not divide p, so Q(p, r) = a*p^2 mod l; if l | a but not c, then l | p and
+    not r, so Q(p, r) = c*r^2 mod l; if l divides a and c, it divides neither
+    b (Q is primitive) nor p nor r, so Q(p, r) = b*p*r mod l.  In every case
+    l does not divide Q(p, r).
     """
     if M < 1:
         raise DomainError("modulus must be positive")
-    if skip == 0 and gcd(Q.a, M) == 1:
+    a, _, c = Q
+    if gcd(a, M) == 1:
         return SL2.I, Q
-    rings = 12 * (skip + 1) + 2
-    for k in range(rings):
-        for (p, r) in _ring_columns(k):
-            if gcd(Q.evaluate(p, r), M) != 1:
-                continue
-            if skip > 0:
-                skip -= 1
-                continue
-            g = _complete_column(p, r)
-            return g, Q.apply(g)
-    raise ResourceError(f"no value of {Q} coprime to {M} in {rings} rings of columns")
+    r = _part_prime_to(M, a)
+    p = _part_prime_to(M // r, c)
+    _, x, y = xgcd(p, r)
+    g = SL2(p, -y, r, x)
+    return g, Q.apply(g)
 
 
 def _reduced_automorphisms(R: Form) -> List[SL2]:
@@ -423,19 +407,25 @@ def gamma1_equivalent(Q: Form, Q2: Form, N: int) -> Optional[SL2]:
 
 
 def sl2_lift_bottom_row(u: int, v: int, N: int) -> SL2:
-    """Some sigma in SL2(Z) with bottom row congruent to (u, v) mod N."""
+    """sigma in SL2(Z) with bottom row congruent to (u, v) mod N.
+
+    With u, v reduced mod N and u = 0 replaced by N, the bottom row is
+    (u, v + t*N) for the least t >= 0 with gcd(u, v + t*N) = 1, completed by
+    xgcd.  Some t < u works (Shimura, Lemma 1.38): take t0, the part of u
+    prime to v.  For a prime l | u: if l | v, then l does not divide N (as
+    gcd(u, v, N) = 1) nor t0, so l does not divide v + t0*N; if l does not
+    divide v, then l | t0 and v + t0*N = v mod l.  And t0 < u unless
+    gcd(u, v) = 1, when t = 0 works.
+    """
+    if N < 1:
+        raise DomainError("level must be positive")
     if gcd(gcd(u, v), N) != 1:
         raise DomainError("gcd(u, v, N) must be 1")
-    for radius in range(0, 64):
-        for j in range(-radius, radius + 1):
-            for k in range(-radius, radius + 1):
-                if max(abs(j), abs(k)) != radius:
-                    continue
-                u1, v1 = u + j * N, v + k * N
-                if (u1, v1) != (0, 0) and gcd(u1, v1) == 1:
-                    _, al, be = xgcd(v1, u1)
-                    return SL2(al, -be, u1, v1)
-    raise InvariantViolation("no SL2 lift found")
+    u, v = u % N or N, v % N
+    while gcd(u, v) != 1:
+        v += N
+    _, al, be = xgcd(v, u)
+    return SL2(al, -be, u, v)
 
 
 Label = Tuple[Form, Tuple[int, int]]
@@ -466,30 +456,21 @@ def label_form(label: Label, N: int) -> Form:
     return R.apply(sl2_lift_bottom_row(u, v, N).inv())
 
 
-def compose_level(
-    Q: Form,
-    Q2: Form,
-    ctx: OrderContext,
-    N: int,
-    coprime_skip: int = 0,
-    b_shift: int = 0,
-    sigma_shift: Tuple[int, int, int] = (0, 0, 0),
-) -> Form:
+def compose_level(Q: Form, Q2: Form, ctx: OrderContext, N: int) -> Form:
     """Product representative of [Q][Q2] in the level-N class group.
 
     Procedure: move Q2 by gamma so its leading coefficient is coprime to a*N,
     Dirichlet-compose, solve u*nu1 + v*nu2 = 1 exactly for the bottom row of
     the SL2 correction, and undo it on the composite.  The output is well
-    defined up to Gamma_1(N)-equivalence; the three keyword knobs select
-    alternate gamma / B / sigma lifts for the independence property tests.
+    defined up to Gamma_1(N)-equivalence.
     """
     if Q.disc != ctx.disc or Q2.disc != ctx.disc:
         raise DomainError("form discriminants must match the order")
     if gcd(Q.a, N) != 1 or gcd(Q2.a, N) != 1:
         raise DomainError("forms must lie in Q(D, N)")
     a = Q.a
-    gam, Qc = make_coprime(Q2, a * N, skip=coprime_skip)
-    Q3 = dirichlet_compose(Q, Qc, b_shift=b_shift)
+    gam, Qc = make_coprime(Q2, a * N)
+    Q3 = dirichlet_compose(Q, Qc)
     B = Q3.b
     _, _, r, s = gam
     a2, b2, _ = Qc
@@ -498,12 +479,7 @@ def compose_level(
     v = s + r * (B - b2) // (2 * a2)
     if gcd(gcd(u, v), N) != 1:
         raise InvariantViolation("gcd(u, v, N) != 1 contradicts primality of the product ideal")
-    ju, jv, jt = sigma_shift
-    sigma = sl2_lift_bottom_row((u + ju * N) % max(N, 1), (v + jv * N) % max(N, 1), N)
-    if jt:
-        p, q, rr, ss = sigma
-        sigma = SL2(p + jt * N * rr, q + jt * N * ss, rr, ss)
-    return Q3.apply(sigma.inv())
+    return Q3.apply(sl2_lift_bottom_row(u, v, N).inv())
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from . import cartan, invariants, modfun, refdata
-from .numerics import BigComplex, PrecisionPolicy, bits_for_digits
+from .numerics import BigComplex, DomainError, PrecisionPolicy, bits_for_digits
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import (
     ClassGroup,
@@ -243,4 +243,4 @@ def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits: int = 700, 
             + battery_paper(minpoly_digits=minpoly_digits)
             + battery_modular(seed=seed)
         )
-    raise KeyError(name)
+    raise DomainError(f"unknown battery {name!r}")

@@ -173,7 +173,7 @@ def test_criterion_10_cartan_bookkeeping(small_battery):
     report_checks(10, wuog, dt)
 
 
-def test_criterion_11_well_definedness_suite():
+def test_criterion_11_well_definedness_suite(gamma1_word):
     t0 = time.perf_counter()
     rng = random.Random(SEED)
     digits = 40
@@ -184,19 +184,13 @@ def test_criterion_11_well_definedness_suite():
         ctx = OrderContext.from_disc(D)
         for N in refdata.BATTERY_LEVELS:
             G = class_enumerate(ctx, N)
-            # 100 randomized compose_level lift alternates
+            # 100 compose_level lift alternates: inputs moved inside their classes
             for _ in range(100):
                 Q = rng.choice(G.reps)
                 Q2 = rng.choice(G.reps)
                 base = compose_level(Q, Q2, ctx, N)
                 alt = compose_level(
-                    Q,
-                    Q2,
-                    ctx,
-                    N,
-                    coprime_skip=rng.randint(0, 2),
-                    b_shift=rng.randint(-2, 2),
-                    sigma_shift=(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-1, 1)),
+                    Q.apply(gamma1_word(rng, N)), Q2.apply(gamma1_word(rng, N)), ctx, N
                 )
                 if gamma1_equivalent(base, alt, N) is None:
                     ok = False

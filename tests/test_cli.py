@@ -8,8 +8,8 @@ import jsonschema
 import pytest
 
 import classfield
-from classfield import cartan, cli, quadforms
-from classfield.numerics import InvariantViolation, ResourceError
+from classfield import cartan, cli, verify
+from classfield.numerics import DomainError, InvariantViolation, ResourceError
 
 
 @pytest.fixture(scope="module")
@@ -95,18 +95,6 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
-
-
-def test_exhausted_coprime_search_exit_5(capsys, monkeypatch):
-    # no column in any ring: composition cannot move a form to a coprime leading coefficient
-    monkeypatch.setattr(quadforms, "_ring_columns", lambda k: [])
-    got = cli.main(["classgroup", "--disc", "-200", "--level", "3"])
-    captured = capsys.readouterr()
-    assert got == cli.EXIT_RESOURCE
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "coprime to 150 in 14 rings" in lines[0]
 
 
 @pytest.mark.parametrize(
@@ -208,6 +196,18 @@ def test_invariants_json(capsys, schema):
 def test_verify_unknown_battery_exit_2(capsys):
     with pytest.raises(SystemExit):
         cli.main(["verify", "bogus"])
+
+
+def test_run_battery_unknown_name_is_domain_error():
+    with pytest.raises(DomainError):
+        verify.run_battery("bogus")
+
+
+def test_verify_does_not_hide_key_errors_inside_checks(monkeypatch):
+    # a KeyError raised by a check is a fault of that check, not an unknown battery
+    monkeypatch.setattr(verify, "battery_small", _raise(KeyError("small")))
+    with pytest.raises(KeyError):
+        cli.main(["verify", "small"])
 
 
 def test_verify_paper_battery_json(capsys, schema):

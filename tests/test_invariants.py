@@ -1,4 +1,5 @@
 import random
+import re
 
 import mpmath
 import pytest
@@ -160,6 +161,23 @@ def test_minimal_polynomial_honest_failure(ctx200, G200):
     assert not res.ok
     assert res.coefficients is None
     assert res.unrecognized is not None and len(res.unrecognized) == 13
+
+
+def _significant_digits(part):
+    return len(part.lstrip("+-").split("e")[0].replace(".", "").lstrip("0"))
+
+
+def test_minimal_polynomial_failure_prints_last_pass_digits(ctx200, G200):
+    # a failed 40-digit pass works at 70 digits; printing more would show noise
+    policy = PrecisionPolicy(40, max_escalations=0)
+    res = minimal_polynomial(ctx200, 3, policy, class_group=G200)
+    assert not res.ok
+    for z in res.unrecognized:
+        parts = re.fullmatch(r"([-+]?[0-9.]+(?:e[-+]?[0-9]+)?)([-+][0-9.]+(?:e[-+]?[0-9]+)?)j", z)
+        assert parts is not None, z
+        for part in parts.groups():
+            if float(part) != 0:
+                assert _significant_digits(part) == policy.working_digits, part
 
 
 def test_precision_monotonicity(ctx200, G200):

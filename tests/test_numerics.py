@@ -89,6 +89,19 @@ def test_negation_and_conj_keep_precision():
         assert (w.conj().conj()).to_mpc() == w.to_mpc()
 
 
+@pytest.mark.parametrize("digits", [60, 700])
+@pytest.mark.parametrize("n", [0, 1, 2, 24, 60, -3])
+def test_bigcomplex_pow_matches_mpmath(digits, n):
+    # repeated squaring against mpmath's power, taken with 64 extra bits
+    prec = bits_for_digits(digits)
+    z = BigComplex(Fraction(-7, 9), Fraction(5, 11), prec)
+    got = z**n
+    assert got.prec == prec
+    with mp.workprec(prec + 64):
+        ref = z.to_mpc() ** n
+        assert abs(got.to_mpc() - ref) <= abs(ref) * mpmath.mpf(2) ** (12 - prec)
+
+
 def test_bigcomplex_immutable():
     a = BigComplex(1, 2, 64)
     with pytest.raises(AttributeError):

@@ -6,7 +6,8 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from classfield.numerics import DomainError
+from classfield import orderideals
+from classfield.numerics import DomainError, InvariantViolation
 from classfield.orderideals import (
     QuadElem,
     QuadLattice,
@@ -144,6 +145,36 @@ def test_oracle_dictionary_is_isomorphism(ctx200, G200):
     for i in range(12):
         for j in range(12):
             assert phi[G200.table[i][j]] == oracle.table[phi[i]][phi[j]]
+
+
+def test_oracle_index_of_rejects_ideal_not_prime_to_level(ctx200):
+    # norm 3 or denominator 3 shares the level: no ray class mod 3 holds it
+    oracle = oracle_class_group(ctx200, 3)
+    with pytest.raises(DomainError):
+        oracle.index_of(form_to_lattice(ctx200, Form(3, 2, 17)))
+    with pytest.raises(DomainError):
+        oracle.index_of(fractional_omega_lattice(ctx200, Form(3, 2, 17)))
+    # an ideal prime to the level but not to the conductor 5 has a class
+    assert oracle.index_of(fractional_omega_lattice(ctx200, Form(50, 0, 1))) in range(12)
+
+
+def test_oracle_table_rejects_unseen_product_label(ctx200, monkeypatch):
+    # stop the bucketing one class short: some product lands on the missing label
+    monkeypatch.setattr(orderideals, "_expected_order", lambda ctx, N: 11)
+    with pytest.raises(InvariantViolation, match="no known label"):
+        oracle_class_group(ctx200, 3)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 7, 12])
+def test_integral_ray_model_scales_by_den_times_inverse(ctx200, N):
+    # den*(den^-1 mod N) is a multiple of den that is 1 mod N
+    for Q in [Form(3, 2, 17), Form(11, 8, 6), Form(17, 2, 3), Form(51, 2, 1), Form(59, 6, 1)]:
+        L = fractional_omega_lattice(ctx200, Q)
+        if gcd(L.den, N) != 1:
+            continue
+        k = L.den * pow(L.den, -1, N) if N > 1 else L.den
+        assert k % L.den == 0 and k % N == 1 % N
+        assert _integral_ray_model(L, N) == L.scale(k)
 
 
 def test_integral_ray_model(ctx200):

@@ -132,9 +132,11 @@ def test_make_coprime_known_witnesses():
     g, Q = make_coprime(Form(6, -4, 9), 3)
     assert Q == Form(11, -8, 6)
     assert g == SL2(1, -1, 1, 0)
+    # a = 3 shares 3 with M: column (p, r) = (part of 3 prime to 17, part of 3 prime to 3)
     g, Q = make_coprime(Form(3, -2, 17), 3)
-    assert Q == Form(17, 2, 3)
-    assert g == SL2(0, -1, 1, 0)
+    assert (g.p, g.r) == (3, 1)
+    assert Q == Form(38, -16, 3)
+    assert g == SL2(3, -1, 1, 0)
 
 
 def test_make_coprime_identity_when_coprime():
@@ -150,6 +152,27 @@ def test_make_coprime_randomized():
         M = rng.randint(2, 30)
         g, Q2 = make_coprime(Q, M)
         assert Q.apply(g) == Q2 and gcd(Q2.a, M) == 1
+
+
+PRIMORIALS = [2, 6, 30, 210, 2310, 30030, 510510]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from([-3, -4, -15, -200, -4000, -10007]),
+    which=st.integers(0, 10**6),
+    word=st.lists(st.integers(0, 3), max_size=12),
+    primorial=st.sampled_from(PRIMORIALS),
+    multiple=st.integers(0, 40),
+)
+def test_make_coprime_property(D, which, word, primorial, multiple):
+    # M a primorial, or a multiple k*a of the leading coefficient (k = 0 means a primorial)
+    reduced = enumerate_reduced(D)
+    Q = reduced[which % len(reduced)].apply(_word([T1, T1_INV, S, S.inv()], word))
+    M = multiple * Q.a if multiple else primorial
+    g, Q2 = make_coprime(Q, M)
+    assert Q.apply(g) == Q2
+    assert gcd(Q2.a, M) == 1
 
 
 # -- gamma1 equivalence ------------------------------------------------------
@@ -258,20 +281,19 @@ def test_compose_level_involution(ctx200, qt):
     assert gamma1_equivalent(got, qt[0], 3) is not None  # g7 g7 = g1
 
 
-def test_compose_level_lift_independence(ctx200, qt):
+def test_compose_level_lift_independence(ctx200, qt, gamma1_word):
+    # moving the inputs inside their Gamma_1(3) classes changes the coprime
+    # column, the Dirichlet B and the sigma row, but not the product class
     rng = random.Random(RNG_SEED)
     for _ in range(25):
         Q, Q2 = rng.choice(qt), rng.choice(qt)
         base = compose_level(Q, Q2, ctx200, 3)
         for _ in range(3):
             alt = compose_level(
-                Q,
-                Q2,
+                Q.apply(gamma1_word(rng, 3)),
+                Q2.apply(gamma1_word(rng, 3)),
                 ctx200,
                 3,
-                coprime_skip=rng.randint(0, 3),
-                b_shift=rng.randint(-2, 2),
-                sigma_shift=(rng.randint(0, 2), rng.randint(0, 2), rng.randint(-1, 1)),
             )
             assert gamma1_equivalent(base, alt, 3) is not None
 
@@ -437,6 +459,25 @@ def test_sl2_lift_bottom_row():
         assert (s.r - u) % N == 0 and (s.s - v) % N == 0
     with pytest.raises(DomainError):
         sl2_lift_bottom_row(0, 3, 9)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    N=st.integers(1, 10**6),
+    u=st.integers(-(10**7), 10**7),
+    v=st.integers(-(10**7), 10**7),
+    u_zero=st.booleans(),
+)
+def test_sl2_lift_bottom_row_property(N, u, v, u_zero):
+    if u_zero:
+        u = u * N  # u = 0 mod N, including 0 itself
+    if gcd(gcd(u, v), N) != 1:
+        with pytest.raises(DomainError):
+            sl2_lift_bottom_row(u, v, N)
+        return
+    s = sl2_lift_bottom_row(u, v, N)
+    assert isinstance(s, SL2)
+    assert (s.r - u) % N == 0 and (s.s - v) % N == 0
 
 
 def test_conductor_and_context():
