@@ -20,6 +20,7 @@ import mpmath
 
 from . import cartan, invariants, lfunctions, verify
 from .numerics import (
+    BigComplex,
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
@@ -117,6 +118,11 @@ def cmd_lderiv(args) -> int:
         # recover ln|g(C)| from all characters
         prec = bits_for_digits(args.digits)
         inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, prec)
+    # lderiv0 sums at GUARD_DIGITS above `digits`, so its absolute accuracy is
+    # below 10^-digits and any part smaller than that prints as zero
+    tiny = mpmath.mpf(10) ** -args.digits
+    part = lambda x: x if abs(x) >= tiny else 0
+    shown = {k: BigComplex(part(z.re), part(z.im), z.prec) for k, z in values.items()}
     payload = {
         "kind": "lderiv",
         "disc": str(ctx.disc),
@@ -126,7 +132,7 @@ def cmd_lderiv(args) -> int:
         "characters": {
             str(k): {
                 "exponents": [str(r) for r in chars[k].exponents],
-                "lderiv0": values[k].to_decimal(args.digits),
+                "lderiv0": shown[k].to_decimal(args.digits),
             }
             for k in which
         },
@@ -138,7 +144,7 @@ def cmd_lderiv(args) -> int:
         for i, x in enumerate(logs):
             print(f"  ln|g(g{i + 1})| = {mpmath.nstr(x, min(args.digits, 30))}")
         for k in which:
-            print(f"  L'(0, chi_{k}) = {values[k].to_decimal(min(args.digits, 30))}")
+            print(f"  L'(0, chi_{k}) = {shown[k].to_decimal(min(args.digits, 30))}")
         if args.character is None:
             print(f"inversion residual: {payload['inversion_residual']}")
 

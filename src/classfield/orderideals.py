@@ -430,12 +430,7 @@ class IdealClassOracle:
     def order(self) -> int:
         return len(self.reps)
 
-    @property
-    def identity_index(self) -> int:
-        return self._index[self._identity_label]
-
     def __post_init__(self):
-        self._identity_label = ray_label(QuadLattice.order(self.ctx), self.level, self.bases)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
 
     def index_of(self, L: QuadLattice) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -492,9 +491,11 @@ class ClassGroup:
 
     Classes are numbered by sorted class_label and reps[i] is the label_form
     of the i-th label, so index 0 is the class of the principal form.
-    `table[i][j]` is the index of [reps[i]][reps[j]].  Characters are stored
-    as exact root-of-unity exponents: characters[k][i] = r in Q/Z means
-    chi_k(reps[i]) = e^(2 pi i r).
+    `table[i][j]` is the index of [reps[i]][reps[j]].  invariant_factors and
+    characters come from group_structure_from_table's greedy walk over the
+    table.  Characters are stored as exact root-of-unity exponents:
+    characters[k][i] = r in Q/Z means chi_k(reps[i]) = e^(2 pi i r), and
+    characters[0] is the trivial character.
     """
 
     disc: int
@@ -631,99 +632,50 @@ def _validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None
                         raise InvariantViolation("table is not associative")
 
 
-def _element_order(table, identity, g) -> int:
-    k, x = 1, g
-    while x != identity:
-        x = table[x][g]
-        k += 1
-    return k
-
-
-def _power(table, identity, g, e) -> int:
-    x = identity
-    for _ in range(e):
-        x = table[x][g]
-    return x
-
-
-def _abelian_basis(table, identity) -> List[Tuple[int, int]]:
-    """Generators (g_i, d_i) with G = <g_1> x ... x <g_k>, d_1 >= d_2 >= ...
-
-    Max-order generator splits off as a direct factor; recurse on the quotient
-    and lift quotient generators back with order-preserving adjustment.
-    """
-    n = len(table)
-    if n == 1:
-        return []
-    orders = [_element_order(table, identity, g) for g in range(n)]
-    d1 = max(orders)
-    g1 = orders.index(d1)
-    cyc = [_power(table, identity, g1, e) for e in range(d1)]
-    # quotient by <g1>
-    coset_of = {}
-    cosets = []
-    for x in range(n):
-        if x in coset_of:
-            continue
-        cs = frozenset(table[x][c] for c in cyc)
-        idx = len(cosets)
-        cosets.append(cs)
-        for y in cs:
-            coset_of[y] = idx
-    qn = len(cosets)
-    qtable = [[0] * qn for _ in range(qn)]
-    qrep = [min(cs) for cs in cosets]
-    for i in range(qn):
-        for j in range(qn):
-            qtable[i][j] = coset_of[table[qrep[i]][qrep[j]]]
-    qidentity = coset_of[identity]
-    sub = _abelian_basis(qtable, qidentity)
-
-    basis = [(g1, d1)]
-    cyc_index = {c: e for e, c in enumerate(cyc)}
-    inv_g1 = table[g1].index(identity)
-    for (qg, m) in sub:
-        g = qrep[qg]
-        t = cyc_index[_power(table, identity, g, m)]  # g^m = g1^t with m | t
-        if t % m:
-            raise InvariantViolation("lift adjustment failed")
-        step = _power(table, identity, inv_g1, t // m)
-        g = table[g][step]
-        if _element_order(table, identity, g) != m:
-            raise InvariantViolation("lifted generator has wrong order")
-        basis.append((g, m))
-    return basis
-
-
 def group_structure_from_table(
     table: Sequence[Sequence[int]], identity: int = 0
 ) -> Tuple[List[int], List[List[Fraction]]]:
-    """(invariant factors d_1 | d_2 | ..., character table) of an abelian table."""
+    """(invariant factors d_1 | d_2 | ..., character table) of an abelian table.
+
+    A greedy walk grows a subgroup H from {identity}, with its characters.  Each
+    step adjoins the least g of largest order m over H; g spans a direct summand
+    of G/H, so the m are the invariant factors, largest first.  Each character
+    chi of H extends in m ways, chi(g) = (chi(g^m) + j)/m for j < m, and
+    chi(h*g^i) = chi(h) + i*chi(g), so characters[0] is the trivial character.
+    """
     _validate_group_table(table, identity)
     n = len(table)
-    basis = _abelian_basis(table, identity)
-    # exponent coordinates of every element relative to the basis
-    coords = {identity: tuple(0 for _ in basis)}
-    if basis:
-        gens = [g for g, _ in basis]
-        dims = [d for _, d in basis]
-        for exps in iproduct(*[range(d) for d in dims]):
-            x = identity
-            for g, e in zip(gens, exps):
-                x = table[x][_power(table, identity, g, e)]
-            coords[x] = exps
-        if len(coords) != n:
-            raise InvariantViolation("basis does not span the group")
-        characters = []
-        for ks in iproduct(*[range(d) for d in dims]):
-            row = []
-            for x in range(n):
-                exps = coords[x]
-                r = sum(Fraction(k * e, d) for k, e, d in zip(ks, exps, dims)) % 1
-                row.append(r)
-            characters.append(row)
-    else:
-        characters = [[Fraction(0)]]
-    factors = sorted((d for _, d in basis if d > 1))
-    return factors, characters
-
+    elems = [identity]  # H in walk order
+    pos = {identity: 0}  # element -> its index in elems
+    chars = [[0]]  # chars[k][p] * (1/e) = chi_k(elems[p]) mod 1, e the exponent
+    factors: List[int] = []
+    e = 1
+    while len(elems) < n:
+        m = 0
+        for x in range(n):
+            if x not in pos:
+                y, k = x, 1
+                while y not in pos:
+                    y, k = table[y][x], k + 1
+                if k > m:
+                    g, gm, m = x, y, k
+        factors.append(m)
+        # e, the exponent of G, is divisible by every m, and so is e*chi(g^m)
+        e = factors[0]
+        size = len(elems)
+        power = identity
+        for i in range(1, m):
+            power = table[power][g]
+            for h in elems[:size]:
+                pos[table[h][power]] = len(elems)
+                elems.append(table[h][power])
+        chars = [
+            row + [(row[p] + i * c) % e for i in range(1, m) for p in range(size)]
+            for row in chars
+            for c in ((row[pos[gm]] + j * e) // m for j in range(m))
+        ]
+    if sorted(elems) != list(range(n)):
+        raise InvariantViolation("the walk did not list every element exactly once")
+    fracs = [Fraction(v, e) for v in range(e)]
+    characters = [[fracs[row[pos[x]]] for x in range(n)] for row in chars]
+    return factors[::-1], characters

@@ -158,6 +158,20 @@ def test_lderiv_json(capsys, schema):
     assert float(payload["inversion_residual"]) < 1e-40
 
 
+def test_lderiv_prints_parts_below_accuracy_as_zero(capsys):
+    # on (-200, 3) the trivial character's value and every imaginary part
+    # cancel to about 1e-91, below the sum's 10^-60 absolute accuracy
+    code, payload = run_json(
+        capsys, "lderiv", "--disc", "-200", "--level", "3", "--digits", "60", "--format", "json"
+    )
+    assert code == 0
+    chars = payload["characters"]
+    assert chars["0"]["exponents"] == ["0"] * 12
+    assert chars["0"]["lderiv0"] == "0.0+0.0j"
+    assert all(c["lderiv0"].endswith("+0.0j") for c in chars.values())
+    assert all(not c["lderiv0"].startswith("0.0") for k, c in chars.items() if k != "0")
+
+
 def test_cartan_json(capsys, schema):
     code, payload = run_json(
         capsys, "cartan", "--disc", "-200", "--level", "3", "--format", "json"

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -451,6 +451,70 @@ def test_characters_are_all_homomorphisms(G200):
         for i in range(n):
             for j in range(n):
                 assert (c[i] + c[j]) % 1 == c[G200.table[i][j]]
+
+
+CYCLIC_ORDERS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 16]
+
+
+@st.composite
+def shuffled_product_tables(draw):
+    """(dims, generator indices, table) of Z_d1 x ... x Z_dk, k <= 4, order <= 400,
+    with the element indices shuffled and the identity kept at 0."""
+    dims = []
+    for _ in range(draw(st.integers(0, 4))):
+        n = prod(dims)
+        dims.append(draw(st.sampled_from([d for d in CYCLIC_ORDERS if n * d <= 400])))
+    # element (a, i) of G x Z_d has index a*d + i
+    table = [[0]]
+    for d in dims:
+        table = [[t * d + (i + j) % d for t in row for j in range(d)] for row in table for i in range(d)]
+    n = len(table)
+    perm = [0] + draw(st.permutations(range(1, n)))
+    shuffled = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            shuffled[perm[x]][perm[y]] = perm[table[x][y]]
+    gens = [perm[prod(dims[s + 1:])] if d > 1 else 0 for s, d in enumerate(dims)]
+    return dims, gens, shuffled
+
+
+def invariant_factors_of(dims):
+    """d_1 | d_2 | ... of Z_d1 x ... x Z_dk: the i-th largest factor is the
+    product over primes p of the i-th largest p-part of the d's."""
+    parts = {}
+    for d in dims:
+        for p in range(2, d + 1):
+            q = 1
+            while d % p == 0:
+                d, q = d // p, q * p
+            if q > 1:
+                parts.setdefault(p, []).append(q)
+    factors = [1] * max(map(len, parts.values()), default=0)
+    for qs in parts.values():
+        for i, q in enumerate(sorted(qs, reverse=True)):
+            factors[i] *= q
+    return sorted(factors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shuffled_product_tables())
+def test_group_structure_of_shuffled_product_tables(case):
+    dims, gens, table = case
+    n = len(table)
+    factors, chars = group_structure_from_table(table)
+    expected = invariant_factors_of(dims)
+    assert factors == expected
+    assert len(chars) == n
+    assert len(set(map(tuple, chars))) == n
+    assert chars[0] == [0] * n
+    # chi(x*g) = chi(x) + chi(g) for every x and every generator g makes chi
+    # a homomorphism; values are compared as integers over the exponent E
+    E = max(expected, default=1)
+    for c in chars:
+        assert all(E % r.denominator == 0 and 0 <= r.numerator < r.denominator for r in c)
+        v = [r.numerator * (E // r.denominator) for r in c]
+        for g in gens:
+            assert all(v[table[x][g]] == (v[x] + v[g]) % E for x in range(n))
 
 
 def test_sl2_lift_bottom_row():
