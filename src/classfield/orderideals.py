@@ -523,20 +523,25 @@ def oracle_class_group(
 ) -> IdealClassOracle:
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
-    Ideals prime to l_O*N are enumerated up to a norm bound (doubled until the
-    independently known class count is reached) and grouped by ray label.
+    Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
+    ray label.  The bound is doubled until the independently known class
+    count is reached, over at most nine tries; ResourceError names the last
+    bound searched.
     The table follows from the label group law: if w1, w2 generate
     L1*conj(B1), L2*conj(B2) and c12 generates B1*B2*conj(B3), then
     w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).  So only the base
-    products B1*B2 are labelled, once per pair of reduced forms.
+    products B1*B2 are labelled, once per pair of reduced forms.  Every pair
+    of classes is filled from these labels on purpose: the oracle shares no
+    table code with class_enumerate, so tables_isomorphic can catch a bug in
+    either fill.
     """
     if N < 1:
         raise DomainError("level must be positive")
     target = _expected_order(ctx, N)
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
-    bound = norm_bound or max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
-    for attempt in range(9):
+    start = norm_bound or max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
+    for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, QuadLattice] = {}
         order_lattice = QuadLattice.order(ctx)
         buckets[ray_label(order_lattice, N, bases)] = order_lattice
@@ -547,7 +552,6 @@ def oracle_class_group(
                 break
         if len(buckets) == target:
             break
-        bound *= 2
     else:
         raise ResourceError(
             f"found {len(buckets)} of {target} ray classes up to norm bound {bound}"

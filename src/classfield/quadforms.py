@@ -146,14 +146,6 @@ class Form(tuple):
         a, b, c = self
         return a * x * x + b * x * y + c * y * y
 
-    def is_reduced(self) -> bool:
-        a, b, c = self
-        if not (abs(b) <= a <= c):
-            return False
-        if (abs(b) == a or a == c) and b < 0:
-            return False
-        return True
-
     def omega(self, digits: int) -> BigComplex:
         """Root (-b + sqrt(D))/(2a) of Q(x, 1) in the upper half-plane."""
         return _form_point(self.a, -self.b, digits, self.disc)
@@ -491,11 +483,12 @@ class ClassGroup:
 
     Classes are numbered by sorted class_label and reps[i] is the label_form
     of the i-th label, so index 0 is the class of the principal form.
-    `table[i][j]` is the index of [reps[i]][reps[j]].  invariant_factors and
-    characters come from group_structure_from_table's greedy walk over the
-    table.  Characters are stored as exact root-of-unity exponents:
-    characters[k][i] = r in Q/Z means chi_k(reps[i]) = e^(2 pi i r), and
-    characters[0] is the trivial character.
+    `table[i][j]` is the index of [reps[i]][reps[j]]; class_enumerate fills
+    it from one Cayley row per generator, not by composing every pair.
+    invariant_factors and characters come from group_structure_from_table's
+    greedy walk over the table.  Characters are stored as exact root-of-unity
+    exponents: characters[k][i] = r in Q/Z means chi_k(reps[i]) =
+    e^(2 pi i r), and characters[0] is the trivial character.
     """
 
     disc: int
@@ -510,10 +503,6 @@ class ClassGroup:
     @property
     def order(self) -> int:
         return len(self.reps)
-
-    @property
-    def identity_index(self) -> int:
-        return 0
 
     def index_of(self, Q: Form) -> int:
         """Index of the class of Q: a dict lookup on its class_label."""
@@ -577,7 +566,14 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
     forms R and the rows (u, v) mod N with R(v, -u) coprime to N, since
     label_form gives R^(sigma^-1), whose leading coefficient is R(v, -u) mod N.
     Classes are numbered by sorted label, so index 0 is the principal class.
-    Each unordered pair is composed once and its product found by class_label.
+
+    The table is filled from Cayley rows.  Each step takes as generator s the
+    least class outside the subgroup H built so far, composes every class
+    with s once (n compositions, each identified by class_label) and closes
+    H under s by breadth-first search.  A class z = y*s first reached from y
+    gets row z = (cay_s[v] for v in row y), since z*j = (y*j)*s, with no
+    further composition.  H at least doubles at each step, so there are at
+    most log2(n) generators and n*log2(n) compositions.
     """
     if N < 1:
         raise DomainError("level must be positive")
@@ -596,13 +592,24 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
         raise InvariantViolation(f"found {n} class labels, expected {target}")
     reps = [label_form(label, N) for label in labels]
     index = {label: i for i, label in enumerate(labels)}
-    table = [[0] * n for _ in labels]
-    for i in range(n):
-        for j in range(i, n):
-            k = index.get(class_label(compose_level(reps[i], reps[j], ctx, N), N))
+    table: List[Optional[List[int]]] = [list(range(n))] + [None] * (n - 1)
+    walk = [0]  # the subgroup built so far, in breadth-first order
+    while len(walk) < n:
+        s = table.index(None)
+        cay = []  # cay[y] = index of [reps[y]][reps[s]]
+        for y in range(n):
+            k = index.get(class_label(compose_level(reps[y], reps[s], ctx, N), N))
             if k is None:
-                raise InvariantViolation(f"product of classes {i} and {j} has no known label")
-            table[i][j] = table[j][i] = k
+                raise InvariantViolation(f"product of classes {y} and {s} has no known label")
+            cay.append(k)
+        if cay[0] != s:
+            raise InvariantViolation(f"the principal class times class {s} is class {cay[0]}")
+        # walk grows while it is read, so this closes the subgroup under s
+        for y in walk:
+            z = cay[y]
+            if table[z] is None:
+                table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
+                walk.append(z)
 
     factors, characters = group_structure_from_table(table, identity=0)
     G = ClassGroup(ctx.disc, N, reps, table, factors, characters)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from classfield import orderideals
-from classfield.numerics import DomainError, InvariantViolation
+from classfield.numerics import DomainError, InvariantViolation, ResourceError
 from classfield.orderideals import (
     QuadElem,
     QuadLattice,
@@ -163,6 +163,12 @@ def test_oracle_table_rejects_unseen_product_label(ctx200, monkeypatch):
     monkeypatch.setattr(orderideals, "_expected_order", lambda ctx, N: 11)
     with pytest.raises(InvariantViolation, match="no known label"):
         oracle_class_group(ctx200, 3)
+
+
+def test_oracle_resource_error_names_largest_bound_searched():
+    # nine tries from norm bound 1: the last one searches up to 2^8
+    with pytest.raises(ResourceError, match=r"found 92 of 100 ray classes up to norm bound 256$"):
+        oracle_class_group(OrderContext.from_disc(-1000), 5, norm_bound=1)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 12])

@@ -5,8 +5,8 @@ from math import gcd, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from classfield import refdata
-from classfield.numerics import DomainError
+from classfield import quadforms, refdata
+from classfield.numerics import DomainError, InvariantViolation
 from classfield.quadforms import (
     CompositionError,
     Form,
@@ -63,6 +63,12 @@ def test_reduce_brute_force_oracle():
     assert R == Form(1, 0, 50)
 
 
+def is_reduced(Q):
+    """|b| <= a <= c, with b >= 0 when |b| = a or a = c."""
+    a, b, c = Q
+    return abs(b) <= a <= c and not ((abs(b) == a or a == c) and b < 0)
+
+
 def test_reduce_idempotent_and_unique_small_discs():
     rng = random.Random(RNG_SEED)
     mats = small_sl2(2)
@@ -72,7 +78,7 @@ def test_reduce_idempotent_and_unique_small_discs():
         reduced = enumerate_reduced(D)
         assert len(set(reduced)) == len(reduced)
         for R in reduced:
-            assert R.is_reduced()
+            assert is_reduced(R)
             assert reduce_form(R)[0] == R
             # translated forms come back to the same reduced form
             g = rng.choice(mats)
@@ -365,6 +371,70 @@ def test_class_enumerate_matches_reference(D):
         assert all(G.index_of(Q) == i for i, Q in enumerate(G.reps))
 
 
+def pairwise_table(ctx, N):
+    """Slow-path table: every unordered pair of classes composed once, its
+    product found by class_label, classes numbered by sorted label."""
+    reps = class_enumerate(ctx, N).reps
+    labels = [class_label(Q, N) for Q in reps]
+    assert labels == sorted(set(labels))
+    index = {label: i for i, label in enumerate(labels)}
+    n = len(reps)
+    table = [[0] * n for _ in reps]
+    for i in range(n):
+        for j in range(i, n):
+            table[i][j] = table[j][i] = index[class_label(compose_level(reps[i], reps[j], ctx, N), N)]
+    factors, characters = group_structure_from_table(table)
+    return table, factors, characters
+
+
+def assert_matches_pairwise(D, N):
+    ctx = OrderContext.from_disc(D)
+    G = class_enumerate(ctx, N)
+    table, factors, characters = pairwise_table(ctx, N)
+    assert G.table == table
+    assert G.invariant_factors == factors
+    assert G.characters == characters
+
+
+GROUPS_POOL = [(-200, 5), (-160, 8), (-95, 5), (-103, 5), (-84, 8), (-119, 5)]
+
+
+@pytest.mark.parametrize(
+    "D, N",
+    [(D, N) for D in refdata.BATTERY_DISCS for N in refdata.BATTERY_LEVELS] + GROUPS_POOL,
+)
+def test_cayley_table_matches_pairwise(D, N):
+    assert_matches_pairwise(D, N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(D=st.sampled_from([-3, -4, -15, -20, -56, -71, -180, -200]), N=st.integers(1, 12))
+def test_cayley_table_matches_pairwise_property(D, N):
+    assert_matches_pairwise(D, N)
+
+
+@pytest.mark.parametrize("D, N", [(-95, 5), (-200, 3)])
+def test_class_enumerate_composition_count(D, N, monkeypatch):
+    # one Cayley row of n compositions per generator, at most log2(n) generators
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return compose_level(*args)
+
+    monkeypatch.setattr(quadforms, "compose_level", counting)
+    n = class_enumerate(OrderContext.from_disc(D), N).order
+    assert len(calls) <= n * (n.bit_length() - 1)
+
+
+def test_class_enumerate_rejects_composition_without_identity(monkeypatch):
+    # a law under which the principal class is no identity stops the fill
+    # instead of picking the same generator forever
+    monkeypatch.setattr(quadforms, "compose_level", lambda Q, Q2, ctx, N: Q)
+    with pytest.raises(InvariantViolation, match="principal class times class 1"):
+        class_enumerate(OrderContext.from_disc(-200), 3)
+
+
 def test_index_of_rejects_wrong_discriminant(G200):
     with pytest.raises(DomainError):
         G200.index_of(Form(1, 0, 14))
@@ -385,7 +455,6 @@ def test_index_of_gamma1_moves(G200):
 
 
 def test_identity_is_principal_class(ctx200, G200):
-    assert G200.identity_index == 0
     assert gamma1_equivalent(G200.reps[0], ctx200.principal_form(), 3) is not None
     assert G200.table[0] == list(range(12))
 
@@ -412,7 +481,7 @@ def test_level_forgetting_homomorphism(ctx200, G200):
     for i in range(G200.order):
         for j in range(G200.order):
             assert down[G200.table[i][j]] == G1.table[down[i]][down[j]]
-    kernel = sum(1 for d in down if d == G1.identity_index)
+    kernel = sum(1 for d in down if d == 0)
     assert kernel * G1.order == G200.order
 
 
@@ -447,7 +516,7 @@ def test_characters_are_all_homomorphisms(G200):
     assert len(chars) == n
     assert len(set(tuple(c) for c in chars)) == n
     for c in chars:
-        assert c[G200.identity_index] == 0
+        assert c[0] == 0
         for i in range(n):
             for j in range(n):
                 assert (c[i] + c[j]) % 1 == c[G200.table[i][j]]
