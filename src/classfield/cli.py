@@ -19,6 +19,7 @@ from typing import List, Optional
 import mpmath
 
 from . import cartan, invariants, lfunctions, verify
+from .modfun import GUARD_DIGITS
 from .numerics import (
     BigComplex,
     DomainError,
@@ -54,6 +55,11 @@ def _emit(payload: dict, fmt: str, text_fn) -> None:
 
 def _context(args) -> OrderContext:
     return OrderContext.from_disc(args.disc)
+
+
+def _require_digits(args) -> None:
+    if args.digits < 1:
+        raise DomainError(f"--digits must be at least 1, not {args.digits}")
 
 
 def cmd_classgroup(args) -> int:
@@ -107,22 +113,25 @@ def cmd_minpoly(args) -> int:
 
 
 def cmd_lderiv(args) -> int:
+    _require_digits(args)
     ctx = _context(args)
     G = class_enumerate(ctx, args.level)
+    if args.character is not None and not 0 <= args.character < G.order:
+        raise DomainError(f"--character must lie in [0, {G.order}), not {args.character}")
     logs = lfunctions.log_g_values(G, ctx, args.digits)
-    chars = [lfunctions.Character.from_class_group(G, k) for k in range(G.order)]
     which = range(G.order) if args.character is None else [args.character]
-    values = {k: lfunctions.lderiv0(chars[k], G, ctx, args.digits, logs=logs) for k in which}
+    values = {k: lfunctions.lderiv0(G.characters[k], G, ctx, args.digits, logs=logs) for k in which}
     inversion = None
     if args.character is None:
-        # recover ln|g(C)| from all characters
-        prec = bits_for_digits(args.digits)
+        # recover ln|g(C)| from all characters, at the precision lderiv0 summed at
+        prec = bits_for_digits(args.digits + GUARD_DIGITS)
         inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, prec)
     # lderiv0 sums at GUARD_DIGITS above `digits`, so its absolute accuracy is
     # below 10^-digits and any part smaller than that prints as zero
     tiny = mpmath.mpf(10) ** -args.digits
     part = lambda x: x if abs(x) >= tiny else 0
     shown = {k: BigComplex(part(z.re), part(z.im), z.prec) for k, z in values.items()}
+    exponents = G.characters_qz()
     payload = {
         "kind": "lderiv",
         "disc": str(ctx.disc),
@@ -131,7 +140,7 @@ def cmd_lderiv(args) -> int:
         "per_class_log_g": [mpmath.nstr(x, args.digits) for x in logs],
         "characters": {
             str(k): {
-                "exponents": [str(r) for r in chars[k].exponents],
+                "exponents": exponents[k],
                 "lderiv0": shown[k].to_decimal(args.digits),
             }
             for k in which
@@ -178,6 +187,7 @@ def cmd_cartan(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    _require_digits(args)
     ctx = _context(args)
     if args.level < 2:
         raise DomainError("invariant orbits need level >= 2")

@@ -35,7 +35,6 @@ from .orderideals import (
 from .quadforms import ClassGroup, Form, OrderContext, reduce_form
 
 __all__ = [
-    "Character",
     "ZetaPartial",
     "gamma_ON",
     "zeta_ideal_partial_all",
@@ -45,38 +44,6 @@ __all__ = [
     "fourier_inversion_residual",
     "kronecker_xi",
 ]
-
-
-@dataclass(frozen=True)
-class Character:
-    """A character of the class group, stored as exact exponents in Q/Z."""
-
-    exponents: Tuple[Fraction, ...]
-
-    @classmethod
-    def from_class_group(cls, G: ClassGroup, k: int) -> "Character":
-        return cls(tuple(G.characters[k]))
-
-    @functools.cached_property
-    def order(self) -> int:
-        o = 1
-        for r in self.exponents:
-            o = o * r.denominator // gcd(o, r.denominator)
-        return o
-
-    def is_trivial(self) -> bool:
-        return all(r == 0 for r in self.exponents)
-
-    def is_real(self) -> bool:
-        return all(r.denominator <= 2 for r in self.exponents)
-
-    def conj(self) -> "Character":
-        return Character(tuple((-r) % 1 for r in self.exponents))
-
-    def value(self, i: int, prec: int) -> mpmath.mpc:
-        r = self.exponents[i]
-        e = self.order
-        return _roots_of_unity(e, prec)[r.numerator * (e // r.denominator) % e]
 
 
 @functools.lru_cache(maxsize=64)
@@ -317,21 +284,25 @@ def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.m
 
 
 def lderiv0(
-    chi: Character,
+    chi: Sequence[int],
     G: ClassGroup,
     ctx: OrderContext,
     digits: int,
     logs: Optional[Sequence[mpmath.mpf]] = None,
 ) -> BigComplex:
-    """L'(0, chi) = -1/(gamma 6N) * sum_C chi(C) ln|g(C)|."""
+    """L'(0, chi) = -1/(gamma 6N) * sum_C chi(C) ln|g(C)|.
+
+    chi is a row of G.characters: chi(C_i) = e^(2 pi i chi[i]/e), e = G.exponent.
+    """
     N = G.level
     logs = logs if logs is not None else log_g_values(G, ctx, digits)
     gamma = gamma_ON(ctx, N)
     prec = bits_for_digits(digits + GUARD_DIGITS)
+    roots = _roots_of_unity(G.exponent, prec)
     with mp.workprec(prec):
         total = mpmath.mpc(0)
         for i in range(G.order):
-            total += chi.value(i, prec) * logs[i]
+            total += roots[chi[i]] * logs[i]
         total *= mpmath.mpf(-1) / (gamma * 6 * N)
     return BigComplex.from_mpc(total, prec)
 
@@ -348,14 +319,15 @@ def fourier_inversion_residual(
     Finite Fourier inversion of lderiv0 with scale = -gamma 6N / |G|:
     values[k] is L'(0, chi_k) for every character k, at `prec` bits.
     """
-    chars = [Character.from_class_group(G, k) for k in range(G.order)]
+    roots = _roots_of_unity(G.exponent, prec)
     with mp.workprec(prec):
         scale = mpmath.mpf(-gamma_ON(ctx, G.level) * 6 * G.level) / G.order
+        vals = [values[k].to_mpc() for k in range(G.order)]
         worst = mpmath.mpf(0)
         for i in range(G.order):
             acc = mpmath.mpc(0)
-            for k in range(G.order):
-                acc += mpmath.conj(chars[k].value(i, prec)) * values[k].to_mpc()
+            for chi, v in zip(G.characters, vals):
+                acc += mpmath.conj(roots[chi[i]]) * v
             worst = max(worst, abs(scale * acc - logs[i]))
     return worst
 

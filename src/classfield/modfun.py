@@ -33,7 +33,6 @@ __all__ = [
     "siegel",
     "theta1",
     "wp",
-    "wp_lattice_sum",
     "fricke",
     "g2_g3_delta",
     "elliptic_model",
@@ -64,9 +63,6 @@ class FrickeIndex:
         d1 = self.v1.denominator
         d2 = self.v2.denominator
         return d1 * d2 // math.gcd(d1, d2)
-
-    def is_primitive(self, N: int) -> bool:
-        return self.level == N
 
     def normalized(self) -> "FrickeIndex":
         """Canonical representative of {v, -v} mod Z^2, entries in [0, 1).
@@ -357,22 +353,6 @@ def wp(z: BigComplex, tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComp
         val_p = twopii**2 * p
         val_dp = twopii**3 * dp
     return BigComplex.from_mpc(val_p, prec), BigComplex.from_mpc(val_dp, prec)
-
-
-def wp_lattice_sum(z: BigComplex, tau: BigComplex, radius: int = 40) -> BigComplex:
-    """Slowly convergent lattice-sum evaluation of wp; desk oracle for tests."""
-    prec = bits_for_digits(25)
-    with mp.workprec(prec):
-        z_ = _mpc(z)
-        t_ = _mpc(tau)
-        total = 1 / z_**2
-        for m in range(-radius, radius + 1):
-            for n in range(-radius, radius + 1):
-                if m == 0 and n == 0:
-                    continue
-                w = m * t_ + n
-                total += 1 / (z_ - w) ** 2 - 1 / w**2
-    return BigComplex.from_mpc(total, prec)
 
 
 def fricke(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:

@@ -33,7 +33,6 @@ __all__ = [
     "QuadElem",
     "QuadLattice",
     "IdealClassOracle",
-    "ideal_norm",
     "same_ray_class",
     "oracle_class_group",
     "form_to_lattice",
@@ -252,13 +251,6 @@ def fractional_omega_lattice(ctx: OrderContext, Q: Form) -> QuadLattice:
     """[omega_Q, 1] itself (fractional unless a = 1)."""
     half = (ctx.b0 - Q.b) // 2
     return QuadLattice(ctx, Q.a, 1, half % (Q.a), Q.a)
-
-
-def ideal_norm(L: QuadLattice) -> Fraction:
-    """|O / L| from the basis-change determinant; domain error off O-modules."""
-    if not L.is_o_module():
-        raise DomainError("lattice is not an O-module")
-    return L.norm()
 
 
 def principal_generator(L: QuadLattice) -> Optional[QuadElem]:
@@ -524,9 +516,10 @@ def oracle_class_group(
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
     Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
-    ray label.  The bound is doubled until the independently known class
-    count is reached, over at most nine tries; ResourceError names the last
-    bound searched.
+    ray label.  The bound starts at norm_bound (None for a default from D and
+    N; below 1 is a DomainError) and is doubled until the independently
+    known class count is reached, over at most nine tries; ResourceError
+    names the last bound searched.
     The table follows from the label group law: if w1, w2 generate
     L1*conj(B1), L2*conj(B2) and c12 generates B1*B2*conj(B3), then
     w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).  So only the base
@@ -537,6 +530,8 @@ def oracle_class_group(
     """
     if N < 1:
         raise DomainError("level must be positive")
+    if norm_bound is not None and norm_bound < 1:
+        raise DomainError(f"norm bound must be at least 1, not {norm_bound}")
     target = _expected_order(ctx, N)
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N

@@ -486,9 +486,9 @@ class ClassGroup:
     `table[i][j]` is the index of [reps[i]][reps[j]]; class_enumerate fills
     it from one Cayley row per generator, not by composing every pair.
     invariant_factors and characters come from group_structure_from_table's
-    greedy walk over the table.  Characters are stored as exact root-of-unity
-    exponents: characters[k][i] = r in Q/Z means chi_k(reps[i]) =
-    e^(2 pi i r), and characters[0] is the trivial character.
+    greedy walk over the table.  Characters are stored as integers over the
+    group exponent e: characters[k][i] = v in [0, e) means chi_k(reps[i]) =
+    e^(2 pi i v/e), and characters[0] is the trivial character.
     """
 
     disc: int
@@ -496,13 +496,24 @@ class ClassGroup:
     reps: List[Form]
     table: List[List[int]]
     invariant_factors: List[int]
-    characters: List[List[Fraction]]
+    characters: List[List[int]]
     # class_label -> index, filled in by class_enumerate
     _index: Dict[Tuple, int] = field(init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
         return len(self.reps)
+
+    @property
+    def exponent(self) -> int:
+        """The group exponent e, the largest invariant factor (1 when trivial)."""
+        return self.invariant_factors[-1] if self.invariant_factors else 1
+
+    def characters_qz(self) -> List[List[str]]:
+        """`characters` as exponents in Q/Z, each v the string of v/e in lowest terms."""
+        e = self.exponent
+        names = [str(Fraction(v, e)) for v in range(e)]
+        return [[names[v] for v in row] for row in self.characters]
 
     def index_of(self, Q: Form) -> int:
         """Index of the class of Q: a dict lookup on its class_label."""
@@ -522,7 +533,7 @@ class ClassGroup:
             "reps": [[str(x) for x in Q] for Q in self.reps],
             "table": self.table,
             "invariant_factors": [str(d) for d in self.invariant_factors],
-            "characters": [[str(r) for r in row] for row in self.characters],
+            "characters": self.characters_qz(),
         }
 
     def format_table(self) -> str:
@@ -641,7 +652,7 @@ def _validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None
 
 def group_structure_from_table(
     table: Sequence[Sequence[int]], identity: int = 0
-) -> Tuple[List[int], List[List[Fraction]]]:
+) -> Tuple[List[int], List[List[int]]]:
     """(invariant factors d_1 | d_2 | ..., character table) of an abelian table.
 
     A greedy walk grows a subgroup H from {identity}, with its characters.  Each
@@ -649,6 +660,8 @@ def group_structure_from_table(
     of G/H, so the m are the invariant factors, largest first.  Each character
     chi of H extends in m ways, chi(g) = (chi(g^m) + j)/m for j < m, and
     chi(h*g^i) = chi(h) + i*chi(g), so characters[0] is the trivial character.
+    characters[k][x] = v in [0, e) means chi_k(x) = v/e in Q/Z, with e the
+    largest invariant factor (1 for the trivial group).
     """
     _validate_group_table(table, identity)
     n = len(table)
@@ -683,6 +696,4 @@ def group_structure_from_table(
         ]
     if sorted(elems) != list(range(n)):
         raise InvariantViolation("the walk did not list every element exactly once")
-    fracs = [Fraction(v, e) for v in range(e)]
-    characters = [[fracs[row[pos[x]]] for x in range(n)] for row in chars]
-    return factors[::-1], characters
+    return factors[::-1], [[row[pos[x]] for x in range(n)] for row in chars]

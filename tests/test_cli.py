@@ -172,6 +172,35 @@ def test_lderiv_prints_parts_below_accuracy_as_zero(capsys):
     assert all(not c["lderiv0"].startswith("0.0") for k, c in chars.items() if k != "0")
 
 
+def test_lderiv_inversion_residual_has_guard_digits(capsys):
+    # the inversion sums at the guard digits lderiv0 summed at, so it shows the
+    # identity's residual (about 1e-90) and not rounding noise near 10^-60
+    code, payload = run_json(
+        capsys, "lderiv", "--disc", "-200", "--level", "3", "--digits", "60", "--format", "json"
+    )
+    assert code == 0
+    assert float(payload["inversion_residual"]) < 1e-80
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["lderiv", "--character", k] for k in ("12", "99", "-1")),
+        *([c, "--digits", d] for c in ("lderiv", "invariants") for d in ("0", "-5")),
+        *(["classgroup", "--check-oracle", "--norm-bound", b] for b in ("0", "-5")),
+    ],
+)
+def test_out_of_range_option_exit_2_with_one_line(capsys, argv):
+    # (-200, 3) has 12 classes, so characters 0..11
+    command, *rest = argv
+    code = cli.main([command, "--disc", "-200", "--level", "3", *rest])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_cartan_json(capsys, schema):
     code, payload = run_json(
         capsys, "cartan", "--disc", "-200", "--level", "3", "--format", "json"

@@ -8,8 +8,8 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.lfunctions import (
-    Character,
     ZetaPartial,
+    _roots_of_unity,
     fourier_inversion_residual,
     gamma_ON,
     kronecker_xi,
@@ -204,8 +204,7 @@ def test_zeta_ideal_tail_against_closed_form():
 
 
 def test_lderiv_fourier_inversion(ctx200, G200, logs200):
-    chars = [Character.from_class_group(G200, k) for k in range(G200.order)]
-    vals = [lderiv0(c, G200, ctx200, 60, logs=logs200) for c in chars]
+    vals = [lderiv0(chi, G200, ctx200, 60, logs=logs200) for chi in G200.characters]
     prec = bits_for_digits(90)
     residual = fourier_inversion_residual(G200, ctx200, vals, logs200, prec)
     with mp.workprec(prec):
@@ -214,8 +213,8 @@ def test_lderiv_fourier_inversion(ctx200, G200, logs200):
 
 def test_lderiv_trivial_character_vanishes(ctx200, G200, logs200):
     # sum of ln|g(C)| equals ln|constant term| = ln 1 = 0
-    triv = Character.from_class_group(G200, 0)
-    assert triv.is_trivial()
+    triv = G200.characters[0]
+    assert triv == [0] * G200.order
     val = lderiv0(triv, G200, ctx200, 60, logs=logs200)
     with mp.workprec(bits_for_digits(90)):
         assert abs(val.to_mpc()) < mpmath.mpf(10) ** -45
@@ -223,20 +222,24 @@ def test_lderiv_trivial_character_vanishes(ctx200, G200, logs200):
 
 
 def test_lderiv_real_for_real_characters(ctx200, G200, logs200):
-    for k in range(G200.order):
-        chi = Character.from_class_group(G200, k)
-        if chi.is_real():
-            v = lderiv0(chi, G200, ctx200, 60, logs=logs200)
-            with mp.workprec(v.prec):
-                assert abs(v.im) < mpmath.mpf(10) ** -45
+    # chi is real when chi = conj chi, that is 2v = 0 mod e; Z2 x Z6 has four
+    e = G200.exponent
+    real = [chi for chi in G200.characters if all(2 * v % e == 0 for v in chi)]
+    assert len(real) == 4
+    for chi in real:
+        v = lderiv0(chi, G200, ctx200, 60, logs=logs200)
+        with mp.workprec(v.prec):
+            assert abs(v.im) < mpmath.mpf(10) ** -45
 
 
 def test_lderiv_conjugation_equivariance(ctx200, G200, logs200):
-    chars = [Character.from_class_group(G200, k) for k in range(G200.order)]
+    e = G200.exponent
     with mp.workprec(bits_for_digits(90)):
-        for chi in chars:
+        for chi in G200.characters:
+            conj = [(-v) % e for v in chi]
+            assert conj in G200.characters
             a = lderiv0(chi, G200, ctx200, 60, logs=logs200).to_mpc()
-            b = lderiv0(chi.conj(), G200, ctx200, 60, logs=logs200).to_mpc()
+            b = lderiv0(conj, G200, ctx200, 60, logs=logs200).to_mpc()
             assert abs(a.conjugate() - b) < mpmath.mpf(10) ** -45
 
 
@@ -280,10 +283,13 @@ def test_kronecker_xi_gives_log_g(ctx200, G200, logs200):
 
 
 def test_character_values_exact(ctx200, G200):
-    chi = Character.from_class_group(G200, 1)
+    chi = G200.characters[1]
+    e = G200.exponent
+    order = e // gcd(e, *chi)
+    assert order in (2, 3, 6)
     prec = bits_for_digits(40)
+    roots = _roots_of_unity(e, prec)
     with mp.workprec(prec):
-        for i in range(G200.order):
-            v = chi.value(i, prec)
-            assert abs(abs(v) - 1) < mpmath.mpf(10) ** -35
-    assert chi.order in (2, 3, 6)
+        for v in chi:
+            assert abs(abs(roots[v]) - 1) < mpmath.mpf(10) ** -35
+            assert abs(roots[v] ** order - 1) < mpmath.mpf(10) ** -35

