@@ -52,22 +52,17 @@ def _mat_mul(a: Mat, b: Mat, N: int) -> Mat:
     )
 
 
-def _det(a: Mat, N: int) -> int:
-    return (a[0] * a[3] - a[1] * a[2]) % N
-
-
 def unit_group(ctx: OrderContext, N: int) -> List[ResidueElem]:
     """All residues with invertible multiplication matrix mod N."""
     if N < 1:
         raise DomainError("level must be positive")
-    out = []
-    for s in range(N):
-        for t in range(N):
-            if gcd(_det(mu(ctx, N, s, t), N), N) == 1:
-                out.append(ResidueElem(s, t, N))
-    if N == 1:
-        out = [ResidueElem(0, 0, 1)]
-    return out
+    # det(mu(s, t)) is the norm of s*tau + t
+    return [
+        ResidueElem(s, t, N)
+        for s in range(N)
+        for t in range(N)
+        if gcd(ctx.elem_norm(t, s), N) == 1
+    ]
 
 
 @dataclass

@@ -4,8 +4,9 @@ minimal-polynomial reconstruction.
 A class [Q] is evaluated through the explicit matrix route: the invariant is
 the family member at index v*M evaluated at -conj(omega_Q), with
 M = [[1, -a'(b+b0)/2], [0, a']] and a*a' = 1 mod N.  The general ideal route
-(basis of the inverse ideal plus the exact change-of-basis matrix) is kept
-alongside as the independence check.
+is kept alongside as the independence check: it reads a basis of the inverse
+ideal and the change-of-basis matrix off any integral ideal's form, in exact
+integers (orderideals._ideal_form).
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from .modfun import GUARD_DIGITS, FrickeIndex
 from .numerics import (
     BigComplex,
     DomainError,
-    InvariantViolation,
     PrecisionPolicy,
     bits_for_digits,
     recognize_integer,
 )
-from .orderideals import QuadElem, QuadLattice, form_to_lattice
+from .orderideals import QuadLattice, _ideal_form, form_to_lattice
 from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, reduce_form
 
 __all__ = [
@@ -83,22 +83,6 @@ def _check_ctx(ctx: OrderContext) -> None:
         raise DomainError("discriminants -3 and -4 are excluded here")
 
 
-def _point_form(ctx: OrderContext, xi: QuadElem) -> Form:
-    """Primitive integral form with root xi in the upper half-plane."""
-    if xi.y == 0:
-        raise DomainError("evaluation point must be irrational")
-    # A xi^2 + B xi + C = 0 with (A, B, C) = t*(1, -(2x - b0 y), N(xi))
-    b = -(2 * xi.x - ctx.b0 * xi.y)
-    c = xi.norm()
-    den = b.denominator * c.denominator // gcd(b.denominator, c.denominator)
-    a_i, b_i, c_i = den, int(b * den), int(c * den)
-    g = gcd(gcd(a_i, b_i), c_i)
-    a_i, b_i, c_i = a_i // g, b_i // g, c_i // g
-    if a_i < 0:
-        a_i, b_i, c_i = -a_i, -b_i, -c_i
-    return Form(a_i, b_i, c_i)
-
-
 def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: int) -> BigComplex:
     """Family member at index v*M, evaluated at the root xi of Qxi via a
     Gauss-reduced point.
@@ -142,28 +126,20 @@ def general_invariant(
 ) -> BigComplex:
     """Invariant from an arbitrary integral ideal representative.
 
-    Uses a basis {xi1, xi2} of the inverse ideal and the exact integral matrix
-    A with (tau, 1)^t = A (xi1, xi2)^t; the family index moves by A and the
-    evaluation point is xi1/xi2.
+    For L = g*(Z(tau + h) + Z*a) with form Q = (a, b, c), the inverse ideal
+    conj(L)/N(L) has the basis xi1 = (tau + b0 - h)/(g*a), xi2 = 1/g, so
+    (tau, 1)^t = A (xi1, xi2)^t with A = [[g*a, g*(h - b0)], [0, g]].  The
+    family index moves by A and the evaluation point xi1/xi2 = (b + sqrt(D))/(2a)
+    is the root of (a, -b, c).
     """
     _check_ctx(ctx)
-    if not ideal.is_proper_ideal() or not ideal.is_integral():
+    if not ideal.is_integral():
         raise DomainError("need an integral proper O-ideal")
-    if gcd(int(ideal.norm()), N) != 1:
+    g, h, Q = _ideal_form(ideal)
+    if gcd(g * Q.a, N) != 1:
         raise DomainError("ideal must be prime to the level")
-    xi1, xi2 = ideal.inverse().basis()
-    det = xi1.x * xi2.y - xi2.x * xi1.y
-    # solve (0,1) = A11*xi1 + A12*xi2 and (1,0) = A21*xi1 + A22*xi2 in coords
-    A11 = -xi2.x / det
-    A12 = xi1.x / det
-    A21 = xi2.y / det
-    A22 = -xi1.y / det
-    if any(v.denominator != 1 for v in (A11, A12, A21, A22)):
-        raise InvariantViolation("change-of-basis matrix is not integral")
-    A = (int(A11), int(A12), int(A21), int(A22))
-    if gcd(A[0] * A[3] - A[1] * A[2], N) != 1:
-        raise InvariantViolation("det(A) shares a factor with the level")
-    return _family_value_at(family, A, _point_form(ctx, xi1 / xi2), N, digits)
+    A = (g * Q.a, g * (h - ctx.b0), 0, g)
+    return _family_value_at(family, A, Form(Q.a, -Q.b, Q.c), N, digits)
 
 
 def g_ON(Q: Form, ctx: OrderContext, N: int, digits: int) -> BigComplex:
@@ -181,8 +157,10 @@ def g_ON_from_ideal(L: QuadLattice, ctx: OrderContext, N: int, digits: int) -> B
     if N >= 2:
         return general_invariant(FamilyId.siegel_power(N), L, ctx, N, digits)
     # (2 pi)^12 N([xi,1])^6 |Delta([xi,1])| is basis- and scale-free, so it may
-    # be read off the reduced form of the inverse ideal's class
-    R, _ = reduce_form(L.inverse().to_form())
+    # be read off the reduced form of the inverse ideal's class, (a, -b, c);
+    # L may be fractional, since its form does not see the scale
+    _, _, Q = _ideal_form(L)
+    R, _ = reduce_form(Form(Q.a, -Q.b, Q.c))
     prec = bits_for_digits(digits + GUARD_DIGITS)
     e = modfun.eta(R.omega(digits + GUARD_DIGITS), digits)
     with mp.workprec(prec):

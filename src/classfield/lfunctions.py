@@ -26,13 +26,8 @@ from . import modfun
 from .invariants import g_ON
 from .modfun import GUARD_DIGITS
 from .numerics import BigComplex, DomainError, bits_for_digits
-from .orderideals import (
-    _class_bases,
-    _unit_elems,
-    integral_ideals,
-    ray_label,
-)
-from .quadforms import ClassGroup, Form, OrderContext, reduce_form
+from .orderideals import _class_bases, integral_ideals, ray_label
+from .quadforms import ClassGroup, Form, OrderContext, _unit_coords, reduce_form
 
 __all__ = [
     "ZetaPartial",
@@ -60,11 +55,7 @@ def _roots_of_unity(e: int, prec: int) -> Tuple[mpmath.mpc, ...]:
 
 def gamma_ON(ctx: OrderContext, N: int) -> int:
     """Number of units of O congruent to 1 mod N*O; counted, not assumed."""
-    count = 0
-    for z in _unit_elems(ctx):
-        if (z.x - 1) % N == 0 and z.y % N == 0:
-            count += 1
-    return count
+    return sum(1 for (x, y) in _unit_coords(ctx) if (x - 1) % N == 0 and y % N == 0)
 
 
 @dataclass

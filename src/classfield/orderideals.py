@@ -8,6 +8,12 @@ mod N*O of the ideal times a fixed base ideal's conjugate.  The oracle buckets
 integral ideals by label and fills its table from the label group law.  This
 module is the independent ground truth against which the form-side class group
 is checked.
+
+An ideal's form, its reduced form and the matching basis change come from one
+integer pair, _ideal_form and _reduced_basis, which serves the ray labels, the
+base ideals' generators and invariants.general_invariant.  The Fraction
+algebra of QuadElem and QuadLattice multiplies the base ideals of the oracle's
+table law and backs the references principal_generator and same_ray_class.
 """
 
 from __future__ import annotations
@@ -87,9 +93,6 @@ class QuadElem:
         if n == 0:
             raise DomainError("division by zero")
         return self.conj() * (Fraction(1) / n)
-
-    def __truediv__(self, o: "QuadElem") -> "QuadElem":
-        return self * o.inverse()
 
     def is_integral(self) -> bool:
         return self.x.denominator == 1 and self.y.denominator == 1
@@ -215,9 +218,6 @@ class QuadLattice:
         a, b = self.basis()
         return QuadLattice.from_elems(self.ctx, [a.conj(), b.conj()])
 
-    def inverse(self) -> "QuadLattice":
-        return self.conj().scale(Fraction(1, 1) / self.norm())
-
     def to_form(self) -> Form:
         """The quadratic form N(x*beta - y*alpha)/N(L) attached to the basis."""
         a, b = self.basis()
@@ -298,7 +298,8 @@ def _integral_ray_model(L: QuadLattice, N: int) -> QuadLattice:
         return L
     if gcd(L.den, N) != 1:
         raise DomainError("ideal is not prime to the level")
-    return L.scale(L.den * pow(L.den, -1, N) if N > 1 else L.den)
+    k = L.den * pow(L.den, -1, N) if N > 1 else L.den
+    return QuadLattice(L.ctx, L.den, k * L.g, k * L.t, k * L.m)
 
 
 def same_ray_class(a: QuadLattice, b: QuadLattice, N: int) -> bool:
@@ -427,7 +428,7 @@ class IdealClassOracle:
 
     def index_of(self, L: QuadLattice) -> int:
         """Index of the ray class of L, a proper ideal prime to N."""
-        if gcd(L.den * L.norm().numerator, self.level) != 1:
+        if gcd(L.den * L.g * L.m, self.level) != 1:
             raise DomainError(f"{L} is not prime to the level {self.level}")
         lab = ray_label(_integral_ray_model(L, self.level), self.level, self.bases)
         i = self._index.get(lab)
@@ -459,10 +460,11 @@ def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
         B = form_to_lattice(ctx, lifted)
-        c = principal_generator(form_to_lattice(ctx, R).mul(B.conj()))
-        if c is None or not c.is_integral():
+        # B = (beta/a_R)*F_R, so F_R*conj(B) = conj(beta)*N(F_R)/a_R = conj(beta)*O
+        R_B, (x, y) = _reduced_basis(B)
+        if R_B != R:
             raise InvariantViolation("a reduced form and its base ideal are not in one class")
-        lattice[R], gen[R] = B, (int(c.x), int(c.y))
+        lattice[R], gen[R] = B, (x - ctx.b0 * y, -y)
     return ClassBases(lattice, gen)
 
 
@@ -479,32 +481,48 @@ def _unit_orbit_min(ctx: OrderContext, w: Tuple[int, int], N: int) -> Tuple[int,
     )
 
 
-def ray_label(L: QuadLattice, N: int, bases: ClassBases) -> Tuple:
-    """Exact ray-class label of an integral ideal L: (reduced form R, least
-    generator residue of L*conj(B_R) in (O/NO)* over the units of O).
-
-    L has the form Q = (m/g, b0 - 2t/g, N(t/g + tau)/(m/g)).  Reduction
-    Q^gamma = R moves the basis (alpha, beta) = (g*tau + t, m) of L to
-    (alpha2, beta2) with a_R*alpha2 = beta2*((b0 - b_R)/2 + tau), so
-    L = (beta2/a_R)*form_to_lattice(R) and beta2*c_R/a_R generates
-    L*conj(B_R).  The arithmetic is in exact integers throughout.
-    """
-    if L.den != 1:
-        raise DomainError("ray labels need an integral ideal")
+def _ideal_form(L: QuadLattice) -> Tuple[int, int, Form]:
+    """(g, h, Q) with L = (g/den)*(Z(tau + h) + Z*a) and Q = (a, b0 - 2h, c)
+    its form, c = N(tau + h)/a; a DomainError unless L is an O-module."""
     ctx = L.ctx
-    b0, c0 = ctx.b0, ctx.c0
     g, t, m = L.g, L.t, L.m
     if t % g or m % g:
         raise DomainError("lattice is not an O-module")
     a, h = m // g, t // g
-    c, rem = divmod(h * h - b0 * h + c0, a)
+    c, rem = divmod(h * h - ctx.b0 * h + ctx.c0, a)
     if rem:
         raise DomainError("lattice is not proper for this order")
-    R, (p, q, r, s) = reduce_form(Form(a, b0 - 2 * h, c))
-    beta2 = (m * p - t * r, -g * r)
-    if _elem_mul(ctx, beta2, ((b0 - R.b) // 2, 1)) != (R.a * (t * s - m * q), R.a * g * s):
+    return g, h, Form(a, ctx.b0 - 2 * h, c)
+
+
+def _reduced_basis(L: QuadLattice) -> Tuple[Form, Tuple[int, int]]:
+    """(R, beta) with L = (beta/a_R)*form_to_lattice(R), R reduced, for an
+    integral ideal L; beta = (x, y) means x + y*tau.
+
+    Reduction Q^gamma = R of L's form moves L's basis (g*tau + t, m) to
+    (alpha, beta) with a_R*alpha = beta*((b0 - b_R)/2 + tau).
+    """
+    if L.den != 1:
+        raise DomainError("ray labels need an integral ideal")
+    ctx = L.ctx
+    g, t, m = L.g, L.t, L.m
+    R, (p, q, r, s) = reduce_form(_ideal_form(L)[2])
+    beta = (m * p - t * r, -g * r)
+    if _elem_mul(ctx, beta, ((ctx.b0 - R.b) // 2, 1)) != (R.a * (t * s - m * q), R.a * g * s):
         raise InvariantViolation("reduction witness did not reach the reduced basis")
-    x, y = _elem_mul(ctx, beta2, bases.gen[R])
+    return R, beta
+
+
+def ray_label(L: QuadLattice, N: int, bases: ClassBases) -> Tuple:
+    """Exact ray-class label of an integral ideal L: (reduced form R, least
+    generator residue of L*conj(B_R) in (O/NO)* over the units of O).
+
+    With L = (beta/a_R)*form_to_lattice(R) from _reduced_basis,
+    beta*c_R/a_R generates L*conj(B_R).
+    """
+    ctx = L.ctx
+    R, beta = _reduced_basis(L)
+    x, y = _elem_mul(ctx, beta, bases.gen[R])
     if x % R.a or y % R.a:
         raise InvariantViolation("ideal and its reduction base are not in one class")
     return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
@@ -538,8 +556,6 @@ def oracle_class_group(
     start = norm_bound or max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, QuadLattice] = {}
-        order_lattice = QuadLattice.order(ctx)
-        buckets[ray_label(order_lattice, N, bases)] = order_lattice
         for _, L in integral_ideals(ctx, bound, coprime_to=lN):
             lab = ray_label(L, N, bases)
             buckets.setdefault(lab, L)
@@ -562,7 +578,7 @@ def oracle_class_group(
             if (R1, R2) not in base_products:
                 B1, B2 = bases.lattice[R1], bases.lattice[R2]
                 R3, c12 = ray_label(B1.mul(B2), N, bases)
-                n12_inv = pow(int(B1.norm() * B2.norm()), -1, N)
+                n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
                 base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
             R3, c = base_products[R1, R2]
             w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import classfield
 from classfield import cartan, cli, verify
@@ -199,6 +202,47 @@ def test_out_of_range_option_exit_2_with_one_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+FUZZ_DISCS = [-3, -4, -12, -27, -71, -200, 0, 5, -1, -6]
+# small values from -1 up, and "x", which argparse rejects with exit 2
+FUZZ_VALUES = st.integers(-1, 7).map(lambda k: "x" if k == 7 else str(k))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(["classgroup", "minpoly", "lderiv", "cartan", "invariants"]))
+    argv = [command, "--disc", str(draw(st.sampled_from(FUZZ_DISCS)))]
+    argv += ["--level", str(draw(st.integers(-1, 12)))]
+    if command == "classgroup":
+        if draw(st.booleans()):
+            argv.append("--check-oracle")
+        if draw(st.booleans()):
+            argv += ["--norm-bound", draw(FUZZ_VALUES)]
+    elif command == "minpoly":
+        argv += ["--digits", draw(FUZZ_VALUES), "--guard", str(draw(st.integers(-1, 4)))]
+        argv += ["--max-escalations", str(draw(st.integers(-1, 1)))]
+    elif command in ("lderiv", "invariants"):
+        argv += ["--digits", draw(FUZZ_VALUES)]
+        if command == "lderiv" and draw(st.booleans()):
+            argv += ["--character", draw(FUZZ_VALUES)]
+        if command == "invariants":
+            argv += ["--family", draw(st.sampled_from(["siegel", "fricke", "j"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+@settings(max_examples=50, deadline=None)
+@given(argv=cli_argv())
+def test_cli_fuzz_exits_with_documented_code_and_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_UNRECOGNIZED, cli.EXIT_RESOURCE), argv
+    assert len(errors) == (1 if code in (cli.EXIT_USAGE, cli.EXIT_RESOURCE) else 0), argv
 
 
 def test_cartan_json(capsys, schema):

@@ -1,13 +1,18 @@
 import random
 import re
+from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from classfield import modfun
 from classfield.invariants import (
     FamilyId,
+    _family_value_at,
     class_invariant,
     conjugate_orbit,
     g_ON,
@@ -15,9 +20,15 @@ from classfield.invariants import (
     general_invariant,
     minimal_polynomial,
 )
-from classfield.numerics import DomainError, PrecisionPolicy, bits_for_digits
-from classfield.orderideals import QuadElem, form_to_lattice
-from classfield.quadforms import Form, OrderContext
+from classfield.numerics import (
+    BigComplex,
+    DomainError,
+    InvariantViolation,
+    PrecisionPolicy,
+    bits_for_digits,
+)
+from classfield.orderideals import QuadElem, form_to_lattice, integral_ideals
+from classfield.quadforms import Form, OrderContext, reduce_form
 from classfield.refdata import D200_MINPOLY
 
 DIGITS = 50
@@ -208,3 +219,108 @@ def test_g_on_n1_positive_real_and_representative_free(ctx200):
 def test_minimal_polynomial_rejects_level_one(ctx200):
     with pytest.raises(DomainError):
         minimal_polynomial(ctx200, 1, PrecisionPolicy(50))
+
+
+# -- the general ideal route against the Fraction-based reference -------------
+
+
+def _reference_inverse(L):
+    """L^-1 = conj(L)/N(L), in Fraction arithmetic."""
+    return L.conj().scale(Fraction(1) / L.norm())
+
+
+def _point_form(ctx, xi):
+    """Primitive integral form with root xi in the upper half-plane."""
+    if xi.y == 0:
+        raise DomainError("evaluation point must be irrational")
+    # A xi^2 + B xi + C = 0 with (A, B, C) = t*(1, -(2x - b0 y), N(xi))
+    b = -(2 * xi.x - ctx.b0 * xi.y)
+    c = xi.norm()
+    den = b.denominator * c.denominator // gcd(b.denominator, c.denominator)
+    a_i, b_i, c_i = den, int(b * den), int(c * den)
+    g = gcd(gcd(a_i, b_i), c_i)
+    a_i, b_i, c_i = a_i // g, b_i // g, c_i // g
+    if a_i < 0:
+        a_i, b_i, c_i = -a_i, -b_i, -c_i
+    return Form(a_i, b_i, c_i)
+
+
+def reference_general_invariant(family, ideal, ctx, N, digits):
+    """Slow-path general route: the Hermite basis {xi1, xi2} of the inverse
+    ideal and the matrix A with (tau, 1)^t = A (xi1, xi2)^t solved in
+    Fractions; the family index moves by A and the point is xi1/xi2."""
+    if not ideal.is_proper_ideal() or not ideal.is_integral():
+        raise DomainError("need an integral proper O-ideal")
+    if gcd(int(ideal.norm()), N) != 1:
+        raise DomainError("ideal must be prime to the level")
+    xi1, xi2 = _reference_inverse(ideal).basis()
+    det = xi1.x * xi2.y - xi2.x * xi1.y
+    # solve (0,1) = A11*xi1 + A12*xi2 and (1,0) = A21*xi1 + A22*xi2 in coords
+    A11 = -xi2.x / det
+    A12 = xi1.x / det
+    A21 = xi2.y / det
+    A22 = -xi1.y / det
+    if any(v.denominator != 1 for v in (A11, A12, A21, A22)):
+        raise InvariantViolation("change-of-basis matrix is not integral")
+    A = (int(A11), int(A12), int(A21), int(A22))
+    if gcd(A[0] * A[3] - A[1] * A[2], N) != 1:
+        raise InvariantViolation("det(A) shares a factor with the level")
+    return _family_value_at(family, A, _point_form(ctx, xi1 * xi2.inverse()), N, digits)
+
+
+def reference_g_on_level_one(L, ctx, digits):
+    """(2 pi)^12 N([xi,1])^6 |eta(xi)|^24 at the reduced form of L^-1's
+    Fraction-built form, for any (also fractional) ideal L."""
+    R, _ = reduce_form(_reference_inverse(L).to_form())
+    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    e = modfun.eta(R.omega(digits + modfun.GUARD_DIGITS), digits)
+    with mp.workprec(prec):
+        val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24
+    return BigComplex.from_mpc(val, prec)
+
+
+@lru_cache(maxsize=None)
+def _general_pool(D, N):
+    ctx = OrderContext.from_disc(D)
+    return ctx, [L for _, L in integral_ideals(ctx, 60, coprime_to=N)]
+
+
+def _same_bits(u, v):
+    return (u.re, u.im, u.prec) == (v.re, v.im, v.prec)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    D=st.sampled_from([-15, -20, -56, -71, -200]),
+    N=st.integers(2, 5),
+    pick=st.integers(0, 10**6),
+    lam=st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+    v=st.tuples(st.integers(1, 4), st.integers(0, 4)),
+    siegel=st.booleans(),
+)
+def test_general_invariant_matches_fraction_reference(D, N, pick, lam, v, siegel):
+    ctx, pool = _general_pool(D, N)
+    # lambda = 1 mod N*O keeps the ideal prime to N and moves every entry of A
+    L = pool[pick % len(pool)].scale(QuadElem.of(ctx, 1 + N * lam[0], N * lam[1]))
+    if siegel:
+        fam = FamilyId.siegel_power(N)
+    else:
+        # v1 != 0 mod 1, so the (1, 2) entry of A moves the index
+        fam = FamilyId.fricke(Fraction(v[0] % N or 1, N), Fraction(v[1], N))
+    got = general_invariant(fam, L, ctx, N, 20)
+    assert _same_bits(got, reference_general_invariant(fam, L, ctx, N, 20))
+    if siegel:
+        assert _same_bits(g_ON_from_ideal(L, ctx, N, 20), got)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    D=st.sampled_from([-15, -20, -56, -71, -200]),
+    pick=st.integers(0, 10**6),
+    lam=st.tuples(st.integers(1, 5), st.integers(-3, 3)),
+    den=st.integers(1, 6),
+)
+def test_g_on_level_one_matches_fraction_reference(D, pick, lam, den):
+    ctx, pool = _general_pool(D, 1)
+    L = pool[pick % len(pool)].scale(QuadElem.of(ctx, *lam)).scale(Fraction(1, den))
+    assert _same_bits(g_ON_from_ideal(L, ctx, 1, 20), reference_g_on_level_one(L, ctx, 20))

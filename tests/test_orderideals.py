@@ -27,12 +27,14 @@ from classfield.orderideals import (
 from classfield.quadforms import (
     Form,
     OrderContext,
+    class_enumerate,
     dirichlet_compose,
     enumerate_reduced,
     make_coprime,
     reduce_form,
 )
 from classfield.refdata import BATTERY_DISCS, BATTERY_LEVELS
+from classfield.verify import check_oracle_match
 
 RNG_SEED = 1729
 
@@ -361,6 +363,17 @@ def test_ray_label_matches_reference_and_same_ray_class(D, N, picks, lam, kind):
 def test_oracle_table_law_matches_product_labels(D, N):
     oracle = oracle_class_group(OrderContext.from_disc(D), N)
     assert oracle.table == reference_table(oracle)
+
+
+@pytest.mark.parametrize("N", [2, 3, 5, 7, 12])
+@pytest.mark.parametrize("D", [-3, -4, -12, -27])
+def test_oracle_matches_form_table_in_fields_with_extra_units(D, N):
+    # D = -3, -4 have 6 and 4 units, so unit orbits of generator residues
+    # have up to 6 members; -12 and -27 are the orders of conductor 2 and 3
+    # in the same field
+    ctx = OrderContext.from_disc(D)
+    name, ok, detail = check_oracle_match(ctx, class_enumerate(ctx, N))
+    assert ok, f"{name}: {detail}"
 
 
 def test_ray_label_rejects_fractional_ideal(ctx200):
