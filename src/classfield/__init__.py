@@ -9,8 +9,6 @@ from .numerics import (
     InvariantViolation,
     PrecisionPolicy,
     ResourceError,
-    complex_with_prec,
-    rat_normalize,
     recognize_integer,
 )
 from .quadforms import (
@@ -41,13 +39,11 @@ __all__ = [
     "ResourceError",
     "SL2",
     "class_enumerate",
-    "complex_with_prec",
     "compose_level",
     "dirichlet_compose",
     "enumerate_reduced",
     "gamma1_equivalent",
     "make_coprime",
-    "rat_normalize",
     "recognize_integer",
     "reduce_form",
     "__version__",

@@ -16,21 +16,9 @@ from typing import FrozenSet, List, Tuple
 from .numerics import DomainError
 from .quadforms import OrderContext, _unit_coords
 
-__all__ = ["ResidueElem", "mu", "unit_group", "cartan_groups", "CartanData"]
+__all__ = ["mu", "unit_group", "cartan_groups", "CartanData"]
 
 Mat = Tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class ResidueElem:
-    """s*tau + t in O/NO."""
-
-    s: int
-    t: int
-    level: int
-
-    def matrix(self, ctx: OrderContext) -> Mat:
-        return mu(ctx, self.level, self.s, self.t)
 
 
 def mu(ctx: OrderContext, N: int, s: int, t: int) -> Mat:
@@ -52,13 +40,14 @@ def _mat_mul(a: Mat, b: Mat, N: int) -> Mat:
     )
 
 
-def unit_group(ctx: OrderContext, N: int) -> List[ResidueElem]:
-    """All residues with invertible multiplication matrix mod N."""
+def unit_group(ctx: OrderContext, N: int) -> List[Tuple[int, int]]:
+    """The (s, t) of every unit s*tau + t of O/NO: those whose multiplication
+    matrix is invertible mod N."""
     if N < 1:
         raise DomainError("level must be positive")
     # det(mu(s, t)) is the norm of s*tau + t
     return [
-        ResidueElem(s, t, N)
+        (s, t)
         for s in range(N)
         for t in range(N)
         if gcd(ctx.elem_norm(t, s), N) == 1
@@ -80,7 +69,7 @@ def cartan_groups(ctx: OrderContext, N: int) -> CartanData:
     """(W, U, W-hat) with exact orders, for N >= 2."""
     if N < 2:
         raise DomainError("level must be at least 2")
-    W = frozenset(u.matrix(ctx) for u in unit_group(ctx, N))
+    W = frozenset(mu(ctx, N, s, t) for s, t in unit_group(ctx, N))
     U = frozenset(mu(ctx, N, y, x) for (x, y) in _unit_coords(ctx))
     # J^2 = I and conjugation is a ring automorphism of O/NO, so J normalizes W
     J = (1 % N, ctx.b0 % N, 0, (-1) % N)

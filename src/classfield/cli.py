@@ -19,14 +19,14 @@ from typing import List, Optional
 import mpmath
 
 from . import cartan, invariants, lfunctions, verify
-from .modfun import GUARD_DIGITS
 from .numerics import (
+    GUARD_DIGITS,
     BigComplex,
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
     ResourceError,
-    bits_for_digits,
+    working_bits,
 )
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import OrderContext, class_enumerate, class_number
@@ -124,7 +124,7 @@ def cmd_lderiv(args) -> int:
     inversion = None
     if args.character is None:
         # recover ln|g(C)| from all characters, at the precision lderiv0 summed at
-        prec = bits_for_digits(args.digits + GUARD_DIGITS)
+        prec = working_bits(args.digits)
         inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, prec)
     # lderiv0 sums at GUARD_DIGITS above `digits`, so its absolute accuracy is
     # below 10^-digits and any part smaller than that prints as zero
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minpoly", help="integer minimal polynomial of the identity invariant")
     common(p, digits_default=700)
-    p.add_argument("--guard", type=int, default=30)
+    p.add_argument("--guard", type=int, default=GUARD_DIGITS)
     p.add_argument("--max-escalations", type=int, default=4)
     p.set_defaults(fn=cmd_minpoly)
 

@@ -20,13 +20,15 @@ import mpmath
 from mpmath import mp
 
 from . import modfun
-from .modfun import GUARD_DIGITS, FrickeIndex
+from .modfun import FrickeIndex
 from .numerics import (
+    GUARD_DIGITS,
     BigComplex,
     DomainError,
     PrecisionPolicy,
     bits_for_digits,
     recognize_integer,
+    working_bits,
 )
 from .orderideals import QuadLattice, _ideal_form, form_to_lattice
 from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, reduce_form
@@ -161,7 +163,7 @@ def g_ON_from_ideal(L: QuadLattice, ctx: OrderContext, N: int, digits: int) -> B
     # L may be fractional, since its form does not see the scale
     _, _, Q = _ideal_form(L)
     R, _ = reduce_form(Form(Q.a, -Q.b, Q.c))
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     e = modfun.eta(R.omega(digits + GUARD_DIGITS), digits)
     with mp.workprec(prec):
         val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24

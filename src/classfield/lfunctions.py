@@ -14,18 +14,18 @@ import functools
 import heapq
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 
 from . import modfun
 from .invariants import g_ON
-from .modfun import GUARD_DIGITS
-from .numerics import BigComplex, DomainError, bits_for_digits
+from .numerics import BigComplex, DomainError, working_bits
 from .orderideals import _class_bases, integral_ideals, ray_label
 from .quadforms import ClassGroup, Form, OrderContext, _unit_coords, reduce_form
 
@@ -89,15 +89,15 @@ def zeta_ideal_partial_all(
     for norm, L in integral_ideals(ctx, bound, coprime_to=N):
         lab = ray_label(L, N, bases)
         norms.setdefault(lab, []).append(norm)
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     out = {}
     with mp.workprec(prec):
         s_ = s.to_mpc()
         for lab, ns in norms.items():
-            ns.sort()
             total = mpmath.mpc(0)
-            for n in ns:
-                total += mpmath.exp(-s_ * mpmath.log(n))
+            # one exp-log per distinct norm of the class, times its ideal count
+            for n, count in sorted(Counter(ns).items()):
+                total += count * mpmath.exp(-s_ * mpmath.log(n))
             # near-linear ideal count growth: sum_{n > B} count'(n)/n^Re(s)
             kappa = len(ns) / bound
             tail = float(2 * kappa * bound ** (1 - float(s.re)) / (float(s.re) - 1))
@@ -147,7 +147,7 @@ def zeta_lattice_partial(
     t = Fraction(-g.q * a_inv % N, N)
     mu = Fraction(g.p * a_inv % N, N)
     gamma = gamma_ON(ctx, N)
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     sr = float(s.re)
     p = sr - 1
     # |K_(s-1/2)(X)| <= K_(p+1/2)(X) <= sqrt(pi/(2X)) e^-X beta(X), from the
@@ -265,7 +265,7 @@ def zeta_lattice_partial(
 
 def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.mpf]:
     """ln|g(C)| for every class, at working precision."""
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     out = []
     for Q in G.reps:
         g = g_ON(Q, ctx, G.level, digits)
@@ -279,16 +279,16 @@ def lderiv0(
     G: ClassGroup,
     ctx: OrderContext,
     digits: int,
-    logs: Optional[Sequence[mpmath.mpf]] = None,
+    logs: Sequence[mpmath.mpf],
 ) -> BigComplex:
     """L'(0, chi) = -1/(gamma 6N) * sum_C chi(C) ln|g(C)|.
 
     chi is a row of G.characters: chi(C_i) = e^(2 pi i chi[i]/e), e = G.exponent.
+    logs is log_g_values(G, ctx, digits).
     """
     N = G.level
-    logs = logs if logs is not None else log_g_values(G, ctx, digits)
     gamma = gamma_ON(ctx, N)
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     roots = _roots_of_unity(G.exponent, prec)
     with mp.workprec(prec):
         total = mpmath.mpc(0)
@@ -340,7 +340,7 @@ def kronecker_xi(
     Outside the lattice: (0, -ln|theta1(omega, z)/eta(z) * exp(pi i omega
     (omega - conj omega)/(z - conj z))|^2).  Formula evaluator only.
     """
-    prec = bits_for_digits(digits + GUARD_DIGITS)
+    prec = working_bits(digits)
     if not z.im > 0:
         raise DomainError("z must lie in the upper half-plane")
     e = modfun.eta(z, digits)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Tuple
 import mpmath
 from mpmath import mp
 
-from .numerics import BigComplex, DomainError, bits_for_digits
+from .numerics import GUARD_DIGITS, BigComplex, DomainError, working_bits
 from .quadforms import OrderContext
 
 __all__ = [
@@ -38,9 +38,6 @@ __all__ = [
     "elliptic_model",
     "torsion_xy",
 ]
-
-GUARD_DIGITS = 30
-
 
 @dataclass(frozen=True)
 class FrickeIndex:
@@ -86,14 +83,6 @@ class EllipticModel:
 
     A: BigComplex
     B: BigComplex
-
-
-def _working_bits(digits: int) -> int:
-    return bits_for_digits(digits + GUARD_DIGITS)
-
-
-def _mpc(z: BigComplex) -> mpmath.mpc:
-    return z.to_mpc()
 
 
 def _require_upper(tau: BigComplex) -> None:
@@ -200,10 +189,10 @@ def eta(tau: BigComplex, digits: int) -> BigComplex:
     """Dedekind eta q^(1/24) prod(1 - q^n), the product by Euler's pentagonal
     series (see `_point` for the remainder bound)."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     pt = _point(tau.re, tau.im, prec)
     with mp.workprec(prec):
-        val = mpmath.exp(1j * mpmath.pi * _mpc(tau) / 12) * pt.euler
+        val = mpmath.exp(1j * mpmath.pi * tau.to_mpc() / 12) * pt.euler
     return BigComplex.from_mpc(val, prec)
 
 
@@ -235,9 +224,9 @@ def _eisenstein(tau_mpc, digits: int) -> Tuple[mpmath.mpc, mpmath.mpc]:
 def g2_g3_delta(tau: BigComplex, digits: int):
     """(g2, g3, Delta) for the lattice [tau, 1]; Delta = (2 pi)^12 eta^24."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
-        t_ = _mpc(tau)
+        t_ = tau.to_mpc()
         e4, e6 = _eisenstein(t_, digits)
         twopi = 2 * mpmath.pi
         g2 = twopi**4 * e4 / 12
@@ -254,11 +243,11 @@ def delta_j(tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComplex]:
     """(Delta, j) at [tau, 1]; Delta from eta^24, j from the half-index Siegel
     relation j = (g^12 + 16)^3 / g^12."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     e = eta(tau, digits)
     with mp.workprec(prec):
-        delta = (2 * mpmath.pi) ** 12 * _mpc(e) ** 24
-        x = _mpc(siegel(FrickeIndex.of(0, Fraction(1, 2)), tau, digits)) ** 12
+        delta = (2 * mpmath.pi) ** 12 * e.to_mpc() ** 24
+        x = siegel(FrickeIndex.of(0, Fraction(1, 2)), tau, digits).to_mpc() ** 12
         j = (x + 16) ** 3 / x
     return BigComplex.from_mpc(delta, prec), BigComplex.from_mpc(j, prec)
 
@@ -266,9 +255,9 @@ def delta_j(tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComplex]:
 def j_eisenstein(tau: BigComplex, digits: int) -> BigComplex:
     """j = 1728 E4^3/(E4^3 - E6^2); independent route used for cross-checks."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
-        e4, e6 = _eisenstein(_mpc(tau), digits)
+        e4, e6 = _eisenstein(tau.to_mpc(), digits)
         val = 1728 * e4**3 / (e4**3 - e6**2)
     return BigComplex.from_mpc(val, prec)
 
@@ -284,7 +273,7 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     most 1 in modulus.
     """
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     pt = _point(tau.re, tau.im, prec)
     m = math.floor(v.v1)
     a1 = v.v1 - m
@@ -292,7 +281,7 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     # the sign, the phase and the translation factor as one exact turn
     turn = ((v.v2 * (a1 - 1 - m) + m + 1) / 2) % 1
     with mp.workprec(prec):
-        t_ = _mpc(tau)
+        t_ = tau.to_mpc()
         w = _qexp(_frac(a1) * t_ + _frac(v.v2 % 1))
         lead = _qexp(_frac(b2 / 2) * t_ + _frac(turn))
         val = lead * _triple(pt, w, float(a1)) / pt.euler
@@ -308,11 +297,11 @@ def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
     theta1(omega + m z) = (-1)^m e(-m^2 z/2 - m omega) theta1(omega).
     """
     _require_upper(z)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     pt = _point(z.re, z.im, prec)
     with mp.workprec(prec):
-        z_ = _mpc(z)
-        w = _mpc(omega)
+        z_ = z.to_mpc()
+        w = omega.to_mpc()
         m = int(mpmath.floor(w.imag / z_.imag))
         w -= m * z_
         b = min(max(float(w.imag / z_.imag), 0.0), 1.0)
@@ -331,10 +320,10 @@ def _reduce_mod_lattice(z_, tau_):
 def wp(z: BigComplex, tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComplex]:
     """(wp, wp') for the lattice [tau, 1] by the classical q-series."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
-        t_ = _mpc(tau)
-        z_ = _reduce_mod_lattice(_mpc(z), t_)
+        t_ = tau.to_mpc()
+        z_ = _reduce_mod_lattice(z.to_mpc(), t_)
         q = _qexp(t_)
         u = _qexp(z_)
         if abs(1 - u) < mpmath.mpf(2) ** (-prec // 2):
@@ -358,15 +347,15 @@ def wp(z: BigComplex, tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComp
 def fricke(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     """Fricke function: -2^7 3^3 (g2 g3 / Delta) wp(v1*tau + v2)."""
     _require_upper(tau)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     vn = v.normalized()
     g2, g3, delta = g2_g3_delta(tau, digits)
     with mp.workprec(prec):
-        t_ = _mpc(tau)
+        t_ = tau.to_mpc()
         z = BigComplex.from_mpc(_frac(vn.v1) * t_ + _frac(vn.v2), prec)
     p, _ = wp(z, tau, digits)
     with mp.workprec(prec):
-        val = -(2**7) * 3**3 * _mpc(g2) * _mpc(g3) / _mpc(delta) * _mpc(p)
+        val = -(2**7) * 3**3 * g2.to_mpc() * g3.to_mpc() / delta.to_mpc() * p.to_mpc()
     return BigComplex.from_mpc(val, prec)
 
 
@@ -376,9 +365,9 @@ def elliptic_model(ctx: OrderContext, digits: int) -> EllipticModel:
         raise DomainError("model undefined when g2*g3 = 0")
     tau = ctx.tau(digits + GUARD_DIGITS)
     _, j = delta_j(tau, digits)
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
-        jj = _mpc(j)
+        jj = j.to_mpc()
         A = jj * (jj - 1728) / (2**12 * 3**9)
         B = jj * (jj - 1728) ** 2 / (2**18 * 3**15)
     return EllipticModel(BigComplex.from_mpc(A, prec), BigComplex.from_mpc(B, prec))
@@ -392,14 +381,14 @@ def torsion_xy(ctx: OrderContext, v: FrickeIndex, digits: int) -> Tuple[BigCompl
     """
     if ctx.disc in (-3, -4):
         raise DomainError("model undefined when g2*g3 = 0")
-    prec = _working_bits(digits)
+    prec = working_bits(digits)
     tau = ctx.tau(digits + GUARD_DIGITS)
     g2, g3, delta = g2_g3_delta(tau, digits)
     with mp.workprec(prec):
-        z = BigComplex.from_mpc(_frac(v.v1) * _mpc(tau) + _frac(v.v2), prec)
+        z = BigComplex.from_mpc(_frac(v.v1) * tau.to_mpc() + _frac(v.v2), prec)
     p, dp = wp(z, tau, digits)
     with mp.workprec(prec):
-        scale = _mpc(g2) * _mpc(g3) / _mpc(delta)
-        X = scale * _mpc(p)
-        Y = mpmath.sqrt(scale**3) * _mpc(dp)
+        scale = g2.to_mpc() * g3.to_mpc() / delta.to_mpc()
+        X = scale * p.to_mpc()
+        Y = mpmath.sqrt(scale**3) * dp.to_mpc()
     return BigComplex.from_mpc(X, prec), BigComplex.from_mpc(Y, prec)

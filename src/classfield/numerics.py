@@ -1,10 +1,13 @@
-"""Exact rationals and arbitrary-precision complex values with explicit precision contexts.
+"""Arbitrary-precision complex values that carry their precision, the
+guard-digit rule, and integer recognition.
 
-Every analytic value in this package is a :class:`BigComplex`: an immutable
-(re, im, prec) triple backed by mpmath binary floats.  The precision travels
-with the value rather than living in a global context, so computations at
-different precisions cannot interfere.  Error control is by guard digits plus
-a doubled-precision re-run, not interval arithmetic.
+Every analytic value that passes between modules is a :class:`BigComplex`: an
+immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
+happens on mpmath numbers inside ``mp.workprec``; the precision travels with
+the value rather than living in the global context, so the ambient precision
+never rounds it.  Every evaluator that targets `digits` decimal digits works at
+`working_bits(digits)`, that is `GUARD_DIGITS` more.  Error control is by
+guard digits plus a doubled-precision re-run, not interval arithmetic.
 """
 
 from __future__ import annotations
@@ -24,15 +27,18 @@ __all__ = [
     "ResourceError",
     "BigComplex",
     "PrecisionPolicy",
-    "rat_normalize",
-    "complex_with_prec",
+    "GUARD_DIGITS",
     "recognize_integer",
     "bits_for_digits",
+    "working_bits",
 ]
 
 _LOG2_10 = math.log2(10)
 
 MIN_PREC_BITS = 64
+
+# decimal digits every evaluator works above its target
+GUARD_DIGITS = 30
 
 
 class DomainError(ValueError):
@@ -56,11 +62,9 @@ def bits_for_digits(digits: int) -> int:
     return max(MIN_PREC_BITS, int(digits * _LOG2_10) + 8)
 
 
-def rat_normalize(n: int, d: int) -> Fraction:
-    """Exact rational n/d in lowest terms with positive denominator."""
-    if d == 0:
-        raise DomainError("zero denominator")
-    return Fraction(n, d)
+def working_bits(digits: int) -> int:
+    """Binary precision for a `digits`-digit target plus the guard digits."""
+    return bits_for_digits(digits + GUARD_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -68,12 +72,15 @@ class PrecisionPolicy:
     """Target precision plus escalation rules for integer recognition."""
 
     target_decimal_digits: int
-    guard_digits: int = 30
+    guard_digits: int = GUARD_DIGITS
     max_escalations: int = 4
 
     def __post_init__(self):
-        if self.target_decimal_digits <= 0 or self.guard_digits <= 0:
+        if self.target_decimal_digits <= 0:
             raise DomainError("precision parameters must be positive")
+        if self.guard_digits < 2:
+            # below 2, recognition_tol is 10^0 = 1 and no value can pass it
+            raise DomainError(f"guard digits must be at least 2, not {self.guard_digits}")
         if self.max_escalations < 0:
             raise DomainError("max_escalations must be nonnegative")
 
@@ -103,9 +110,12 @@ def _to_mpf(x: _Num) -> mpmath.mpf:
 
 
 class BigComplex:
-    """Immutable arbitrary-precision complex number with its working precision.
+    """Immutable complex value (re, im) rounded to `prec` bits.
 
-    Binary operations round at the max of the two operand precisions.
+    Parts may be given as ints, Fractions, floats, mpfs or decimal strings;
+    they are rounded at `prec`, not at the ambient precision.  Compute with
+    `to_mpc()` inside ``mp.workprec(prec)`` and wrap the result with
+    `from_mpc`.
     """
 
     __slots__ = ("re", "im", "prec")
@@ -132,46 +142,6 @@ class BigComplex:
         with mp.workprec(self.prec):
             return mpmath.mpc(self.re, self.im)
 
-    # -- arithmetic ------------------------------------------------------
-
-    def _coerce(self, other) -> "BigComplex":
-        if isinstance(other, BigComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return BigComplex(other, 0, self.prec)
-        return NotImplemented
-
-    def _binop(self, other, fn):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self.prec, other.prec)
-        with mp.workprec(prec):
-            z = fn(self.to_mpc(), other.to_mpc())
-        return BigComplex.from_mpc(z, prec)
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
-
     def __pow__(self, n: int):
         # repeated squaring: mpmath's integer power takes a log and an exp
         # once n times the operand's bit size passes 10000
@@ -187,37 +157,9 @@ class BigComplex:
                 z = 1 / z
         return BigComplex.from_mpc(z, self.prec)
 
-    def __neg__(self):
-        # mpf negation rounds at the ambient context; pin it to self.prec
-        with mp.workprec(self.prec):
-            return BigComplex(-self.re, -self.im, self.prec)
-
-    def conj(self) -> "BigComplex":
-        with mp.workprec(self.prec):
-            return BigComplex(self.re, -self.im, self.prec)
-
-    def abs(self) -> mpmath.mpf:
-        with mp.workprec(self.prec):
-            return abs(self.to_mpc())
-
-    def __abs__(self):
-        return self.abs()
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = BigComplex(other, 0, self.prec)
-        if not isinstance(other, BigComplex):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __repr__(self):
         with mp.workprec(self.prec):
             return f"BigComplex({mpmath.nstr(self.re, 12)}, {mpmath.nstr(self.im, 12)}, prec={self.prec})"
-
-    # -- decimal I/O -----------------------------------------------------
 
     def to_decimal(self, digits: Optional[int] = None) -> str:
         """Decimal string 're+imj' at the given (default: full) precision."""
@@ -226,14 +168,6 @@ class BigComplex:
             r = mpmath.nstr(self.re, digits, strip_zeros=False)
             i = mpmath.nstr(self.im, digits, strip_zeros=False)
         return f"{r}{'+' if not i.startswith('-') else ''}{i}j"
-
-
-def complex_with_prec(re: str, im: str, digits: int) -> BigComplex:
-    """Parse decimal strings into a BigComplex carrying `digits` decimal digits."""
-    if digits < 20:
-        raise DomainError("at least 20 decimal digits required")
-    norm = lambda s: s.strip().replace("−", "-")  # accept unicode minus
-    return BigComplex(norm(re), norm(im), bits_for_digits(digits))
 
 
 def recognize_integer(x: BigComplex, tol) -> Optional[int]:

@@ -622,7 +622,7 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
                 table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
                 walk.append(z)
 
-    factors, characters = group_structure_from_table(table, identity=0)
+    factors, characters = group_structure_from_table(table)
     G = ClassGroup(ctx.disc, N, reps, table, factors, characters)
     G._index = index
     return G
@@ -632,10 +632,10 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
 # abelian structure from a multiplication table
 
 
-def _validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None:
+def _validate_group_table(table: Sequence[Sequence[int]]) -> None:
     n = len(table)
     for i in range(n):
-        if table[identity][i] != i or table[i][identity] != i:
+        if table[0][i] != i or table[i][0] != i:
             raise InvariantViolation("identity row/column malformed")
         if 0 not in table[i]:
             raise InvariantViolation(f"element {i} has no inverse")
@@ -650,12 +650,11 @@ def _validate_group_table(table: Sequence[Sequence[int]], identity: int) -> None
                         raise InvariantViolation("table is not associative")
 
 
-def group_structure_from_table(
-    table: Sequence[Sequence[int]], identity: int = 0
-) -> Tuple[List[int], List[List[int]]]:
-    """(invariant factors d_1 | d_2 | ..., character table) of an abelian table.
+def group_structure_from_table(table: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
+    """(invariant factors d_1 | d_2 | ..., character table) of an abelian table
+    whose identity is element 0.
 
-    A greedy walk grows a subgroup H from {identity}, with its characters.  Each
+    A greedy walk grows a subgroup H from {0}, with its characters.  Each
     step adjoins the least g of largest order m over H; g spans a direct summand
     of G/H, so the m are the invariant factors, largest first.  Each character
     chi of H extends in m ways, chi(g) = (chi(g^m) + j)/m for j < m, and
@@ -663,10 +662,10 @@ def group_structure_from_table(
     characters[k][x] = v in [0, e) means chi_k(x) = v/e in Q/Z, with e the
     largest invariant factor (1 for the trivial group).
     """
-    _validate_group_table(table, identity)
+    _validate_group_table(table)
     n = len(table)
-    elems = [identity]  # H in walk order
-    pos = {identity: 0}  # element -> its index in elems
+    elems = [0]  # H in walk order
+    pos = {0: 0}  # element -> its index in elems
     chars = [[0]]  # chars[k][p] * (1/e) = chi_k(elems[p]) mod 1, e the exponent
     factors: List[int] = []
     e = 1
@@ -683,7 +682,7 @@ def group_structure_from_table(
         # e, the exponent of G, is divisible by every m, and so is e*chi(g^m)
         e = factors[0]
         size = len(elems)
-        power = identity
+        power = 0
         for i in range(1, m):
             power = table[power][g]
             for h in elems[:size]:

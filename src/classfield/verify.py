@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from . import cartan, invariants, modfun, refdata
-from .numerics import BigComplex, DomainError, PrecisionPolicy, bits_for_digits
+from .numerics import BigComplex, DomainError, PrecisionPolicy, working_bits
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import (
     ClassGroup,
@@ -212,7 +212,7 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
     The conjugation rule runs at D = -200 and at CONJUGATION_ODD_DISC.
     """
     rng = random.Random(seed)
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     taus = [
         BigComplex(Fraction(rng.randint(-40, 40), 100), Fraction(rng.randint(20, 200), 100), prec)
         for _ in range(5)

@@ -14,7 +14,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from classfield import modfun, refdata, verify
+from classfield import refdata, verify
 from classfield.invariants import FamilyId, g_ON_from_ideal, general_invariant
 from classfield.lfunctions import (
     fourier_inversion_residual,
@@ -22,7 +22,7 @@ from classfield.lfunctions import (
     zeta_ideal_partial_all,
     zeta_lattice_partial,
 )
-from classfield.numerics import BigComplex, bits_for_digits
+from classfield.numerics import BigComplex, bits_for_digits, working_bits
 from classfield.orderideals import (
     QuadElem,
     _class_bases,
@@ -175,7 +175,7 @@ def test_criterion_11_well_definedness_suite(gamma1_word):
     t0 = time.perf_counter()
     rng = random.Random(SEED)
     digits = 40
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     tolerance = mpmath.mpf(10) ** (-(digits - 10))
     ok = True
     for D in refdata.BATTERY_DISCS:

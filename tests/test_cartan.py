@@ -48,7 +48,7 @@ def test_mu_injective_on_units():
         ctx = OrderContext.from_disc(D)
         for N in range(2, 13):
             units = unit_group(ctx, N)
-            images = {u.matrix(ctx) for u in units}
+            images = {mu(ctx, N, s, t) for s, t in units}
             assert len(images) == len(units)
 
 

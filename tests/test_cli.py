@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import classfield
-from classfield import cartan, cli, verify
+from classfield import cartan, cli, invariants, verify
 from classfield.numerics import DomainError, InvariantViolation, ResourceError
 
 
@@ -98,6 +98,18 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
+
+
+def test_minpoly_guard_below_two_fails_before_evaluation(capsys, monkeypatch):
+    # guard 1 makes the recognition tolerance 1: reject it before any invariant
+    monkeypatch.setattr(invariants, "g_ON", _raise(AssertionError("g_ON was called")))
+    argv = ["minpoly", "--disc", "-200", "--level", "12", "--digits", "1", "--guard", "1"]
+    got = cli.main(argv + ["--max-escalations", "1"])
+    captured = capsys.readouterr()
+    assert got == cli.EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "guard" in lines[0]
 
 
 @pytest.mark.parametrize(

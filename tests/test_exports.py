@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
@@ -36,3 +38,16 @@ def test_perfbench_traced_names_exist():
         if not callable(getattr(importlib.import_module(f"classfield.{module}"), name, None))
     ]
     assert missing == ["quadforms.canonical_form"]
+
+
+def test_perfbench_zeta_job_runs_on_the_public_api(capsys, monkeypatch):
+    # the benchmark's zeta job builds BigComplex(s, 0, bits) and reads .value.re
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(perfbench))
+    spec = importlib.util.spec_from_file_location("perfbench_job", perfbench / "job.py")
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    assert job._zeta({"disc": -200, "level": 3, "s": 2, "digits": 30, "norm_bound": 200, "box": 10}) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows["ideal"]) == len(rows["lattice"]) == 12
+    assert all(math.isfinite(r["value"]) for r in rows["ideal"] + rows["lattice"])

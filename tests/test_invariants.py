@@ -25,14 +25,14 @@ from classfield.numerics import (
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
-    bits_for_digits,
+    working_bits,
 )
 from classfield.orderideals import QuadElem, form_to_lattice, integral_ideals
 from classfield.quadforms import Form, OrderContext, reduce_form
 from classfield.refdata import D200_MINPOLY
 
 DIGITS = 50
-PREC = bits_for_digits(DIGITS + modfun.GUARD_DIGITS)
+PREC = working_bits(DIGITS)
 RNG_SEED = 1729
 
 
@@ -272,7 +272,7 @@ def reference_g_on_level_one(L, ctx, digits):
     """(2 pi)^12 N([xi,1])^6 |eta(xi)|^24 at the reduced form of L^-1's
     Fraction-built form, for any (also fractional) ideal L."""
     R, _ = reduce_form(_reference_inverse(L).to_form())
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     e = modfun.eta(R.omega(digits + modfun.GUARD_DIGITS), digits)
     with mp.workprec(prec):
         val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24

@@ -17,17 +17,18 @@ from classfield.lfunctions import (
     zeta_ideal_partial_all,
     zeta_lattice_partial,
 )
-from classfield.numerics import BigComplex, DomainError, bits_for_digits
+from classfield.numerics import BigComplex, DomainError, bits_for_digits, working_bits
 from classfield.orderideals import (
     _class_bases,
     _integral_ray_model,
     fractional_omega_lattice,
+    integral_ideals,
     ray_label,
 )
 from classfield.quadforms import SL2, Form, OrderContext, class_enumerate, enumerate_reduced, make_coprime
 
 DIGITS = 50
-PREC = bits_for_digits(DIGITS + modfun.GUARD_DIGITS)
+PREC = working_bits(DIGITS)
 
 
 def tol(drop=10):
@@ -60,6 +61,36 @@ def test_zeta_empty_truncation(ctx200):
     assert zeta_ideal_partial_all(ctx200, 3, s, 0) == {}
 
 
+def reference_ideal_sums(ctx, N, s, bound, digits):
+    """The ideal route with one n^-s per ideal: label -> (sum, ideal count)."""
+    bases = _class_bases(ctx, N)
+    out = {}
+    with mp.workprec(working_bits(digits)):
+        s_ = s.to_mpc()
+        for n, L in integral_ideals(ctx, bound, coprime_to=N):
+            lab = ray_label(L, N, bases)
+            total, terms = out.get(lab, (0, 0))
+            out[lab] = (total + mpmath.exp(-s_ * mpmath.log(n)), terms + 1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "D, N, s", [(-200, 3, (2, 0)), (-71, 5, (3, 0)), (-56, 2, (Fraction(3, 2), 2))]
+)
+def test_zeta_ideal_grouped_by_norm_matches_per_ideal_sum(D, N, s):
+    # one exp-log per distinct norm, times its count, against one per ideal
+    digits = 30
+    ctx = OrderContext.from_disc(D)
+    s = BigComplex(*s, working_bits(digits))
+    got = zeta_ideal_partial_all(ctx, N, s, 1000, digits)
+    ref = reference_ideal_sums(ctx, N, s, 1000, digits)
+    assert got.keys() == ref.keys()
+    with mp.workprec(s.prec):
+        for lab, (total, terms) in ref.items():
+            assert got[lab].terms == terms
+            assert abs(got[lab].value.to_mpc() - total) <= abs(total) * mpmath.mpf(10) ** -(digits + 20)
+
+
 def test_zeta_monotone_in_bound(ctx200):
     s = BigComplex(2, 0, PREC)
     lab = ray_label_of(ctx200, Form(2, 0, 25), 3)
@@ -85,7 +116,7 @@ def reference_box_sum(
     a = Q.a
     a_inv = pow(a, -1, N) if N > 1 else 1
     gamma = gamma_ON(ctx, N)
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     w = Q.point(digits + modfun.GUARD_DIGITS)
     with mp.workprec(prec):
         wx, wy = w.re, w.im
@@ -169,7 +200,7 @@ def test_zeta_lattice_matches_box_sum(D, N, s, which, word, small_M):
         Q = Q.apply(g)
     _, Q = make_coprime(Q, N)
     ctx = OrderContext.from_disc(D)
-    s = BigComplex(*s, bits_for_digits(digits + modfun.GUARD_DIGITS))
+    s = BigComplex(*s, working_bits(digits))
     box = reference_box_sum(Q, ctx, N, s, BOX_M, digits)
     new = zeta_lattice_partial(Q, ctx, N, s, 80, digits)
     cut = zeta_lattice_partial(Q, ctx, N, s, small_M, digits)
@@ -263,7 +294,7 @@ def test_kronecker_xi_evenness():
     z = BigComplex(Fraction(1, 7), Fraction(9, 8), PREC)
     w = BigComplex(Fraction(2, 5), Fraction(1, 3), PREC)
     _, a = kronecker_xi(False, w, z, DIGITS)
-    _, b = kronecker_xi(False, -w, z, DIGITS)
+    _, b = kronecker_xi(False, BigComplex(Fraction(-2, 5), Fraction(-1, 3), PREC), z, DIGITS)
     with mp.workprec(PREC):
         assert abs(a.to_mpc() - b.to_mpc()) < tol()
 

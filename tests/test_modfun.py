@@ -9,11 +9,11 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.modfun import FrickeIndex
-from classfield.numerics import BigComplex, DomainError, bits_for_digits
+from classfield.numerics import BigComplex, DomainError, bits_for_digits, working_bits
 from classfield.quadforms import OrderContext, enumerate_reduced
 
 DIGITS = 60
-PREC = bits_for_digits(DIGITS + modfun.GUARD_DIGITS)
+PREC = working_bits(DIGITS)
 RNG_SEED = 1729
 
 
@@ -38,7 +38,7 @@ def moebius(g, tau):
 
 
 def reference_eta_product(tau, digits):
-    prec = modfun._working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
         t_ = tau.to_mpc()
         q = modfun._qexp(t_)
@@ -54,7 +54,7 @@ def reference_eta_product(tau, digits):
 
 def reference_siegel_product(v, tau, digits):
     """Product at the raw index; its two extra factors cover |a1| < 3."""
-    prec = modfun._working_bits(digits)
+    prec = working_bits(digits)
     with mp.workprec(prec):
         t_ = tau.to_mpc()
         q = modfun._qexp(t_)
@@ -74,7 +74,7 @@ def reference_siegel_product(v, tau, digits):
 
 
 def reference_theta1_product(omega, z, digits):
-    prec = modfun._working_bits(digits)
+    prec = working_bits(digits)
     e = reference_eta_product(z, digits)
     with mp.workprec(prec):
         w = omega.to_mpc()
@@ -118,7 +118,7 @@ def raw_indices(draw):
 @settings(max_examples=60, deadline=None)
 @given(series_points(), raw_indices(), st.sampled_from([20, 60, 300]))
 def test_series_match_reference_products(xy, v, digits):
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     tau = BigComplex(*xy, prec)
     with mp.workprec(prec):
         omega = BigComplex.from_mpc(modfun._frac(v.v1) * tau.to_mpc() + modfun._frac(v.v2), prec)
@@ -138,7 +138,7 @@ def test_series_truncation_rule(monkeypatch):
     # same values as five more terms in every series, and no series has more
     # than 60 terms
     digits = 700
-    prec = bits_for_digits(digits + modfun.GUARD_DIGITS)
+    prec = working_bits(digits)
     fifths = [Fraction(k, 5) for k in range(5)]
     indices = [FrickeIndex(a1, a2) for a1 in fifths for a2 in fifths if a1 or a2]
     taus = [R.omega(digits + modfun.GUARD_DIGITS) for R in enumerate_reduced(-104)]
@@ -185,7 +185,7 @@ def test_eta_translation_factor():
 
 def test_eta_at_2i_doubled_precision_oracle():
     e = modfun.eta(BigComplex(0, 2, PREC), DIGITS)
-    e2 = modfun.eta(BigComplex(0, 2, bits_for_digits(2 * DIGITS + 30)), 2 * DIGITS)
+    e2 = modfun.eta(BigComplex(0, 2, working_bits(2 * DIGITS)), 2 * DIGITS)
     with mp.workprec(PREC):
         assert abs(e.to_mpc() - e2.to_mpc()) < tol()
         # closed form eta(2i) = eta(i) / 2^(3/8)
@@ -320,7 +320,8 @@ def test_theta1_zero_and_odd():
     with mp.workprec(PREC):
         assert abs(modfun.theta1(BigComplex(0, 0, PREC), z, DIGITS).to_mpc()) < tol()
         w = BigComplex(Fraction(2, 7), Fraction(1, 9), PREC)
-        lhs = modfun.theta1(-w, z, DIGITS).to_mpc()
+        mw = BigComplex(Fraction(-2, 7), Fraction(-1, 9), PREC)
+        lhs = modfun.theta1(mw, z, DIGITS).to_mpc()
         rhs = -modfun.theta1(w, z, DIGITS).to_mpc()
         assert abs(lhs - rhs) < tol()
 
