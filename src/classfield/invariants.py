@@ -11,6 +11,8 @@ integers (orderideals._ideal_form).
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -22,16 +24,18 @@ from mpmath import mp
 from . import modfun
 from .modfun import FrickeIndex
 from .numerics import (
-    GUARD_DIGITS,
     BigComplex,
     DomainError,
+    InvariantViolation,
     PrecisionPolicy,
     bits_for_digits,
     recognize_integer,
     working_bits,
 )
 from .orderideals import QuadLattice, _ideal_form, form_to_lattice
-from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, reduce_form
+from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, class_label, reduce_form
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "FamilyId",
@@ -94,7 +98,7 @@ def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: 
     of the representative's size.
     """
     R, gam = reduce_form(Qxi)
-    point = R.omega(digits + GUARD_DIGITS)
+    point = R.omega(digits)
     if family.kind == "j_rational":
         return modfun.delta_j(point, digits)[1]
     idx = family.index.act(index_matrix).act(tuple(gam)).normalized()
@@ -164,7 +168,7 @@ def g_ON_from_ideal(L: QuadLattice, ctx: OrderContext, N: int, digits: int) -> B
     _, _, Q = _ideal_form(L)
     R, _ = reduce_form(Form(Q.a, -Q.b, Q.c))
     prec = working_bits(digits)
-    e = modfun.eta(R.omega(digits + GUARD_DIGITS), digits)
+    e = modfun.eta(R.omega(digits), digits)
     with mp.workprec(prec):
         val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24
     return BigComplex.from_mpc(val, prec)
@@ -210,18 +214,86 @@ class MinimalPolynomialResult:
         return out
 
 
-def _expand_monic(values: List[BigComplex], prec: int) -> List[mpmath.mpc]:
-    """Coefficients (ascending) of prod (x - v)."""
+def _conjugate_partners(G: ClassGroup, N: int) -> List[int]:
+    """partner[i] = index of the class of (a, -b, c) for reps[i] = (a, b, c).
+
+    Complex conjugation maps the class of (a, b, c) to that of (a, -b, c) and
+    g(conj C) = conj g(C).  The partner is found by class_label among the
+    given reps, so any choice and order of representatives works.
+    """
+    index = {class_label(Q, N): i for i, Q in enumerate(G.reps)}
+    partner = []
+    for Q in G.reps:
+        j = index.get(class_label(Form(Q.a, -Q.b, Q.c), N))
+        if j is None:
+            raise InvariantViolation(f"the conjugate of the class of {Q} is not among the classes")
+        partner.append(j)
+    if any(partner[j] != i for i, j in enumerate(partner)):
+        raise InvariantViolation("class conjugation is not an involution")
+    return partner
+
+
+def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol, prec: int):
+    """One g_ON per self-conjugate class and per conjugate pair, as the real
+    factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of prod_C (x - g(C)),
+    with log2 M, M = prod_C max(1, |g(C)|) over all classes."""
+    linear: List[mpmath.mpf] = []
+    quadratic: List[Tuple[mpmath.mpf, mpmath.mpf]] = []
+    log2_m = 0.0
+    for i, j in enumerate(_conjugate_partners(G, N)):
+        if j < i:
+            continue
+        z = g_ON(G.reps[i], ctx, N, digits).to_mpc()
+        with mp.workprec(prec):
+            size = abs(z)
+            if j == i:
+                if not abs(z.imag) < tol * max(1, size):
+                    raise InvariantViolation(f"g of the self-conjugate class {i} is not real")
+                linear.append(+z.real)
+            else:
+                quadratic.append((2 * z.real, z.real**2 + z.imag**2))
+        if size > 1:
+            with mp.workprec(53):
+                log2_m += (1 if j == i else 2) * float(mpmath.log(size, 2))
+    return linear, quadratic, log2_m
+
+
+def _expand_real(linear, quadratic, prec: int) -> List[mpmath.mpf]:
+    """Coefficients (ascending) of prod (x - r) * prod (x^2 - s x + q)."""
     with mp.workprec(prec):
-        coeffs = [mpmath.mpc(1)]
-        for v in values:
-            z = v.to_mpc()
-            new = [mpmath.mpc(0)] * (len(coeffs) + 1)
-            for k, ck in enumerate(coeffs):
-                new[k] -= ck * z
-                new[k + 1] += ck
-            coeffs = new
-    return coeffs
+        c = [mpmath.mpf(1)]
+        for r in linear:
+            p = [0, *c, 0]
+            c = [p[k] - r * p[k + 1] for k in range(len(c) + 1)]
+        for s, q in quadratic:
+            p = [0, 0, *c, 0, 0]
+            c = [q * p[k + 2] - s * p[k + 1] + p[k] for k in range(len(c) + 2)]
+    return c
+
+
+# bits of the working precision that the Siegel value inside g_ON may lose to
+# rounding, before the 12N-th power multiplies its relative error by 12N; the
+# worst measured is 3.1 bits, and tests/test_invariants.py checks the allowance
+G_ON_LOSS_BITS = 8
+
+
+def gate_bits(n: int, N: int, log2_m: float, tol) -> float:
+    """Working bits p that make every expanded coefficient's error below tol.
+
+    g_ON at p bits is within relative eta = 12N 2^(L - p) of g(C), L =
+    G_ON_LOSS_BITS: the Siegel value loses at most L bits, the 12N-th power
+    multiplies its relative error by 12N, and L also covers the power's and
+    the expansion's roundings (a few ulps per root).  The coefficient of
+    x^(n-m) is a sum of C(n, m) products of m roots, each of modulus at most
+    M = prod_C max(1, |g(C)|) (Enge 2009); a product of m roots off by
+    relative eta each is off by at most ((1 + eta)^m - 1) times its modulus.
+    With n*eta <= 1/4, ((1 + eta)^m - 1) * (1 - eta)^-n <= 2 m eta, the second
+    factor for M taken from the computed values, so the error is at most
+    2 m eta C(n, m) M.  This is below tol at every m iff p exceeds the
+    returned value; m = n then gives n*eta < tol/2 < 1/4.
+    """
+    spread = max(math.log2(2 * m * math.comb(n, m)) for m in range(1, n + 1))
+    return spread + log2_m + math.log2(12 * N) + G_ON_LOSS_BITS - float(mpmath.log(tol, 2))
 
 
 def minimal_polynomial(
@@ -230,41 +302,56 @@ def minimal_polynomial(
     policy: PrecisionPolicy,
     class_group: Optional[ClassGroup] = None,
 ) -> MinimalPolynomialResult:
-    """Expand prod_C (x - g_ON(C)) and recognize integer coefficients.
+    """Expand prod_C (x - g_ON(C)) over the real factors and recognize
+    integer coefficients.
 
-    On recognition failure the target precision doubles, up to the policy's
-    escalation budget; a persistent failure returns the high-precision
-    coefficients and residuals instead of rounding anything silently.
+    g(conj C) = conj g(C), so each self-conjugate class gives a real linear
+    factor and each conjugate pair {C, conj C} one real quadratic; a pass
+    evaluates g_ON once per factor.  A pass is trusted only when gate_bits,
+    the precision its error bound needs, is below its working bits (the
+    lesser of g_ON's and the expansion's).  A residual is the distance of a
+    coefficient c from the nearest integer, or |c| 2^-prec when larger, so
+    only a coefficient with residual below tol is recognized.  On a failed
+    gate or recognition the target precision doubles, up to the policy's
+    escalation budget; the last pass always expands, and a failure returns
+    its coefficients and residuals instead of rounding anything silently.
     """
     _check_ctx(ctx)
     if N < 2:
         raise DomainError("minimal polynomial needs level >= 2")
     G = class_group or class_enumerate(ctx, N)
+    n = G.order
     tol = policy.recognition_tol()
     pol = policy
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits
         prec = bits_for_digits(working)
-        values = [g_ON(Q, ctx, N, digits) for Q in G.reps]
-        coeffs = _expand_monic(values, prec)
-        ints: List[Optional[int]] = []
-        residuals: List[float] = []
-        with mp.workprec(prec):
-            for c in coeffs:
-                bc = BigComplex.from_mpc(c, prec)
-                n = recognize_integer(bc, tol)
-                ints.append(n)
-                r = abs(c.imag) if n is None else max(abs(c.real - n), abs(c.imag))
-                residuals.append(float(r))
-        ints_desc = ints[::-1]
-        residuals_desc = residuals[::-1]
-        if all(n is not None for n in ints_desc):
-            return MinimalPolynomialResult(
-                ctx.disc, N, G.order, True, ints_desc, residuals_desc, digits, attempt
-            )
+        bits = min(prec, working_bits(digits))
+        linear, quadratic, log2_m = _real_factors(G, ctx, N, digits, tol, prec)
+        need = gate_bits(n, N, log2_m, tol)
+        last = attempt == policy.max_escalations
+        ok, worst = False, "-"
+        if need < bits or last:
+            coeffs = _expand_real(linear, quadratic, prec)[::-1]
+            with mp.workprec(prec):
+                residuals = [
+                    float(max(abs(c - mpmath.nint(c)), mpmath.ldexp(abs(c), -prec))) for c in coeffs
+                ]
+            worst = f"{max(residuals):.3e}"
+            if need < bits:
+                ints = [recognize_integer(BigComplex(c, 0, prec), tol) for c in coeffs]
+                ok = None not in ints
+        log.info(
+            "minpoly pass %d: %d digits, %d of %d classes evaluated, "
+            "gate needs %.1f of %d bits, %s, worst residual %s",
+            attempt, digits, len(linear) + len(quadratic), n, need, bits,
+            "ok" if ok else "failed" if last else "escalating", worst,
+        )
+        if ok:
+            return MinimalPolynomialResult(ctx.disc, N, n, True, ints, residuals, digits, attempt)
         pol = pol.escalate()
     with mp.workprec(prec):
-        raw = [BigComplex.from_mpc(c, prec).to_decimal(working) for c in coeffs[::-1]]
+        raw = [BigComplex(c, 0, prec).to_decimal(working) for c in coeffs]
     return MinimalPolynomialResult(
-        ctx.disc, N, G.order, False, None, residuals_desc, digits, policy.max_escalations, raw
+        ctx.disc, N, n, False, None, residuals, digits, policy.max_escalations, raw
     )

@@ -363,7 +363,7 @@ def elliptic_model(ctx: OrderContext, digits: int) -> EllipticModel:
     """Weierstrass coefficients A, B built from j(O); needs D != -3, -4."""
     if ctx.disc in (-3, -4):
         raise DomainError("model undefined when g2*g3 = 0")
-    tau = ctx.tau(digits + GUARD_DIGITS)
+    tau = ctx.tau(digits)
     _, j = delta_j(tau, digits)
     prec = working_bits(digits)
     with mp.workprec(prec):
@@ -382,7 +382,7 @@ def torsion_xy(ctx: OrderContext, v: FrickeIndex, digits: int) -> Tuple[BigCompl
     if ctx.disc in (-3, -4):
         raise DomainError("model undefined when g2*g3 = 0")
     prec = working_bits(digits)
-    tau = ctx.tau(digits + GUARD_DIGITS)
+    tau = ctx.tau(digits)
     g2, g3, delta = g2_g3_delta(tau, digits)
     with mp.workprec(prec):
         z = BigComplex.from_mpc(_frac(v.v1) * tau.to_mpc() + _frac(v.v2), prec)

@@ -6,8 +6,10 @@ immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
 happens on mpmath numbers inside ``mp.workprec``; the precision travels with
 the value rather than living in the global context, so the ambient precision
 never rounds it.  Every evaluator that targets `digits` decimal digits works at
-`working_bits(digits)`, that is `GUARD_DIGITS` more.  Error control is by
-guard digits plus a doubled-precision re-run, not interval arithmetic.
+`working_bits(digits)`, that is `GUARD_DIGITS` more, and its evaluation point
+(`Form.omega`, `OrderContext.tau`) is built at the same precision.  Error
+control is by guard digits plus a doubled-precision re-run, not interval
+arithmetic.
 """
 
 from __future__ import annotations
@@ -171,12 +173,17 @@ class BigComplex:
 
 
 def recognize_integer(x: BigComplex, tol) -> Optional[int]:
-    """Nearest integer n when |x - n| < tol and |im x| < tol, else None."""
+    """Nearest integer n when |x - n| < tol and |im x| < tol, else None.
+
+    Also None when |re x| * 2^-prec >= tol: at that magnitude the precision
+    cannot place x within tol of an integer, and every value would pass as
+    its own nearest integer.
+    """
     with mp.workprec(x.prec):
         tol = _to_mpf(tol)
         if not tol < mpmath.mpf("0.5"):
             raise DomainError("tolerance must be below 1/2")
-        if abs(x.im) >= tol:
+        if abs(x.im) >= tol or mpmath.ldexp(abs(x.re), -x.prec) >= tol:
             return None
         n = int(mpmath.nint(x.re))
         if abs(x.re - n) >= tol:

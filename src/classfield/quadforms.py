@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .numerics import BigComplex, DomainError, InvariantViolation, bits_for_digits
+from .numerics import BigComplex, DomainError, InvariantViolation, working_bits
 
 __all__ = [
     "xgcd",
@@ -147,11 +147,12 @@ class Form(tuple):
         return a * x * x + b * x * y + c * y * y
 
     def omega(self, digits: int) -> BigComplex:
-        """Root (-b + sqrt(D))/(2a) of Q(x, 1) in the upper half-plane."""
+        """Root (-b + sqrt(D))/(2a) of Q(x, 1) in the upper half-plane, built
+        at working_bits(digits) for an evaluation that targets `digits` digits."""
         return _form_point(self.a, -self.b, digits, self.disc)
 
     def point(self, digits: int) -> BigComplex:
-        """-conj(omega_Q) = (b + sqrt(D))/(2a), the evaluation point for invariants."""
+        """-conj(omega_Q) = (b + sqrt(D))/(2a), at working_bits(digits)."""
         return _form_point(self.a, self.b, digits, self.disc)
 
     def __repr__(self):
@@ -159,7 +160,7 @@ class Form(tuple):
 
 
 def _form_point(a: int, b: int, digits: int, disc: int) -> BigComplex:
-    prec = bits_for_digits(digits)
+    prec = working_bits(digits)
     from mpmath import mp, mpf, sqrt
 
     with mp.workprec(prec):
@@ -204,7 +205,7 @@ class OrderContext:
         return Form(1, self.b0, self.c0)
 
     def tau(self, digits: int) -> BigComplex:
-        """tau = (-b0 + sqrt(disc))/2 in the upper half-plane."""
+        """tau = (-b0 + sqrt(disc))/2 in the upper half-plane, at working_bits(digits)."""
         return _form_point(1, -self.b0, digits, self.disc)
 
     def elem_norm(self, x: int, y: int) -> int:

@@ -33,8 +33,10 @@ Check = Tuple[str, bool, str]
 
 DEFAULT_SEED = 1729
 # D = -200 has b0 = 0, so the conjugation rule also runs at an odd
-# discriminant (b0 = 1), where the b0 entry of J matters
+# discriminant (b0 = 1), where the b0 entry of J matters; the class
+# conjugation check runs there at level CONJUGATION_ODD_LEVEL
 CONJUGATION_ODD_DISC = -71
+CONJUGATION_ODD_LEVEL = 5
 
 
 def _check(name: str, ok: bool, detail: str = "") -> Check:
@@ -160,7 +162,7 @@ def check_j_siegel_vs_eisenstein(taus: Sequence[BigComplex], digits: int) -> Che
 
 def check_torsion_coordinates(ctx: OrderContext, vs: Sequence, digits: int) -> Check:
     """X_v = -f_v/(2^7 3^3), and (X_v, Y_v) lies on the Weierstrass model."""
-    tau0 = ctx.tau(digits + modfun.GUARD_DIGITS)
+    tau0 = ctx.tau(digits)
     model = modfun.elliptic_model(ctx, digits)
     errors = []
     for v in vs:
@@ -175,7 +177,7 @@ def check_conjugation_rule(ctxs: Sequence[OrderContext], vs: Sequence, digits: i
     """conj f_v(tau0) = f_{vJ}(tau0) with J = [[1, b0], [0, -1]], on every order."""
     errors = []
     for ctx in ctxs:
-        tau0 = ctx.tau(digits + modfun.GUARD_DIGITS)
+        tau0 = ctx.tau(digits)
         for v in vs:
             errors.append(
                 _rel(
@@ -186,9 +188,23 @@ def check_conjugation_rule(ctxs: Sequence[OrderContext], vs: Sequence, digits: i
     return _relative_check("conjugation-rule", errors, digits)
 
 
+def check_class_conjugation(groups: Sequence[Tuple[OrderContext, ClassGroup]], digits: int) -> Check:
+    """g(conj C) = conj g(C) for every class, conj C the class of (a, -b, c).
+
+    minimal_polynomial evaluates one class of each conjugate pair and takes
+    the other value as the conjugate; this evaluates both.
+    """
+    errors = []
+    for ctx, G in groups:
+        values = [invariants.g_ON(Q, ctx, G.level, digits).to_mpc() for Q in G.reps]
+        for Q, v in zip(G.reps, values):
+            errors.append(_rel(v.conjugate(), values[G.index_of(Form(Q.a, -Q.b, Q.c))]))
+    return _relative_check("class-conjugation", errors, digits)
+
+
 def check_siegel_y_ratio(ctx: OrderContext, digits: int) -> Check:
     """Y_v / Y_u = g_2v g_u^4 / (g_v^4 g_2u) for u = (0, 1/3) and five v."""
-    tau0 = ctx.tau(digits + modfun.GUARD_DIGITS)
+    tau0 = ctx.tau(digits)
 
     def g(v1, v2):
         return modfun.siegel(modfun.FrickeIndex.of(v1, v2), tau0, digits).to_mpc()
@@ -209,7 +225,9 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
 
     Five random tau (Im tau in [0.20, 2.00]) for j, then five random 3-torsion
     indices shared by the torsion and conjugation checks, all from `seed`.
-    The conjugation rule runs at D = -200 and at CONJUGATION_ODD_DISC.
+    The conjugation rule runs at D = -200 and at CONJUGATION_ODD_DISC, and so
+    does the class conjugation check, on every class of (-200, 3) and
+    (CONJUGATION_ODD_DISC, CONJUGATION_ODD_LEVEL).
     """
     rng = random.Random(seed)
     prec = working_bits(digits)
@@ -223,11 +241,16 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
     ]
     ctx = OrderContext.from_disc(refdata.D200_DISC)
     odd = OrderContext.from_disc(CONJUGATION_ODD_DISC)
+    groups = [
+        (ctx, class_enumerate(ctx, refdata.D200_LEVEL)),
+        (odd, class_enumerate(odd, CONJUGATION_ODD_LEVEL)),
+    ]
     with mp.workprec(prec):
         return [
             check_j_siegel_vs_eisenstein(taus, digits),
             check_torsion_coordinates(ctx, vs, digits),
             check_conjugation_rule([ctx, odd], vs, digits),
+            check_class_conjugation(groups, digits),
             check_siegel_y_ratio(ctx, digits),
         ]
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -155,6 +156,16 @@ def test_minpoly_honest_failure_exit_3(capsys, schema):
     jsonschema.validate(payload, schema)
     assert payload["ok"] is False and payload["coefficients"] is None
     assert len(payload["unrecognized"]) == 13
+
+
+def test_minpoly_info_log_leaves_stdout_unchanged(capsys, caplog):
+    argv = ["minpoly", "--disc", "-200", "--level", "3", "--digits", "40", "--format", "json"]
+    quiet = run_cli(capsys, *argv)
+    with caplog.at_level(logging.INFO, logger="classfield"):
+        loud = run_cli(capsys, *argv)
+    assert quiet == loud and quiet[0] == cli.EXIT_OK
+    passes = [r for r in caplog.records if r.getMessage().startswith("minpoly pass")]
+    assert len(passes) == int(json.loads(loud[1])["escalations"]) + 1
 
 
 def test_minpoly_rejects_level_one(capsys):

@@ -1,3 +1,4 @@
+import logging
 import random
 import re
 from fractions import Fraction
@@ -11,12 +12,16 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.invariants import (
+    G_ON_LOSS_BITS,
     FamilyId,
+    _expand_real,
     _family_value_at,
+    _real_factors,
     class_invariant,
     conjugate_orbit,
     g_ON,
     g_ON_from_ideal,
+    gate_bits,
     general_invariant,
     minimal_polynomial,
 )
@@ -25,10 +30,12 @@ from classfield.numerics import (
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
+    bits_for_digits,
+    recognize_integer,
     working_bits,
 )
 from classfield.orderideals import QuadElem, form_to_lattice, integral_ideals
-from classfield.quadforms import Form, OrderContext, reduce_form
+from classfield.quadforms import Form, OrderContext, class_enumerate, reduce_form
 from classfield.refdata import D200_MINPOLY
 
 DIGITS = 50
@@ -43,7 +50,7 @@ def tol(drop=10):
 def test_identity_class_j_invariant(ctx200, G200):
     fam = FamilyId.j()
     val = class_invariant(fam, G200.reps[0], ctx200, 3, DIGITS)
-    _, j = modfun.delta_j(ctx200.tau(DIGITS + modfun.GUARD_DIGITS), DIGITS)
+    _, j = modfun.delta_j(ctx200.tau(DIGITS), DIGITS)
     with mp.workprec(PREC):
         assert abs(val.to_mpc() - j.to_mpc()) / abs(j.to_mpc()) < tol()
 
@@ -202,6 +209,120 @@ def test_precision_monotonicity(ctx200, G200):
         assert b < max(a * a, 1e-300) * slack
 
 
+# -- the conjugate-pair expansion against the full complex product -------------
+
+
+def reference_expand_monic(values, prec):
+    """Coefficients (ascending) of prod (x - v), in complex arithmetic."""
+    with mp.workprec(prec):
+        coeffs = [mpmath.mpc(1)]
+        for v in values:
+            z = v.to_mpc()
+            new = [mpmath.mpc(0)] * (len(coeffs) + 1)
+            for k, ck in enumerate(coeffs):
+                new[k] -= ck * z
+                new[k + 1] += ck
+            coeffs = new
+    return coeffs
+
+
+def reference_minimal_polynomial(ctx, N, policy, G):
+    """(ok, coefficients, escalations, precision_used) from g_ON at every
+    class and the complex product, under the same gate."""
+    tol = policy.recognition_tol()
+    pol = policy
+    for attempt in range(policy.max_escalations + 1):
+        digits = pol.target_decimal_digits
+        prec = bits_for_digits(pol.working_digits)
+        values = [g_ON(Q, ctx, N, digits) for Q in G.reps]
+        with mp.workprec(53):
+            log2_m = sum(max(0.0, float(mpmath.log(abs(v.to_mpc()), 2))) for v in values)
+        if gate_bits(G.order, N, log2_m, tol) < min(prec, working_bits(digits)):
+            coeffs = reference_expand_monic(values, prec)[::-1]
+            ints = [recognize_integer(BigComplex.from_mpc(c, prec), tol) for c in coeffs]
+            if None not in ints:
+                return True, ints, attempt, digits
+        pol = pol.escalate()
+    return False, None, policy.max_escalations, digits
+
+
+# (D, N) with even and odd D and N in {3, 4, 5, 8}; at 10-40 digits each
+# escalates at least once, (-47, 3) and (-52, 4) not at 40
+HALVING_POOL = [(-200, 3), (-47, 3), (-56, 4), (-52, 4), (-15, 5), (-24, 5), (-15, 8), (-23, 8)]
+
+
+@lru_cache(maxsize=None)
+def _halving_group(D, N):
+    ctx = OrderContext.from_disc(D)
+    return ctx, class_enumerate(ctx, N)
+
+
+@settings(max_examples=16, deadline=None)
+@given(case=st.sampled_from(HALVING_POOL), digits=st.sampled_from([10, 20, 40]))
+def test_conjugate_pair_expansion_matches_full_product(case, digits):
+    ctx, G = _halving_group(*case)
+    policy = PrecisionPolicy(digits)
+    res = minimal_polynomial(ctx, case[1], policy, class_group=G)
+    ref = reference_minimal_polynomial(ctx, case[1], policy, G)
+    assert (res.ok, res.coefficients, res.escalations, res.precision_used) == ref
+
+
+def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
+    # at 45 digits every real coefficient of (-88, 5) rounds to an integer
+    # within tol, but 21 of the 25 are wrong; minimal_polynomial must escalate
+    ctx, G = _halving_group(-88, 5)
+    policy = PrecisionPolicy(45)
+    tol = policy.recognition_tol()
+    prec = bits_for_digits(policy.working_digits)
+    truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
+    linear, quadratic, _ = _real_factors(G, ctx, 5, 45, tol, prec)
+    with mp.workprec(prec):
+        coeffs = _expand_real(linear, quadratic, prec)[::-1]
+        assert all(abs(c - mpmath.nint(c)) < tol for c in coeffs)
+        assert sum(int(mpmath.nint(c)) != t for c, t in zip(coeffs, truth)) > 0
+    res = minimal_polynomial(ctx, 5, policy, class_group=G)
+    assert res.ok and res.escalations >= 1 and res.coefficients == truth
+
+
+@pytest.mark.parametrize("D, N", [(-200, 3), (-71, 5), (-15, 8)])
+def test_g_on_relative_error_within_the_gate_allowance(D, N):
+    # the gate takes g_ON at p bits to be within relative 12N 2^(L - p)
+    ctx, G = _halving_group(D, N)
+    for digits in (20, 60):
+        allowance = mpmath.mpf(12 * N) * mpmath.mpf(2) ** (G_ON_LOSS_BITS - working_bits(digits))
+        for Q in G.reps:
+            got = g_ON(Q, ctx, N, digits).to_mpc()
+            ref = g_ON(Q, ctx, N, 2 * digits + 40).to_mpc()
+            with mp.workprec(working_bits(2 * digits + 40)):
+                assert abs(got - ref) <= allowance * abs(ref)
+
+
+def test_minimal_polynomial_rejects_reps_without_their_conjugates():
+    # conjugate partners are looked up among the given reps by class label;
+    # a missing partner is an error, not a silently different polynomial
+    import copy
+
+    ctx, G = _halving_group(-200, 3)
+    conj = [G.index_of(Form(Q.a, -Q.b, Q.c)) for Q in G.reps]
+    i = next(i for i, j in enumerate(conj) if j != i)
+    missing = copy.copy(G)
+    missing.reps = [Q for k, Q in enumerate(G.reps) if k != conj[i]]
+    with pytest.raises(InvariantViolation, match="conjugate"):
+        minimal_polynomial(ctx, 3, PrecisionPolicy(140), class_group=missing)
+
+
+def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200, G200):
+    policy = PrecisionPolicy(40, max_escalations=2)
+    with caplog.at_level(logging.INFO, logger="classfield"):
+        res = minimal_polynomial(ctx200, 3, policy, class_group=G200)
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
+    assert res.ok and len(lines) == res.escalations + 1
+    assert all("8 of 12 classes evaluated" in line for line in lines)
+    assert "40 digits" in lines[0] and "escalating" in lines[0] and "worst residual -" in lines[0]
+    assert f"{res.precision_used} digits" in lines[-1] and ", ok," in lines[-1]
+    assert re.search(r"gate needs [0-9.]+ of [0-9]+ bits", lines[-1])
+
+
 def test_g_on_n1_positive_real_and_representative_free(ctx200):
     Q = Form(2, 0, 25)
     val = g_ON(Q, ctx200, 1, DIGITS)
@@ -273,7 +394,7 @@ def reference_g_on_level_one(L, ctx, digits):
     Fraction-built form, for any (also fractional) ideal L."""
     R, _ = reduce_form(_reference_inverse(L).to_form())
     prec = working_bits(digits)
-    e = modfun.eta(R.omega(digits + modfun.GUARD_DIGITS), digits)
+    e = modfun.eta(R.omega(digits), digits)
     with mp.workprec(prec):
         val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24
     return BigComplex.from_mpc(val, prec)

@@ -117,7 +117,7 @@ def reference_box_sum(
     a_inv = pow(a, -1, N) if N > 1 else 1
     gamma = gamma_ON(ctx, N)
     prec = working_bits(digits)
-    w = Q.point(digits + modfun.GUARD_DIGITS)
+    w = Q.point(digits)
     with mp.workprec(prec):
         wx, wy = w.re, w.im
         shift = mpmath.mpf(a_inv) / N
@@ -167,7 +167,7 @@ def test_zeta_lattice_level_one_is_epstein(ctx200):
     s = BigComplex(2, 0, PREC)
     Q = ctx200.principal_form()
     z = reference_box_sum(Q, ctx200, 1, s, 40)
-    w = Q.point(DIGITS + modfun.GUARD_DIGITS)
+    w = Q.point(DIGITS)
     with mp.workprec(PREC):
         direct = mpmath.mpc(0)
         for m in range(-40, 41):
@@ -305,7 +305,7 @@ def test_kronecker_xi_gives_log_g(ctx200, G200, logs200):
     gamma = gamma_ON(ctx200, N)
     for i, Q in enumerate(G200.reps[:4]):
         ap = pow(Q.a, -1, N)
-        z = Q.point(60 + modfun.GUARD_DIGITS)
+        z = Q.point(60)
         _, xi1 = kronecker_xi(False, BigComplex(Fraction(ap, N), 0, z.prec), z, 60)
         with mp.workprec(z.prec):
             lhs = xi1.to_mpc() / gamma

@@ -141,7 +141,7 @@ def test_series_truncation_rule(monkeypatch):
     prec = working_bits(digits)
     fifths = [Fraction(k, 5) for k in range(5)]
     indices = [FrickeIndex(a1, a2) for a1 in fifths for a2 in fifths if a1 or a2]
-    taus = [R.omega(digits + modfun.GUARD_DIGITS) for R in enumerate_reduced(-104)]
+    taus = [R.omega(digits) for R in enumerate_reduced(-104)]
     values = []
     for tau in taus:
         pt = modfun._point(tau.re, tau.im, prec)
@@ -211,9 +211,9 @@ def test_j_special_values():
 
 
 def test_j_at_order_point_real_and_stable(ctx200):
-    tau = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
+    tau = ctx200.tau(DIGITS)
     _, j1 = modfun.delta_j(tau, DIGITS)
-    _, j2 = modfun.delta_j(ctx200.tau(2 * DIGITS + modfun.GUARD_DIGITS), 2 * DIGITS)
+    _, j2 = modfun.delta_j(ctx200.tau(2 * DIGITS), 2 * DIGITS)
     with mp.workprec(PREC):
         assert j1.re > 0
         assert abs(j1.im) < tol()
@@ -226,7 +226,7 @@ def test_classical_class_polynomial_has_integer_coefficients(ctx200):
 
     js = []
     for Q in enumerate_reduced(-200):
-        _, j = modfun.delta_j(Q.omega(DIGITS + modfun.GUARD_DIGITS), DIGITS)
+        _, j = modfun.delta_j(Q.omega(DIGITS), DIGITS)
         js.append(j)
     with mp.workprec(PREC):
         coeffs = [mpmath.mpc(1)]
@@ -298,7 +298,7 @@ def test_siegel_lower_bound_nonprincipal_forms():
     with mp.workprec(PREC):
         bound = mpmath.mpf("1.98") * mpmath.exp(-mpmath.pi * mpmath.sqrt(200) / 24)
         for Q in enumerate_reduced(-200)[1:]:
-            g = modfun.siegel(half, Q.omega(DIGITS + modfun.GUARD_DIGITS), DIGITS)
+            g = modfun.siegel(half, Q.omega(DIGITS), DIGITS)
             assert abs(g.to_mpc()) > bound
 
 
@@ -331,7 +331,7 @@ def test_theta1_matches_siegel_magnitude(ctx200):
     from classfield.quadforms import Form
 
     Q = Form(17, 2, 3)
-    z = Q.point(DIGITS + modfun.GUARD_DIGITS)
+    z = Q.point(DIGITS)
     with mp.workprec(PREC):
         for ap in (1, 2):
             th = modfun.theta1(BigComplex(Fraction(ap, 3), 0, PREC), z, DIGITS).to_mpc()
@@ -402,7 +402,7 @@ def wp_lattice_sum(z, tau, radius=40):
 
 
 def test_wp_desk_oracle_lattice_sum(ctx200):
-    tau = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
+    tau = ctx200.tau(DIGITS)
     with mp.workprec(PREC):
         z = BigComplex.from_mpc(Fraction(1, 7) * tau.to_mpc() + Fraction(2, 5), PREC)
     p, _ = modfun.wp(z, tau, DIGITS)
@@ -447,7 +447,7 @@ def test_family_index_action_modular():
 
 
 def test_fricke_conjugation_rule(ctx200):
-    tau0 = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
+    tau0 = ctx200.tau(DIGITS)
     rng = random.Random(RNG_SEED + 10)
     with mp.workprec(PREC):
         for _ in range(3):
@@ -462,7 +462,7 @@ def test_fricke_conjugation_rule(ctx200):
 
 def test_elliptic_model_ab_product(ctx200):
     model = modfun.elliptic_model(ctx200, DIGITS)
-    _, j = modfun.delta_j(ctx200.tau(DIGITS + modfun.GUARD_DIGITS), DIGITS)
+    _, j = modfun.delta_j(ctx200.tau(DIGITS), DIGITS)
     with mp.workprec(PREC):
         jj = j.to_mpc()
         lhs = model.A.to_mpc() * model.B.to_mpc()
@@ -498,7 +498,7 @@ def test_torsion_weierstrass_relation(ctx200):
 
 
 def test_torsion_y_ratio_siegel_identity(ctx200):
-    tau0 = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
+    tau0 = ctx200.tau(DIGITS)
     u = FrickeIndex.of(0, Fraction(1, 3))
     v = FrickeIndex.of(Fraction(1, 3), 0)
     _, Yu = modfun.torsion_xy(ctx200, u, DIGITS)
@@ -515,8 +515,8 @@ def test_torsion_y_ratio_siegel_identity(ctx200):
 
 def test_doubling_precision_stability(ctx200):
     v = FrickeIndex.of(0, Fraction(1, 3))
-    tau0 = ctx200.tau(DIGITS + modfun.GUARD_DIGITS)
-    tau0b = ctx200.tau(2 * DIGITS + modfun.GUARD_DIGITS)
+    tau0 = ctx200.tau(DIGITS)
+    tau0b = ctx200.tau(2 * DIGITS)
     a = modfun.siegel(v, tau0, DIGITS)
     b = modfun.siegel(v, tau0b, 2 * DIGITS)
     with mp.workprec(b.prec):

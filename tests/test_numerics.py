@@ -64,6 +64,15 @@ def test_recognize_integer_cases():
         recognize_integer(BigComplex(1, 0, 80), 0.5)
 
 
+def test_recognize_integer_refuses_unresolvable_magnitudes():
+    # near 10^80 a 128-bit value's ulp is about 2^138: every such value is its
+    # own nearest integer, so recognizing it would say nothing
+    assert recognize_integer(BigComplex(10**80 + 3, 0, 128), 1e-10) is None
+    assert recognize_integer(BigComplex(-(10**80), 0, 128), 1e-10) is None
+    # near 10^20 the same precision resolves far below tol
+    assert recognize_integer(BigComplex(10**20 + 3, 0, 128), 1e-10) == 10**20 + 3
+
+
 def test_precision_policy():
     p = PrecisionPolicy(100)
     assert p.guard_digits == 30 and p.max_escalations == 4
