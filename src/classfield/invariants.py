@@ -32,7 +32,7 @@ from .numerics import (
     recognize_integer,
     working_bits,
 )
-from .orderideals import QuadLattice, _ideal_form, form_to_lattice
+from .orderideals import Ideal, _ideal_form, form_to_lattice
 from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, class_label, reduce_form
 
 log = logging.getLogger(__name__)
@@ -128,7 +128,7 @@ def class_invariant(
 
 
 def general_invariant(
-    family: FamilyId, ideal: QuadLattice, ctx: OrderContext, N: int, digits: int
+    family: FamilyId, ideal: Ideal, ctx: OrderContext, N: int, digits: int
 ) -> BigComplex:
     """Invariant from an arbitrary integral ideal representative.
 
@@ -139,9 +139,7 @@ def general_invariant(
     is the root of (a, -b, c).
     """
     _check_ctx(ctx)
-    if not ideal.is_integral():
-        raise DomainError("need an integral proper O-ideal")
-    g, h, Q = _ideal_form(ideal)
+    g, h, Q = _ideal_form(ctx, ideal)
     if gcd(g * Q.a, N) != 1:
         raise DomainError("ideal must be prime to the level")
     A = (g * Q.a, g * (h - ctx.b0), 0, g)
@@ -159,13 +157,12 @@ def g_ON(Q: Form, ctx: OrderContext, N: int, digits: int) -> BigComplex:
     return g_ON_from_ideal(form_to_lattice(ctx, Q), ctx, 1, digits)
 
 
-def g_ON_from_ideal(L: QuadLattice, ctx: OrderContext, N: int, digits: int) -> BigComplex:
+def g_ON_from_ideal(L: Ideal, ctx: OrderContext, N: int, digits: int) -> BigComplex:
     if N >= 2:
         return general_invariant(FamilyId.siegel_power(N), L, ctx, N, digits)
     # (2 pi)^12 N([xi,1])^6 |Delta([xi,1])| is basis- and scale-free, so it may
-    # be read off the reduced form of the inverse ideal's class, (a, -b, c);
-    # L may be fractional, since its form does not see the scale
-    _, _, Q = _ideal_form(L)
+    # be read off the reduced form of the inverse ideal's class, (a, -b, c)
+    _, _, Q = _ideal_form(ctx, L)
     R, _ = reduce_form(Form(Q.a, -Q.b, Q.c))
     prec = working_bits(digits)
     e = modfun.eta(R.omega(digits), digits)
@@ -196,7 +193,7 @@ class MinimalPolynomialResult:
     residuals: List[float]
     precision_used: int  # decimal digits of the successful (or last) pass
     escalations: int
-    unrecognized: Optional[List[str]] = None
+    unrecognized: Optional[List[str]] = None  # real decimals of a failed last pass
 
     def to_json(self) -> dict:
         out = {
@@ -351,7 +348,7 @@ def minimal_polynomial(
             return MinimalPolynomialResult(ctx.disc, N, n, True, ints, residuals, digits, attempt)
         pol = pol.escalate()
     with mp.workprec(prec):
-        raw = [BigComplex(c, 0, prec).to_decimal(working) for c in coeffs]
+        raw = [mpmath.nstr(c, working, strip_zeros=False) for c in coeffs]
     return MinimalPolynomialResult(
         ctx.disc, N, n, False, None, residuals, digits, policy.max_escalations, raw
     )

@@ -87,7 +87,7 @@ def zeta_ideal_partial_all(
     bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
     for norm, L in integral_ideals(ctx, bound, coprime_to=N):
-        lab = ray_label(L, N, bases)
+        lab = ray_label(ctx, L, N, bases)
         norms.setdefault(lab, []).append(norm)
     prec = working_bits(digits)
     out = {}

@@ -23,14 +23,7 @@ from classfield.lfunctions import (
     zeta_lattice_partial,
 )
 from classfield.numerics import BigComplex, bits_for_digits, working_bits
-from classfield.orderideals import (
-    QuadElem,
-    _class_bases,
-    _integral_ray_model,
-    form_to_lattice,
-    fractional_omega_lattice,
-    ray_label,
-)
+from classfield.orderideals import _class_bases, form_to_lattice, omega_ideal, ray_label
 from classfield.quadforms import (
     OrderContext,
     class_enumerate,
@@ -41,6 +34,7 @@ from classfield.quadforms import (
     make_coprime,
     reduce_form,
 )
+from ideal_reference import QuadElem, scaled
 
 SEED = 1729
 
@@ -140,9 +134,7 @@ def test_criterion_08_zeta_equivalence(ctx200, G200):
     worst = 0.0
     with mp.workprec(prec):
         for Q in G200.reps:
-            lab = ray_label(
-                _integral_ray_model(fractional_omega_lattice(ctx200, Q), 3), 3, bases
-            )
+            lab = ray_label(ctx200, omega_ideal(ctx200, Q, 3), 3, bases)
             zi = table[lab]
             zl = zeta_lattice_partial(Q, ctx200, 3, s, 200)
             diff = float(abs(zi.value.to_mpc() - zl.value.to_mpc()))
@@ -199,14 +191,15 @@ def test_criterion_11_well_definedness_suite(gamma1_word):
             with mp.workprec(prec):
                 for _ in range(100):
                     Q = rng.choice(G.reps)
-                    base_ideal = form_to_lattice(ctx, Q).scale(Q.a ** (_phi(N) - 1))
+                    base_ideal = scaled(ctx, form_to_lattice(ctx, Q), Q.a ** (_phi(N) - 1))
                     lam = QuadElem.of(ctx, 1 + N * rng.randint(0, 2), N * rng.randint(0, 1))
+                    alt_ideal = scaled(ctx, base_ideal, lam)
                     if N >= 2:
                         ref = general_invariant(fam, base_ideal, ctx, N, digits).to_mpc()
-                        alt = general_invariant(fam, base_ideal.scale(lam), ctx, N, digits).to_mpc()
+                        alt = general_invariant(fam, alt_ideal, ctx, N, digits).to_mpc()
                     else:
                         ref = g_ON_from_ideal(base_ideal, ctx, 1, digits).to_mpc()
-                        alt = g_ON_from_ideal(base_ideal.scale(lam), ctx, 1, digits).to_mpc()
+                        alt = g_ON_from_ideal(alt_ideal, ctx, 1, digits).to_mpc()
                     if abs(ref - alt) / abs(ref) > tolerance:
                         ok = False
     dt = time.perf_counter() - t0

@@ -18,13 +18,7 @@ from classfield.lfunctions import (
     zeta_lattice_partial,
 )
 from classfield.numerics import BigComplex, DomainError, bits_for_digits, working_bits
-from classfield.orderideals import (
-    _class_bases,
-    _integral_ray_model,
-    fractional_omega_lattice,
-    integral_ideals,
-    ray_label,
-)
+from classfield.orderideals import _class_bases, integral_ideals, omega_ideal, ray_label
 from classfield.quadforms import SL2, Form, OrderContext, class_enumerate, enumerate_reduced, make_coprime
 
 DIGITS = 50
@@ -43,7 +37,7 @@ def test_gamma_on(ctx200):
 
 def ray_label_of(ctx, Q, N):
     """The ray label of [[omega_Q, 1]], the key of zeta_ideal_partial_all."""
-    return ray_label(_integral_ray_model(fractional_omega_lattice(ctx, Q), N), N, _class_bases(ctx, N))
+    return ray_label(ctx, omega_ideal(ctx, Q, N), N, _class_bases(ctx, N))
 
 
 def test_zeta_partial_agreement_single_class(ctx200):
@@ -68,7 +62,7 @@ def reference_ideal_sums(ctx, N, s, bound, digits):
     with mp.workprec(working_bits(digits)):
         s_ = s.to_mpc()
         for n, L in integral_ideals(ctx, bound, coprime_to=N):
-            lab = ray_label(L, N, bases)
+            lab = ray_label(ctx, L, N, bases)
             total, terms = out.get(lab, (0, 0))
             out[lab] = (total + mpmath.exp(-s_ * mpmath.log(n)), terms + 1)
     return out

@@ -1,7 +1,9 @@
+import ast
 import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,20 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 from classfield import orderideals
 from classfield.numerics import DomainError, InvariantViolation, ResourceError
 from classfield.orderideals import (
-    QuadElem,
-    QuadLattice,
+    Ideal,
     _class_bases,
     _disc_roots,
-    _integral_ray_model,
-    _unit_elems,
     form_ideal_dictionary,
     form_to_lattice,
-    fractional_omega_lattice,
+    ideal_mul,
     integral_ideals,
+    omega_ideal,
     oracle_class_group,
-    principal_generator,
     ray_label,
-    same_ray_class,
 )
 from classfield.quadforms import (
     Form,
@@ -35,6 +33,18 @@ from classfield.quadforms import (
 )
 from classfield.refdata import BATTERY_DISCS, BATTERY_LEVELS
 from classfield.verify import check_oracle_match
+from ideal_reference import (
+    QuadElem,
+    QuadLattice,
+    _integral_ray_model,
+    _unit_elems,
+    fractional_omega_lattice,
+    principal_generator,
+    same_ray_class,
+    scaled,
+    to_ideal,
+    to_lattice,
+)
 
 RNG_SEED = 1729
 
@@ -61,7 +71,7 @@ def ideal_norm(L):
 
 def test_norm_examples(ctx200):
     # a[omega_Q, 1] for Q = 2x^2 + 25y^2 has norm a = 2
-    assert ideal_norm(form_to_lattice(ctx200, Form(2, 0, 25))) == 2
+    assert ideal_norm(to_lattice(ctx200, form_to_lattice(ctx200, Form(2, 0, 25)))) == 2
     # tau*O has norm 50
     tau_ideal = QuadLattice.from_elems(ctx200, [elem(ctx200, 0, 1), elem(ctx200, -50, 0)])
     assert ideal_norm(tau_ideal) == 50
@@ -78,7 +88,8 @@ def test_ideal_mul_identity(ctx200):
     O = QuadLattice.order(ctx200)
     for Q in enumerate_reduced(-200):
         L = form_to_lattice(ctx200, Q)
-        assert O.mul(L) == L
+        assert O.mul(to_lattice(ctx200, L)) == to_lattice(ctx200, L)
+        assert ideal_mul(ctx200, Ideal(1, 0, 1), L) == ideal_mul(ctx200, L, Ideal(1, 0, 1)) == L
 
 
 def test_ideal_times_conjugate_is_norm(ctx200):
@@ -86,6 +97,7 @@ def test_ideal_times_conjugate_is_norm(ctx200):
     pool = list(integral_ideals(ctx200, 60, coprime_to=1))
     for _ in range(20):
         n, L = rng.choice(pool)
+        L = to_lattice(ctx200, L)
         assert L.mul(L.conj()) == QuadLattice.order(ctx200).scale(n)
 
 
@@ -94,7 +106,9 @@ def test_norm_multiplicative(ctx200):
     pool = list(integral_ideals(ctx200, 60, coprime_to=5))
     for _ in range(30):
         (n1, a), (n2, b) = rng.choice(pool), rng.choice(pool)
-        assert ideal_norm(a.mul(b)) == n1 * n2
+        assert ideal_norm(to_lattice(ctx200, a).mul(to_lattice(ctx200, b))) == n1 * n2
+        P = ideal_mul(ctx200, a, b)
+        assert P.g * P.m == n1 * n2
 
 
 def test_lattice_product_matches_dirichlet(ctx200):
@@ -112,7 +126,7 @@ def test_principal_generator(ctx200):
     assert w is not None and w.norm() == nu.norm()
     assert L == QuadLattice.from_elems(ctx200, [w, w * elem(ctx200, 0, 1)])
     # non-principal: the class of 2x^2 + 25y^2
-    assert principal_generator(form_to_lattice(ctx200, Form(2, 0, 25))) is None
+    assert principal_generator(to_lattice(ctx200, form_to_lattice(ctx200, Form(2, 0, 25)))) is None
 
 
 def test_same_ray_class_examples(ctx200):
@@ -122,7 +136,7 @@ def test_same_ray_class_examples(ctx200):
     assert not same_ray_class(O, tau_ideal, 3)
     # lambda = 1 mod 3O multiplies within a class
     lam = elem(ctx200, 4, 3)
-    L = form_to_lattice(ctx200, Form(2, 0, 25))
+    L = to_lattice(ctx200, form_to_lattice(ctx200, Form(2, 0, 25)))
     assert same_ray_class(L, L.scale(lam), 3)
     # Q3-tilde and Q4-tilde ideals are distinct classes
     a = fractional_omega_lattice(ctx200, Form(17, 2, 3))
@@ -132,7 +146,7 @@ def test_same_ray_class_examples(ctx200):
 
 def test_same_ray_class_is_equivalence(ctx200):
     rng = random.Random(RNG_SEED)
-    pool = [L for n, L in integral_ideals(ctx200, 40, coprime_to=15)]
+    pool = [to_lattice(ctx200, L) for n, L in integral_ideals(ctx200, 40, coprime_to=15)]
     for _ in range(10):
         a, b, c = (rng.choice(pool) for _ in range(3))
         assert same_ray_class(a, a, 3)
@@ -161,9 +175,9 @@ def test_oracle_index_of_rejects_ideal_not_prime_to_level(ctx200):
     with pytest.raises(DomainError):
         oracle.index_of(form_to_lattice(ctx200, Form(3, 2, 17)))
     with pytest.raises(DomainError):
-        oracle.index_of(fractional_omega_lattice(ctx200, Form(3, 2, 17)))
+        oracle.index_of(omega_ideal(ctx200, Form(3, 2, 17), 3))
     # an ideal prime to the level but not to the conductor 5 has a class
-    assert oracle.index_of(fractional_omega_lattice(ctx200, Form(50, 0, 1))) in range(12)
+    assert oracle.index_of(omega_ideal(ctx200, Form(50, 0, 1), 3)) in range(12)
 
 
 def test_oracle_table_rejects_unseen_product_label(ctx200, monkeypatch):
@@ -211,7 +225,7 @@ def test_enumeration_includes_non_conductor_coprime(ctx200):
     assert 25 in norms
     # but never improper (imprimitive-form) ideals
     for n, L in integral_ideals(ctx200, 30, coprime_to=3):
-        assert L.is_proper_ideal()
+        assert to_lattice(ctx200, L).is_proper_ideal()
 
 
 # -- square roots of D mod 4a against a naive scan ---------------------------
@@ -268,7 +282,7 @@ def reference_integral_ideals(ctx, bound, coprime_to):
             m = 1
             while m * m * a <= bound:
                 if gcd(m, coprime_to) == 1:
-                    out.append((m * m * a, form_to_lattice(ctx, Form(a, b, c), scale=m).key()))
+                    out.append((m * m * a, form_to_lattice(ctx, Form(a, b, c), scale=m)))
                 m += 1
     return out
 
@@ -280,7 +294,7 @@ def reference_integral_ideals(ctx, bound, coprime_to):
 def test_integral_ideals_sequence_matches_naive_roots(D, N, bound):
     ctx = OrderContext.from_disc(D)
     lN = ctx.conductor * N
-    got = [(n, L.key()) for n, L in integral_ideals(ctx, bound, coprime_to=lN)]
+    got = list(integral_ideals(ctx, bound, coprime_to=lN))
     assert got == reference_integral_ideals(ctx, bound, lN)
 
 
@@ -293,7 +307,7 @@ def reference_class_bases(ctx, N):
     out = {}
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
-        out[R] = form_to_lattice(ctx, lifted)
+        out[R] = to_lattice(ctx, form_to_lattice(ctx, lifted))
     return out
 
 
@@ -314,12 +328,13 @@ def reference_table(oracle):
     """Product-filled table: every product of two representatives is
     labelled by the Fraction reference."""
     ref_bases = reference_class_bases(oracle.ctx, oracle.level)
-    idx = {reference_ray_label(L, oracle.level, ref_bases): i for i, L in enumerate(oracle.reps)}
+    reps = [to_lattice(oracle.ctx, L) for L in oracle.reps]
+    idx = {reference_ray_label(L, oracle.level, ref_bases): i for i, L in enumerate(reps)}
     n = oracle.order
     table = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            lab = reference_ray_label(oracle.reps[i].mul(oracle.reps[j]), oracle.level, ref_bases)
+            lab = reference_ray_label(reps[i].mul(reps[j]), oracle.level, ref_bases)
             table[i][j] = table[j][i] = idx[lab]
     return table
 
@@ -343,17 +358,18 @@ def test_ray_label_matches_reference_and_same_ray_class(D, N, picks, lam, kind):
     ctx, pool, bases, ref_bases = _ideal_pool(D, N)
     a, b, c = (pool[k % len(pool)] for k in picks)
     if kind == "product":
-        b = b.mul(c)
+        b = ideal_mul(ctx, b, c)
     elif kind in ("scaled", "ray_scaled"):
         # a principal multiple; lambda = 1 mod N*O keeps the ray class
         x, y = lam if kind == "scaled" else (1 + N * lam[0], N * lam[1])
         assume((x, y) != (0, 0) and gcd(ctx.elem_norm(x, y), ctx.conductor * N) == 1)
-        b = a.scale(elem(ctx, x, y))
-    for L in (a, b, a.mul(c)):
-        assert ray_label(L, N, bases) == reference_ray_label(L, N, ref_bases)
-    assert (ray_label(a, N, bases) == ray_label(b, N, bases)) == same_ray_class(a, b, N)
+        b = scaled(ctx, a, elem(ctx, x, y))
+    for L in (a, b, ideal_mul(ctx, a, c)):
+        assert ray_label(ctx, L, N, bases) == reference_ray_label(to_lattice(ctx, L), N, ref_bases)
+    same = same_ray_class(to_lattice(ctx, a), to_lattice(ctx, b), N)
+    assert (ray_label(ctx, a, N, bases) == ray_label(ctx, b, N, bases)) == same
     if kind == "ray_scaled":
-        assert ray_label(a, N, bases) == ray_label(b, N, bases)
+        assert ray_label(ctx, a, N, bases) == ray_label(ctx, b, N, bases)
 
 
 @pytest.mark.parametrize(
@@ -377,6 +393,91 @@ def test_oracle_matches_form_table_in_fields_with_extra_units(D, N):
 
 
 def test_ray_label_rejects_fractional_ideal(ctx200):
+    # an Ideal is integral by construction: [omega_Q, 1] itself has no Ideal,
+    # and ray_label refuses a triple that is not an O-module
     L = fractional_omega_lattice(ctx200, Form(2, 0, 25))
     with pytest.raises(DomainError):
-        ray_label(L, 3, _class_bases(ctx200, 3))
+        to_ideal(L)
+    with pytest.raises(DomainError):
+        ray_label(ctx200, Ideal(2, 1, 4), 3, _class_bases(ctx200, 3))
+
+
+# -- the integer ideal algebra against the Fraction reference ------------------
+
+
+MUL_DISCS = [-3, -4, -12, -27, -15, -20, -56, -71, -180, -200]
+
+
+@lru_cache(maxsize=None)
+def _mul_pool(D):
+    ctx = OrderContext.from_disc(D)
+    return ctx, [L for _, L in integral_ideals(ctx, 150)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from(MUL_DISCS),
+    picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+def test_ideal_mul_matches_reference_product(D, picks):
+    # pool ideals include imprimitive ones and, at D = -12, -27, -180, -200,
+    # ideals not prime to the conductor; the triple product leaves the pool
+    ctx, pool = _mul_pool(D)
+    A, B, C = (pool[k % len(pool)] for k in picks)
+    refA, refB, refC = (to_lattice(ctx, L) for L in (A, B, C))
+    AB = ideal_mul(ctx, A, B)
+    assert AB == to_ideal(refA.mul(refB))
+    assert ideal_mul(ctx, AB, C) == to_ideal(refA.mul(refB).mul(refC))
+
+
+@lru_cache(maxsize=None)
+def _omega_forms(D, N):
+    ctx = OrderContext.from_disc(D)
+    return ctx, class_enumerate(ctx, N).reps + enumerate_reduced(D)
+
+
+@settings(max_examples=200, deadline=None)
+@given(D=st.sampled_from(MUL_DISCS), N=st.integers(1, 12), pick=st.integers(0, 10**6))
+def test_omega_ideal_matches_reference_ray_model(D, N, pick):
+    # class_enumerate reps are prime to N; reduced forms may not be, and then
+    # neither side has an integral model in the ray class
+    ctx, forms = _omega_forms(D, N)
+    Q = forms[pick % len(forms)]
+    L = fractional_omega_lattice(ctx, Q)
+    if gcd(Q.a, N) != 1:
+        with pytest.raises(DomainError):
+            omega_ideal(ctx, Q, N)
+        with pytest.raises(DomainError):
+            _integral_ray_model(L, N)
+        return
+    assert omega_ideal(ctx, Q, N) == to_ideal(_integral_ray_model(L, N))
+
+
+# the names orderideals may take from the form side: forms, reduction and the
+# order's data, but no composition and no class table fill
+ORACLE_QUADFORMS_IMPORTS = {
+    "Form",
+    "OrderContext",
+    "_expected_order",
+    "_unit_coords",
+    "enumerate_reduced",
+    "make_coprime",
+    "reduce_form",
+    "xgcd",
+}
+
+
+def test_oracle_imports_no_form_side_composition():
+    assert not ORACLE_QUADFORMS_IMPORTS & {"dirichlet_compose", "compose_level", "class_enumerate"}
+    tree = ast.parse(Path(orderideals.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("quadforms" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names = {alias.name for alias in node.names}
+            # the module itself, bound whole, would bypass the allow-list
+            assert "quadforms" not in names and "*" not in names
+            if (node.module or "").endswith("quadforms"):
+                imported |= names
+    assert imported and imported <= ORACLE_QUADFORMS_IMPORTS
