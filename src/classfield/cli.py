@@ -20,7 +20,8 @@ import mpmath
 
 from . import cartan, invariants, lfunctions, verify
 from .numerics import (
-    GUARD_DIGITS,
+    MAX_ESCALATIONS,
+    MINPOLY_DIGITS,
     BigComplex,
     DomainError,
     InvariantViolation,
@@ -62,6 +63,11 @@ def _require_digits(args) -> None:
         raise DomainError(f"--digits must be at least 1, not {args.digits}")
 
 
+def _zero_below(z: BigComplex, tiny) -> BigComplex:
+    """z with each part of modulus below `tiny` set to zero."""
+    return BigComplex(*(x if abs(x) >= tiny else 0 for x in (z.re, z.im)), z.prec)
+
+
 def cmd_classgroup(args) -> int:
     ctx = _context(args)
     G = class_enumerate(ctx, args.level)
@@ -90,11 +96,7 @@ def cmd_classgroup(args) -> int:
 
 def cmd_minpoly(args) -> int:
     ctx = _context(args)
-    if args.level < 2 or ctx.disc in (-3, -4):
-        raise DomainError("minpoly needs level >= 2 and discriminant below -4")
-    policy = PrecisionPolicy(
-        args.digits, guard_digits=args.guard, max_escalations=args.max_escalations
-    )
+    policy = PrecisionPolicy(args.digits, max_escalations=args.max_escalations)
     res = invariants.minimal_polynomial(ctx, args.level, policy)
     payload = {"kind": "minpoly", **res.to_json()}
 
@@ -124,13 +126,11 @@ def cmd_lderiv(args) -> int:
     inversion = None
     if args.character is None:
         # recover ln|g(C)| from all characters, at the precision lderiv0 summed at
-        prec = working_bits(args.digits)
-        inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, prec)
-    # lderiv0 sums at GUARD_DIGITS above `digits`, so its absolute accuracy is
-    # below 10^-digits and any part smaller than that prints as zero
+        inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, working_bits(args.digits))
+    # lderiv0 sums at working_bits(digits), so its absolute accuracy is below
+    # 10^-digits and any part smaller than that prints as zero
     tiny = mpmath.mpf(10) ** -args.digits
-    part = lambda x: x if abs(x) >= tiny else 0
-    shown = {k: BigComplex(part(z.re), part(z.im), z.prec) for k, z in values.items()}
+    shown = {k: _zero_below(z, tiny) for k, z in values.items()}
     exponents = G.characters_qz()
     payload = {
         "kind": "lderiv",
@@ -199,17 +199,20 @@ def cmd_invariants(args) -> int:
     else:
         fam = invariants.FamilyId.j()
     orbit = invariants.conjugate_orbit(fam, G, ctx, args.digits)
+    # a part below |z| 10^-digits is below the value's accuracy: print it as zero
+    scale = mpmath.mpf(10) ** -args.digits
+    shown = [_zero_below(v.value, abs(v.value.to_mpc()) * scale) for v in orbit]
     payload = {
         "kind": "invariants",
         "disc": str(ctx.disc),
         "level": str(args.level),
         "family": args.family,
-        "values": [v.value.to_decimal(args.digits) for v in orbit],
+        "values": [z.to_decimal(args.digits) for z in shown],
     }
 
     def text():
-        for v in orbit:
-            print(f"  g{v.class_index + 1}: {v.value.to_decimal(min(args.digits, 40))}")
+        for v, z in zip(orbit, shown):
+            print(f"  g{v.class_index + 1}: {z.to_decimal(min(args.digits, 40))}")
 
     _emit(payload, args.format, text)
     return EXIT_OK
@@ -258,9 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classgroup)
 
     p = sub.add_parser("minpoly", help="integer minimal polynomial of the identity invariant")
-    common(p, digits_default=700)
-    p.add_argument("--guard", type=int, default=GUARD_DIGITS)
-    p.add_argument("--max-escalations", type=int, default=4)
+    common(p, digits_default=MINPOLY_DIGITS)
+    p.add_argument("--max-escalations", type=int, default=MAX_ESCALATIONS)
     p.set_defaults(fn=cmd_minpoly)
 
     p = sub.add_parser("lderiv", help="L'(0, chi) for the class group characters")
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named check battery")
     p.add_argument("battery", choices=("small", "paper", "full"))
-    p.add_argument("--digits", type=int, default=700)
+    p.add_argument("--digits", type=int, default=MINPOLY_DIGITS)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--norm-bound", type=int, default=None)

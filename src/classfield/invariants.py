@@ -28,7 +28,6 @@ from .numerics import (
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
-    bits_for_digits,
     recognize_integer,
     working_bits,
 )
@@ -164,11 +163,10 @@ def g_ON_from_ideal(L: Ideal, ctx: OrderContext, N: int, digits: int) -> BigComp
     # be read off the reduced form of the inverse ideal's class, (a, -b, c)
     _, _, Q = _ideal_form(ctx, L)
     R, _ = reduce_form(Form(Q.a, -Q.b, Q.c))
-    prec = working_bits(digits)
     e = modfun.eta(R.omega(digits), digits)
-    with mp.workprec(prec):
+    with mp.workprec(e.prec):
         val = (2 * mpmath.pi) ** 12 * mpmath.mpf(R.a) ** -6 * abs(e.to_mpc()) ** 24
-    return BigComplex.from_mpc(val, prec)
+    return BigComplex.from_mpc(val, e.prec)
 
 
 def conjugate_orbit(
@@ -230,10 +228,11 @@ def _conjugate_partners(G: ClassGroup, N: int) -> List[int]:
     return partner
 
 
-def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol, prec: int):
+def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
     """One g_ON per self-conjugate class and per conjugate pair, as the real
     factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of prod_C (x - g(C)),
     with log2 M, M = prod_C max(1, |g(C)|) over all classes."""
+    prec = working_bits(digits)
     linear: List[mpmath.mpf] = []
     quadratic: List[Tuple[mpmath.mpf, mpmath.mpf]] = []
     log2_m = 0.0
@@ -304,9 +303,9 @@ def minimal_polynomial(
 
     g(conj C) = conj g(C), so each self-conjugate class gives a real linear
     factor and each conjugate pair {C, conj C} one real quadratic; a pass
-    evaluates g_ON once per factor.  A pass is trusted only when gate_bits,
-    the precision its error bound needs, is below its working bits (the
-    lesser of g_ON's and the expansion's).  A residual is the distance of a
+    evaluates g_ON once per factor, then expands and rounds at the same
+    working_bits(digits), and is trusted only when gate_bits, the precision
+    its error bound needs, is below that.  A residual is the distance of a
     coefficient c from the nearest integer, or |c| 2^-prec when larger, so
     only a coefficient with residual below tol is recognized.  On a failed
     gate or recognition the target precision doubles, up to the policy's
@@ -322,26 +321,25 @@ def minimal_polynomial(
     pol = policy
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits
-        prec = bits_for_digits(working)
-        bits = min(prec, working_bits(digits))
-        linear, quadratic, log2_m = _real_factors(G, ctx, N, digits, tol, prec)
+        prec = working_bits(digits)
+        linear, quadratic, log2_m = _real_factors(G, ctx, N, digits, tol)
         need = gate_bits(n, N, log2_m, tol)
         last = attempt == policy.max_escalations
         ok, worst = False, "-"
-        if need < bits or last:
+        if need < prec or last:
             coeffs = _expand_real(linear, quadratic, prec)[::-1]
             with mp.workprec(prec):
                 residuals = [
                     float(max(abs(c - mpmath.nint(c)), mpmath.ldexp(abs(c), -prec))) for c in coeffs
                 ]
             worst = f"{max(residuals):.3e}"
-            if need < bits:
+            if need < prec:
                 ints = [recognize_integer(BigComplex(c, 0, prec), tol) for c in coeffs]
                 ok = None not in ints
         log.info(
             "minpoly pass %d: %d digits, %d of %d classes evaluated, "
             "gate needs %.1f of %d bits, %s, worst residual %s",
-            attempt, digits, len(linear) + len(quadratic), n, need, bits,
+            attempt, digits, len(linear) + len(quadratic), n, need, prec,
             "ok" if ok else "failed" if last else "escalating", worst,
         )
         if ok:

@@ -1,12 +1,12 @@
 """High-precision evaluation of eta, Delta, j, Siegel, theta, Weierstrass and
 Fricke functions by q-series.
 
-All evaluators take a target decimal-digit count; work happens at target plus
-guard digits, and results carry the working precision.  Eta, Siegel and theta1
-use theta series with q^(n^2/2) decay: the Jacobi triple product and Euler's
-pentagonal series, whose q-powers are built once per point (`_point`) and cut
-by a stated remainder bound.  The Eisenstein and Weierstrass q-series are
-truncated once their geometric tail bound drops below the working precision.
+All evaluators take a target decimal-digit count; work happens at
+`working_bits(digits)`, and results carry that precision.  Eta, Siegel and
+theta1 use theta series with q^(n^2/2) decay: the Jacobi triple product and
+Euler's pentagonal series, whose q-powers are built once per point (`_point`)
+and cut by a stated remainder bound.  The Eisenstein and Weierstrass q-series
+are truncated once their geometric tail bound drops below 2^-working_bits.
 """
 
 from __future__ import annotations
@@ -20,13 +20,12 @@ from typing import NamedTuple, Tuple
 import mpmath
 from mpmath import mp
 
-from .numerics import GUARD_DIGITS, BigComplex, DomainError, working_bits
+from .numerics import BigComplex, DomainError, working_bits
 from .quadforms import OrderContext
 
 __all__ = [
     "FrickeIndex",
     "EllipticModel",
-    "GUARD_DIGITS",
     "eta",
     "delta_j",
     "j_eisenstein",
@@ -91,8 +90,8 @@ def _require_upper(tau: BigComplex) -> None:
 
 
 def _nterms(t, digits: int, extra: int = 0) -> int:
-    # geometric tail: t^n below 10^-(digits+guard)
-    n = int(mp.ceil((digits + GUARD_DIGITS) * mp.log(10) / (-mp.log(t)))) + 8
+    # geometric tail: t^n below 2^-working_bits(digits)
+    n = int(mp.ceil(working_bits(digits) * mp.log(2) / (-mp.log(t)))) + 8
     return n + extra
 
 
@@ -351,8 +350,7 @@ def fricke(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     vn = v.normalized()
     g2, g3, delta = g2_g3_delta(tau, digits)
     with mp.workprec(prec):
-        t_ = tau.to_mpc()
-        z = BigComplex.from_mpc(_frac(vn.v1) * t_ + _frac(vn.v2), prec)
+        z = BigComplex.from_mpc(_frac(vn.v1) * tau.to_mpc() + _frac(vn.v2), prec)
     p, _ = wp(z, tau, digits)
     with mp.workprec(prec):
         val = -(2**7) * 3**3 * g2.to_mpc() * g3.to_mpc() / delta.to_mpc() * p.to_mpc()

@@ -69,31 +69,32 @@ def working_bits(digits: int) -> int:
     return bits_for_digits(digits + GUARD_DIGITS)
 
 
+# the minimal polynomial's default target digits and doubling budget
+MINPOLY_DIGITS = 700
+MAX_ESCALATIONS = 4
+
+
 @dataclass(frozen=True)
 class PrecisionPolicy:
     """Target precision plus escalation rules for integer recognition."""
 
     target_decimal_digits: int
-    guard_digits: int = GUARD_DIGITS
-    max_escalations: int = 4
+    max_escalations: int = MAX_ESCALATIONS
 
     def __post_init__(self):
         if self.target_decimal_digits <= 0:
             raise DomainError("precision parameters must be positive")
-        if self.guard_digits < 2:
-            # below 2, recognition_tol is 10^0 = 1 and no value can pass it
-            raise DomainError(f"guard digits must be at least 2, not {self.guard_digits}")
         if self.max_escalations < 0:
             raise DomainError("max_escalations must be nonnegative")
 
     @property
     def working_digits(self) -> int:
-        return self.target_decimal_digits + self.guard_digits
+        return self.target_decimal_digits + GUARD_DIGITS
 
     def recognition_tol(self) -> mpmath.mpf:
-        # separates rounding noise from genuine non-integrality by many orders
+        # half the guard digits: far above rounding noise, far below 1/2
         with mp.workprec(MIN_PREC_BITS):
-            return mpmath.mpf(10) ** (-(self.guard_digits // 2))
+            return mpmath.mpf(10) ** (-(GUARD_DIGITS // 2))
 
     def escalate(self) -> "PrecisionPolicy":
         return replace(self, target_decimal_digits=2 * self.target_decimal_digits)

@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from . import cartan, invariants, modfun, refdata
-from .numerics import BigComplex, DomainError, PrecisionPolicy, working_bits
+from .numerics import MINPOLY_DIGITS, BigComplex, DomainError, PrecisionPolicy, working_bits
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import (
     ClassGroup,
@@ -58,7 +58,7 @@ def check_reduced_forms() -> Check:
 
 
 def check_class_count(G: ClassGroup) -> Check:
-    return _check("class-count", G.order == 12, f"order {G.order}")
+    return _check("class-count", G.order == len(refdata.D200_CLASS_REPS), f"order {G.order}")
 
 
 def check_invariant_factors(G: ClassGroup) -> Check:
@@ -72,12 +72,12 @@ def check_invariant_factors(G: ClassGroup) -> Check:
 def check_group_table(G: ClassGroup) -> Check:
     perm = align_to_reference(G)
     bad = sum(
-        1
-        for i in range(12)
-        for j in range(12)
-        if G.table[perm[i]][perm[j]] != perm[refdata.D200_TABLE[i][j] - 1]
+        G.table[perm[i]][perm[j]] != perm[k - 1]
+        for i, row in enumerate(refdata.D200_TABLE)
+        for j, k in enumerate(row)
     )
-    return _check("group-table", len(set(perm)) == 12 and bad == 0, f"{144 - bad}/144 cells")
+    cells = len(perm) ** 2
+    return _check("group-table", len(set(perm)) == len(perm) and bad == 0, f"{cells - bad}/{cells} cells")
 
 
 def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: int) -> Check:
@@ -90,7 +90,7 @@ def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: int) -> C
     )
 
 
-def battery_paper(minpoly_digits: int = 700) -> List[Check]:
+def battery_paper(minpoly_digits: int = MINPOLY_DIGITS) -> List[Check]:
     ctx = OrderContext.from_disc(refdata.D200_DISC)
     G = class_enumerate(ctx, refdata.D200_LEVEL)
     return [
@@ -255,7 +255,7 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
         ]
 
 
-def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits: int = 700, norm_bound=None) -> List[Check]:
+def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits=MINPOLY_DIGITS, norm_bound=None) -> List[Check]:
     if name == "paper":
         return battery_paper(minpoly_digits=minpoly_digits)
     if name == "small":

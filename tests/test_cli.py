@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -101,22 +102,24 @@ def test_internal_errors_exit_code_and_one_line(capsys, monkeypatch, target, exc
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(exc) in lines[0]
 
 
-def test_minpoly_guard_below_two_fails_before_evaluation(capsys, monkeypatch):
-    # guard 1 makes the recognition tolerance 1: reject it before any invariant
+def test_minpoly_bad_policy_fails_before_evaluation(capsys, monkeypatch):
+    # an invalid precision policy is rejected before any invariant is evaluated
     monkeypatch.setattr(invariants, "g_ON", _raise(AssertionError("g_ON was called")))
-    argv = ["minpoly", "--disc", "-200", "--level", "12", "--digits", "1", "--guard", "1"]
-    got = cli.main(argv + ["--max-escalations", "1"])
-    captured = capsys.readouterr()
-    assert got == cli.EXIT_USAGE
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and "guard" in lines[0]
+    argv = ["minpoly", "--disc", "-200", "--level", "12"]
+    for bad, word in [(["--max-escalations", "-1"], "max_escalations"), (["--digits", "0"], "precision")]:
+        got = cli.main(argv + bad)
+        captured = capsys.readouterr()
+        assert got == cli.EXIT_USAGE
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and word in lines[0]
 
 
 @pytest.mark.parametrize(
     "command, option",
     [
         ("classgroup", "--threads"),
+        ("minpoly", "--guard"),
         *((c, "--digits") for c in ("classgroup", "cartan")),
         *((c, "--seed") for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants")),
         *((c, "--norm-bound") for c in ("minpoly", "lderiv", "cartan", "invariants")),
@@ -243,7 +246,7 @@ def cli_argv(draw):
         if draw(st.booleans()):
             argv += ["--norm-bound", draw(FUZZ_VALUES)]
     elif command == "minpoly":
-        argv += ["--digits", draw(FUZZ_VALUES), "--guard", str(draw(st.integers(-1, 4)))]
+        argv += ["--digits", draw(FUZZ_VALUES)]
         argv += ["--max-escalations", str(draw(st.integers(-1, 1)))]
     elif command in ("lderiv", "invariants"):
         argv += ["--digits", draw(FUZZ_VALUES)]
@@ -301,6 +304,20 @@ def test_invariants_json(capsys, schema):
     assert code == 0
     jsonschema.validate(payload, schema)
     assert len(payload["values"]) == 12
+
+
+def test_invariants_prints_parts_below_accuracy_as_zero(capsys):
+    # j of a class whose reduced form is ambiguous is real; its computed
+    # imaginary part is about 1e-62 of |j| at 30 digits, below the accuracy
+    code, payload = run_json(
+        capsys, "invariants", "--disc", "-200", "--level", "3", "--family", "j",
+        "--digits", "30", "--format", "json",
+    )
+    assert code == 0
+    parts = [re.fullmatch(r"(.+?)([+-][^+-]*(?:e[+-][0-9]+)?)j", v).groups() for v in payload["values"]]
+    assert sum(im == "+0.0" for _, im in parts) == 4
+    for x, y in parts:
+        assert float(y) == 0 or abs(float(y)) >= 1e-30 * abs(complex(float(x), float(y)))
 
 
 def test_verify_unknown_battery_exit_2(capsys):

@@ -26,11 +26,11 @@ from classfield.invariants import (
     minimal_polynomial,
 )
 from classfield.numerics import (
+    GUARD_DIGITS,
     BigComplex,
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
-    bits_for_digits,
     recognize_integer,
     working_bits,
 )
@@ -204,7 +204,7 @@ def test_precision_monotonicity(ctx200, G200):
     r2 = minimal_polynomial(ctx200, 3, PrecisionPolicy(180), class_group=G200)
     assert r1.ok and r2.ok
     # guard digits do not double, so the quadratic law carries a 10^guard offset
-    slack = 10.0 ** (modfun.GUARD_DIGITS + 10)
+    slack = 10.0 ** (GUARD_DIGITS + 10)
     for a, b in zip(r1.residuals, r2.residuals):
         assert b < max(a * a, 1e-300) * slack
 
@@ -233,11 +233,11 @@ def reference_minimal_polynomial(ctx, N, policy, G):
     pol = policy
     for attempt in range(policy.max_escalations + 1):
         digits = pol.target_decimal_digits
-        prec = bits_for_digits(pol.working_digits)
+        prec = working_bits(digits)
         values = [g_ON(Q, ctx, N, digits) for Q in G.reps]
         with mp.workprec(53):
             log2_m = sum(max(0.0, float(mpmath.log(abs(v.to_mpc()), 2))) for v in values)
-        if gate_bits(G.order, N, log2_m, tol) < min(prec, working_bits(digits)):
+        if gate_bits(G.order, N, log2_m, tol) < prec:
             coeffs = reference_expand_monic(values, prec)[::-1]
             ints = [recognize_integer(BigComplex.from_mpc(c, prec), tol) for c in coeffs]
             if None not in ints:
@@ -273,9 +273,9 @@ def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
     ctx, G = _halving_group(-88, 5)
     policy = PrecisionPolicy(45)
     tol = policy.recognition_tol()
-    prec = bits_for_digits(policy.working_digits)
+    prec = working_bits(45)
     truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
-    linear, quadratic, _ = _real_factors(G, ctx, 5, 45, tol, prec)
+    linear, quadratic, _ = _real_factors(G, ctx, 5, 45, tol)
     with mp.workprec(prec):
         coeffs = _expand_real(linear, quadratic, prec)[::-1]
         assert all(abs(c - mpmath.nint(c)) < tol for c in coeffs)

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.modfun import FrickeIndex
-from classfield.numerics import BigComplex, DomainError, bits_for_digits, working_bits
+from classfield.numerics import GUARD_DIGITS, BigComplex, DomainError, bits_for_digits, working_bits
 from classfield.quadforms import OrderContext, enumerate_reduced
 
 DIGITS = 60
@@ -128,7 +128,7 @@ def test_series_match_reference_products(xy, v, digits):
         (modfun.theta1(omega, tau, digits), reference_theta1_product(omega, tau, digits)),
     ]
     with mp.workprec(prec):
-        bound = mpmath.mpf(10) ** -(digits + modfun.GUARD_DIGITS - 5)
+        bound = mpmath.mpf(10) ** -(digits + GUARD_DIGITS - 5)
         for new, ref in pairs:
             assert abs(new.to_mpc() - ref.to_mpc()) <= bound * abs(ref.to_mpc())
 
@@ -161,6 +161,37 @@ def test_series_truncation_rule(monkeypatch):
                     assert abs(a.to_mpc() - b.to_mpc()) <= mpmath.mpf(2) ** -prec * abs(b.to_mpc())
     finally:
         modfun._point.cache_clear()
+
+
+def _eisenstein_and_wp_values(D, N, digits):
+    """g2, g3, Delta, j_eisenstein, and wp, wp' at the N-torsion point
+    (tau + 1)/N, at every reduced point tau of discriminant D.  Of the wp
+    series, the one in q^n/e(z) decays slowest, as |q|^(n - 1/N) here."""
+    prec = working_bits(digits)
+    values = []
+    for R in enumerate_reduced(D):
+        tau = R.omega(digits)
+        with mp.workprec(prec):
+            z = BigComplex.from_mpc((tau.to_mpc() + 1) / N, prec)
+        values += [*modfun.g2_g3_delta(tau, digits), modfun.j_eisenstein(tau, digits)]
+        values += modfun.wp(z, tau, digits)
+    return values
+
+
+@pytest.mark.parametrize("D, N", [(-104, 5), (-200, 3)])
+@pytest.mark.parametrize("digits", [60, 700])
+def test_eisenstein_and_wp_truncation_rule(monkeypatch, D, N, digits):
+    # the Eisenstein and Weierstrass series are cut where the geometric tail
+    # drops below 2^-working_bits(digits): five more terms move no value by
+    # more than 2^-prec relative
+    prec = working_bits(digits)
+    values = _eisenstein_and_wp_values(D, N, digits)
+    nterms = modfun._nterms
+    monkeypatch.setattr(modfun, "_nterms", lambda t, d, extra=0: nterms(t, d, extra) + 5)
+    more = _eisenstein_and_wp_values(D, N, digits)
+    with mp.workprec(prec):
+        for a, b in zip(values, more):
+            assert abs(a.to_mpc() - b.to_mpc()) <= mpmath.mpf(2) ** -prec * abs(b.to_mpc())
 
 
 # -- eta ----------------------------------------------------------------------

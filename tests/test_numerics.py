@@ -1,10 +1,15 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp
 
+import classfield
 from classfield.numerics import (
+    GUARD_DIGITS,
+    MAX_ESCALATIONS,
     BigComplex,
     DomainError,
     FormatError,
@@ -75,8 +80,8 @@ def test_recognize_integer_refuses_unresolvable_magnitudes():
 
 def test_precision_policy():
     p = PrecisionPolicy(100)
-    assert p.guard_digits == 30 and p.max_escalations == 4
-    assert p.working_digits == 130
+    assert p.max_escalations == MAX_ESCALATIONS == 4
+    assert p.working_digits == 100 + GUARD_DIGITS == 130
     assert p.escalate().target_decimal_digits == 200
     with mp.workprec(64):
         assert p.recognition_tol() == mpmath.mpf(10) ** -15
@@ -84,9 +89,18 @@ def test_precision_policy():
         PrecisionPolicy(0)
 
 
-def test_precision_policy_rejects_guard_below_two():
-    # guard 1 makes the recognition tolerance 10^0, which no value passes
-    with pytest.raises(DomainError, match="at least 2, not 1"):
-        PrecisionPolicy(100, guard_digits=1)
-    with mp.workprec(64):
-        assert PrecisionPolicy(100, guard_digits=2).recognition_tol() == mpmath.mpf("0.1")
+def test_guard_digits_named_only_in_numerics():
+    # the guard-digit rule has one home; every other module goes through
+    # working_bits or PrecisionPolicy
+    naming = set()
+    for path in Path(classfield.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+                getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+            )
+            if "GUARD_DIGITS" in names:
+                naming.add(path.name)
+    assert naming == {"numerics.py"}
