@@ -21,7 +21,6 @@ import mpmath
 from . import cartan, invariants, lfunctions, verify
 from .numerics import (
     MAX_ESCALATIONS,
-    MINPOLY_DIGITS,
     BigComplex,
     DomainError,
     InvariantViolation,
@@ -261,7 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classgroup)
 
     p = sub.add_parser("minpoly", help="integer minimal polynomial of the identity invariant")
-    common(p, digits_default=MINPOLY_DIGITS)
+    common(p)
+    # no --digits: a probe sizes the first pass from the precision gate
+    p.add_argument("--digits", type=int, default=None)
     p.add_argument("--max-escalations", type=int, default=MAX_ESCALATIONS)
     p.set_defaults(fn=cmd_minpoly)
 
@@ -281,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named check battery")
     p.add_argument("battery", choices=("small", "paper", "full"))
-    p.add_argument("--digits", type=int, default=MINPOLY_DIGITS)
+    p.add_argument("--digits", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--norm-bound", type=int, default=None)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import List, Literal, Optional, Tuple
@@ -271,6 +271,10 @@ def _expand_real(linear, quadratic, prec: int) -> List[mpmath.mpf]:
 # rounding, before the 12N-th power multiplies its relative error by 12N; the
 # worst measured is 3.1 bits, and tests/test_invariants.py checks the allowance
 G_ON_LOSS_BITS = 8
+# with no target digits, a probe evaluates the real factors at PROBE_DIGITS for
+# log2 M, and the first pass works PROBE_MARGIN_BITS above what the gate needs
+PROBE_DIGITS = 10
+PROBE_MARGIN_BITS = 16
 
 
 def gate_bits(n: int, N: int, log2_m: float, tol) -> float:
@@ -292,6 +296,25 @@ def gate_bits(n: int, N: int, log2_m: float, tol) -> float:
     return spread + log2_m + math.log2(12 * N) + G_ON_LOSS_BITS - float(mpmath.log(tol, 2))
 
 
+def probe_digits(G: ClassGroup, ctx: OrderContext, N: int, tol) -> int:
+    """Fewest digits d with working_bits(d) > gate_bits + PROBE_MARGIN_BITS,
+    log2 M taken from the real factors at PROBE_DIGITS.
+
+    log2 M needs each |g(C)| to a few bits only, so the probe is cheap; the
+    pass it sizes recomputes log2 M from its own values and gates on those.
+    """
+    _, _, log2_m = _real_factors(G, ctx, N, PROBE_DIGITS, tol)
+    need = gate_bits(G.order, N, log2_m, tol)
+    digits = 1
+    while working_bits(digits) <= need + PROBE_MARGIN_BITS:
+        digits += 1
+    log.info(
+        "minpoly probe: %d digits give log2 M %.1f, gate needs %.1f bits, chose %d digits",
+        PROBE_DIGITS, log2_m, need, digits,
+    )
+    return digits
+
+
 def minimal_polynomial(
     ctx: OrderContext,
     N: int,
@@ -311,6 +334,7 @@ def minimal_polynomial(
     gate or recognition the target precision doubles, up to the policy's
     escalation budget; the last pass always expands, and a failure returns
     its coefficients and residuals instead of rounding anything silently.
+    A policy without target digits starts at probe_digits.
     """
     _check_ctx(ctx)
     if N < 2:
@@ -318,6 +342,8 @@ def minimal_polynomial(
     G = class_group or class_enumerate(ctx, N)
     n = G.order
     tol = policy.recognition_tol()
+    if policy.target_decimal_digits is None:
+        policy = replace(policy, target_decimal_digits=probe_digits(G, ctx, N, tol))
     pol = policy
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits

@@ -329,15 +329,19 @@ def wp(z: BigComplex, tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComp
             raise DomainError("wp pole: z lies on the lattice")
         nmax = _nterms(abs(q), digits, extra=4)
         twopii = 2j * mpmath.pi
-        p = mpmath.mpf(1) / 12 + u / (1 - u) ** 2
-        dp = u * (1 + u) / (1 - u) ** 3
+        # cubes are multiplied out: mpmath's integer power takes a log and an
+        # exp once the parts' exponents are far apart, as in 1 - q^n u
+        w = 1 - u
+        p = mpmath.mpf(1) / 12 + u / w**2
+        dp = u * (1 + u) / (w * w * w)
         qn = mpmath.mpc(1)
         for _ in range(1, nmax + 1):
             qn *= q
             a = qn * u
             b = qn / u
-            p += a / (1 - a) ** 2 + b / (1 - b) ** 2 - 2 * qn / (1 - qn) ** 2
-            dp += a * (1 + a) / (1 - a) ** 3 - b * (1 + b) / (1 - b) ** 3
+            wa, wb = 1 - a, 1 - b
+            p += a / wa**2 + b / wb**2 - 2 * qn / (1 - qn) ** 2
+            dp += a * (1 + a) / (wa * wa * wa) - b * (1 + b) / (wb * wb * wb)
         val_p = twopii**2 * p
         val_dp = twopii**3 * dp
     return BigComplex.from_mpc(val_p, prec), BigComplex.from_mpc(val_dp, prec)

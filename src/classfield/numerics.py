@@ -69,20 +69,23 @@ def working_bits(digits: int) -> int:
     return bits_for_digits(digits + GUARD_DIGITS)
 
 
-# the minimal polynomial's default target digits and doubling budget
-MINPOLY_DIGITS = 700
+# the minimal polynomial's default doubling budget
 MAX_ESCALATIONS = 4
 
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """Target precision plus escalation rules for integer recognition."""
+    """Target precision plus escalation rules for integer recognition.
 
-    target_decimal_digits: int
+    A target of None leaves the first pass's digits to the caller's probe
+    (`invariants.probe_digits`); doubling from there follows the same rules.
+    """
+
+    target_decimal_digits: Optional[int] = None
     max_escalations: int = MAX_ESCALATIONS
 
     def __post_init__(self):
-        if self.target_decimal_digits <= 0:
+        if self.target_decimal_digits is not None and self.target_decimal_digits <= 0:
             raise DomainError("precision parameters must be positive")
         if self.max_escalations < 0:
             raise DomainError("max_escalations must be nonnegative")

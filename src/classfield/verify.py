@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from . import cartan, invariants, modfun, refdata
-from .numerics import MINPOLY_DIGITS, BigComplex, DomainError, PrecisionPolicy, working_bits
+from .numerics import BigComplex, DomainError, PrecisionPolicy, working_bits
 from .orderideals import form_ideal_dictionary, oracle_class_group, tables_isomorphic
 from .quadforms import (
     ClassGroup,
@@ -80,7 +80,7 @@ def check_group_table(G: ClassGroup) -> Check:
     return _check("group-table", len(set(perm)) == len(perm) and bad == 0, f"{cells - bad}/{cells} cells")
 
 
-def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: int) -> Check:
+def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: Optional[int]) -> Check:
     res = invariants.minimal_polynomial(ctx, G.level, PrecisionPolicy(digits), class_group=G)
     worst = max(res.residuals) if res.residuals else float("nan")
     return _check(
@@ -90,7 +90,7 @@ def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: int) -> C
     )
 
 
-def battery_paper(minpoly_digits: int = MINPOLY_DIGITS) -> List[Check]:
+def battery_paper(minpoly_digits: Optional[int] = None) -> List[Check]:
     ctx = OrderContext.from_disc(refdata.D200_DISC)
     G = class_enumerate(ctx, refdata.D200_LEVEL)
     return [
@@ -255,7 +255,7 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
         ]
 
 
-def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits=MINPOLY_DIGITS, norm_bound=None) -> List[Check]:
+def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits=None, norm_bound=None) -> List[Check]:
     if name == "paper":
         return battery_paper(minpoly_digits=minpoly_digits)
     if name == "small":

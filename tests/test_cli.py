@@ -161,6 +161,18 @@ def test_minpoly_honest_failure_exit_3(capsys, schema):
     assert len(payload["unrecognized"]) == 13
 
 
+def test_minpoly_and_verify_paper_without_digits_use_the_probe(capsys, schema):
+    code, payload = run_json(capsys, "minpoly", "--disc", "-200", "--level", "3", "--format", "json")
+    assert code == 0
+    jsonschema.validate(payload, schema)
+    assert payload["ok"] is True and payload["escalations"] == "0"
+    assert payload["coefficients"][1] == "-19732842623587344380"
+    code, payload = run_json(capsys, "verify", "paper", "--format", "json")
+    assert code == 0
+    jsonschema.validate(payload, schema)
+    assert payload["passed"] == payload["total"] == 5
+
+
 def test_minpoly_info_log_leaves_stdout_unchanged(capsys, caplog):
     argv = ["minpoly", "--disc", "-200", "--level", "3", "--digits", "40", "--format", "json"]
     quiet = run_cli(capsys, *argv)

@@ -1,16 +1,18 @@
+import json
 import logging
 import random
 import re
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
-from classfield import modfun
+from classfield import invariants, modfun
 from classfield.invariants import (
     G_ON_LOSS_BITS,
     FamilyId,
@@ -321,6 +323,49 @@ def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200, G200):
     assert "40 digits" in lines[0] and "escalating" in lines[0] and "worst residual -" in lines[0]
     assert f"{res.precision_used} digits" in lines[-1] and ", ok," in lines[-1]
     assert re.search(r"gate needs [0-9.]+ of [0-9]+ bits", lines[-1])
+
+
+# the benchmark's frozen minimal polynomials, computed at 1400 digits
+FROZEN_MINPOLYS = json.loads((Path(__file__).parents[1] / "perfbench" / "minpolys.json").read_text())
+
+
+@pytest.mark.parametrize("D, N", [(-200, 3), *(tuple(map(int, k.split(","))) for k in FROZEN_MINPOLYS["polynomials"])])
+def test_probe_sized_pass_recognizes_in_one_pass(D, N):
+    ctx, G = _halving_group(D, N)
+    res = minimal_polynomial(ctx, N, PrecisionPolicy(), class_group=G)
+    want = D200_MINPOLY if (D, N) == (-200, 3) else [int(c) for c in FROZEN_MINPOLYS["polynomials"][f"{D},{N}"]]
+    assert res.ok and res.escalations == 0
+    assert res.coefficients == want
+
+
+@settings(max_examples=8, deadline=None)
+@given(case=st.sampled_from(HALVING_POOL))
+def test_probe_sized_pass_matches_a_pass_at_twice_its_digits(case):
+    ctx, G = _halving_group(*case)
+    res = minimal_polynomial(ctx, case[1], PrecisionPolicy(), class_group=G)
+    ref = minimal_polynomial(ctx, case[1], PrecisionPolicy(2 * res.precision_used), class_group=G)
+    assert res.ok and ref.ok and res.escalations == 0
+    assert res.coefficients == ref.coefficients
+
+
+def test_probe_too_low_falls_back_to_doubling(monkeypatch, ctx200, G200):
+    # the probe only sizes the first pass; the gate still decides, and doubles
+    monkeypatch.setattr(invariants, "probe_digits", lambda *args: 20)
+    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(), class_group=G200)
+    assert res.ok and res.coefficients == D200_MINPOLY
+    assert res.escalations == 2 and res.precision_used == 80
+
+
+def test_probe_logs_its_choice_before_the_pass(caplog, ctx200, G200):
+    with caplog.at_level(logging.INFO, logger="classfield"):
+        res = minimal_polynomial(ctx200, 3, PrecisionPolicy(), class_group=G200)
+    lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
+    assert res.ok and len(lines) == 2
+    assert re.fullmatch(
+        rf"minpoly probe: 10 digits give log2 M [0-9.]+, gate needs [0-9.]+ bits, chose {res.precision_used} digits",
+        lines[0],
+    )
+    assert lines[1].startswith(f"minpoly pass 0: {res.precision_used} digits")
 
 
 def test_g_on_n1_positive_real_and_representative_free(ctx200):
