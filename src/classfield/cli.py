@@ -121,12 +121,15 @@ def cmd_lderiv(args) -> int:
         raise DomainError(f"--character must lie in [0, {G.order}), not {args.character}")
     logs = lfunctions.log_g_values(G, ctx, args.digits)
     which = range(G.order) if args.character is None else [args.character]
-    values = {k: lfunctions.lderiv0(G.characters[k], G, ctx, args.digits, logs=logs) for k in which}
     inversion = None
     if args.character is None:
-        # recover ln|g(C)| from all characters, at the precision lderiv0 summed at
+        values = dict(enumerate(lfunctions.lderiv0_all(G, ctx, args.digits, logs)))
+        # recover ln|g(C)| from all characters, at the precision the sums ran at
         inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, working_bits(args.digits))
-    # lderiv0 sums at working_bits(digits), so its absolute accuracy is below
+    else:
+        k = args.character
+        values = {k: lfunctions.lderiv0(G.characters[k], G, ctx, args.digits, logs=logs)}
+    # the sums run at working_bits(digits), so their absolute accuracy is below
     # 10^-digits and any part smaller than that prints as zero
     tiny = mpmath.mpf(10) ** -args.digits
     shown = {k: _zero_below(z, tiny) for k, z in values.items()}
@@ -218,6 +221,11 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # every battery checks its options, also those it does not use
+    if args.digits is not None:
+        _require_digits(args)
+    if args.norm_bound is not None and args.norm_bound < 1:
+        raise DomainError(f"--norm-bound must be at least 1, not {args.norm_bound}")
     checks = verify.run_battery(
         args.battery,
         seed=args.seed,

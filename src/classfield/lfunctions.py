@@ -6,28 +6,35 @@ integral ideals bucketed by ray class, and the shifted lattice zeta attached to
 a representing form, evaluated by Poisson summation over a reduced basis
 (Chowla-Selberg).  The s = 0 derivative itself is the closed-form finite sum
 over class invariants; no analytic continuation machinery is implemented.
+
+Over all characters at once that sum is a finite Fourier transform on the
+class group.  `lderiv0_all` runs it, and `fourier_inversion_residual` its
+transpose with conjugate roots, along the greedy walk that class_enumerate
+stores on the ClassGroup: one stage per walk step, each a twiddle and a
+length-m DFT split over the prime factors of m (mixed-radix Cooley-Tukey), so
+n classes cost n * (sum of the primes) products in place of n^2.
 """
 
 from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import mpmath
 from mpmath import mp
 
 from . import modfun
-from .invariants import g_ON
+from .invariants import _conjugate_partners, g_ON
 from .numerics import BigComplex, DomainError, working_bits
 from .orderideals import _class_bases, integral_ideals, ray_label
-from .quadforms import ClassGroup, Form, OrderContext, _unit_coords, reduce_form
+from .quadforms import ClassGroup, Form, OrderContext, Walk, _unit_coords, reduce_form
 
 __all__ = [
     "ZetaPartial",
@@ -36,6 +43,7 @@ __all__ = [
     "zeta_lattice_partial",
     "log_g_values",
     "lderiv0",
+    "lderiv0_all",
     "fourier_inversion_residual",
     "kronecker_xi",
 ]
@@ -89,19 +97,26 @@ def zeta_ideal_partial_all(
     for norm, L in integral_ideals(ctx, bound, coprime_to=N):
         lab = ray_label(ctx, L, N, bases)
         norms.setdefault(lab, []).append(norm)
+    for ns in norms.values():
+        ns.sort()
     prec = working_bits(digits)
-    out = {}
     with mp.workprec(prec):
         s_ = s.to_mpc()
-        for lab, ns in norms.items():
-            total = mpmath.mpc(0)
-            # one exp-log per distinct norm of the class, times its ideal count
-            for n, count in sorted(Counter(ns).items()):
-                total += count * mpmath.exp(-s_ * mpmath.log(n))
-            # near-linear ideal count growth: sum_{n > B} count'(n)/n^Re(s)
-            kappa = len(ns) / bound
-            tail = float(2 * kappa * bound ** (1 - float(s.re)) / (float(s.re) - 1))
-            out[lab] = ZetaPartial(BigComplex.from_mpc(total, prec), len(ns), tail)
+        totals = [mpmath.mpc(0)] * len(norms)
+        # ascending norms over all classes: one exp-log per distinct norm,
+        # added times its ideal count to each class with ideals of that norm
+        sweep = heapq.merge(*(zip(ns, itertools.repeat(i)) for i, ns in enumerate(norms.values())))
+        last = None
+        for (n, i), run in itertools.groupby(sweep):
+            if n != last:
+                last, power = n, mpmath.exp(-s_ * mpmath.log(n))
+            totals[i] += sum(1 for _ in run) * power
+    out = {}
+    for (lab, ns), total in zip(norms.items(), totals):
+        # near-linear ideal count growth: sum_{n > B} count'(n)/n^Re(s)
+        kappa = len(ns) / bound
+        tail = float(2 * kappa * bound ** (1 - float(s.re)) / (float(s.re) - 1))
+        out[lab] = ZetaPartial(BigComplex.from_mpc(total, prec), len(ns), tail)
     return out
 
 
@@ -264,11 +279,18 @@ def zeta_lattice_partial(
 
 
 def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.mpf]:
-    """ln|g(C)| for every class, at working precision."""
+    """ln|g(C)| for every class, at working precision.
+
+    g(conj C) = conj g(C), so g_ON runs once per self-conjugate class and once
+    per conjugate pair, and both classes of a pair get the same logarithm.
+    """
     prec = working_bits(digits)
-    out = []
-    for Q in G.reps:
-        g = g_ON(Q, ctx, G.level, digits)
+    out: List[mpmath.mpf] = []
+    for i, j in enumerate(_conjugate_partners(G, G.level)):
+        if j < i:
+            out.append(out[j])
+            continue
+        g = g_ON(G.reps[i], ctx, G.level, digits)
         with mp.workprec(prec):
             out.append(mpmath.log(abs(g.to_mpc())))
     return out
@@ -284,7 +306,8 @@ def lderiv0(
     """L'(0, chi) = -1/(gamma 6N) * sum_C chi(C) ln|g(C)|.
 
     chi is a row of G.characters: chi(C_i) = e^(2 pi i chi[i]/e), e = G.exponent.
-    logs is log_g_values(G, ctx, digits).
+    logs is log_g_values(G, ctx, digits).  This is the one-character sum,
+    |G| products; lderiv0_all gives every character at once.
     """
     N = G.level
     gamma = gamma_ON(ctx, N)
@@ -298,6 +321,23 @@ def lderiv0(
     return BigComplex.from_mpc(total, prec)
 
 
+def lderiv0_all(
+    G: ClassGroup, ctx: OrderContext, digits: int, logs: Sequence[mpmath.mpf]
+) -> List[BigComplex]:
+    """lderiv0 of every character: entry k is L'(0, chi_k), chi_k = G.characters[k].
+
+    One transform along G's walk gives every sum_C chi_k(C) ln|g(C)| in
+    n * (sum of the prime factors of the walk's m) products.
+    """
+    N = G.level
+    gamma = gamma_ON(ctx, N)
+    prec = working_bits(digits)
+    sums = _character_sums(G._walk, G.exponent, logs, prec)
+    with mp.workprec(prec):
+        scale = mpmath.mpf(-1) / (gamma * 6 * N)
+        return [BigComplex.from_mpc(total * scale, prec) for total in sums]
+
+
 def fourier_inversion_residual(
     G: ClassGroup,
     ctx: OrderContext,
@@ -308,19 +348,113 @@ def fourier_inversion_residual(
     """max_i |scale * sum_k conj chi_k(C_i) L'(0, chi_k) - ln|g(C_i)||.
 
     Finite Fourier inversion of lderiv0 with scale = -gamma 6N / |G|:
-    values[k] is L'(0, chi_k) for every character k, at `prec` bits.
+    values[k] is L'(0, chi_k) for every character k, at `prec` bits.  The sums
+    over k are the transpose of lderiv0_all's transform, with conjugate roots.
     """
-    roots = _roots_of_unity(G.exponent, prec)
     with mp.workprec(prec):
         scale = mpmath.mpf(-gamma_ON(ctx, G.level) * 6 * G.level) / G.order
-        vals = [values[k].to_mpc() for k in range(G.order)]
-        worst = mpmath.mpf(0)
-        for i in range(G.order):
-            acc = mpmath.mpc(0)
-            for chi, v in zip(G.characters, vals):
-                acc += mpmath.conj(roots[chi[i]]) * v
-            worst = max(worst, abs(scale * acc - logs[i]))
-    return worst
+        # a generator, so that the transform holds the only copy of the values
+        sums = _class_sums(G._walk, G.exponent, (values[k].to_mpc() for k in range(G.order)), prec)
+        return max(abs(scale * acc - x) for acc, x in zip(sums, logs))
+
+
+# ---------------------------------------------------------------------------
+# the Fourier transform over the characters, along the class group's walk
+
+
+def _least_prime(m: int) -> int:
+    return next(p for p in range(2, m + 1) if m % p == 0)
+
+
+def _times_root(x, a: int, roots: Sequence[mpmath.mpc]):
+    """x times roots[a]; exact when that root is 1 or -1."""
+    e = len(roots)
+    a %= e
+    if a == 0:
+        return x
+    if 2 * a == e:
+        return -x
+    return roots[a] * x
+
+
+def _dft(xs: List, roots: Sequence[mpmath.mpc], step: int) -> List:
+    """[sum_i w^(i*j) xs[i] for j < m = len(xs)], with w = roots[step] a
+    primitive m-th root of unity.
+
+    Cooley-Tukey over the least prime p of m, i = i1 + p*i2 and j = j1 + r*j2
+    with r = m/p: r-point transforms of xs[i1::p], the twiddle w^(i1*j1),
+    then p-point sums, so each value costs about the sum of m's primes.
+    """
+    m = len(xs)
+    if m == 1:
+        return xs
+    p = _least_prime(m)
+    r = m // p
+    subs = [_dft(xs[i1::p], roots, step * p) for i1 in range(p)]
+    out = [None] * m
+    for j1 in range(r):
+        t = [_times_root(subs[i1][j1], i1 * j1 * step, roots) for i1 in range(p)]
+        for j2 in range(p):
+            acc = t[0]
+            for i1 in range(1, p):
+                acc += _times_root(t[i1], i1 * j2 * r * step, roots)
+            out[j1 + r * j2] = acc
+    return out
+
+
+def _character_sums(walk: Walk, e: int, xs: Sequence, prec: int) -> List:
+    """[sum_x chi_k(x) xs[x] for each character k], along the walk of a group
+    of exponent e, numbered as group_structure_from_table numbers them.
+
+    Before stage (m, column) the data holds, for each block of the walk
+    order and each character k of the subgroup H built so far, H's sum over
+    the block: data[r + i*|H| + k] for slice i of the block at r.  The stage
+    multiplies slice i by chi_k(g)^i without the j*e/m part, that is
+    roots[i*column[k]/m], and takes a length-m DFT over i into
+    data[r + k*m + j], the sum at character k*m + j.
+    """
+    elems, stages = walk
+    n = len(elems)
+    roots = _roots_of_unity(e, prec)
+    with mp.workprec(prec):
+        data = [xs[x] for x in elems]
+        size = 1
+        for m, column in stages:
+            block = m * size
+            for r in range(0, n, block):
+                sums = []
+                for k, b in enumerate(column):
+                    vals = [_times_root(data[r + i * size + k], i * (b // m), roots) for i in range(m)]
+                    sums += _dft(vals, roots, e // m)
+                # block by block in place, so about n values are alive at once
+                data[r : r + block] = sums
+            size = block
+    return data
+
+
+def _class_sums(walk: Walk, e: int, ys: Iterable, prec: int) -> List:
+    """[sum_k conj chi_k(x) ys[k] for each element x]: the stages of
+    _character_sums transposed and in reverse order, with conjugate roots."""
+    elems, stages = walk
+    n = len(elems)
+    roots = _roots_of_unity(e, prec)
+    with mp.workprec(prec):
+        data = list(ys)
+        size = n
+        for m, column in reversed(stages):
+            size //= m
+            block = m * size
+            for r in range(0, n, block):
+                slices = [[None] * size for _ in range(m)]
+                for k, b in enumerate(column):
+                    vals = _dft(data[r + k * m : r + (k + 1) * m], roots, -(e // m))
+                    for i, x in enumerate(vals):
+                        slices[i][k] = _times_root(x, -i * (b // m), roots)
+                data[r : r + block] = [x for row in slices for x in row]
+    out = [None] * n
+    for q, x in enumerate(elems):
+        out[x] = data[q]
+    return out
 
 
 def _on_lattice(omega: BigComplex, z: BigComplex, prec: int) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, working_bits
 
@@ -489,7 +489,10 @@ class ClassGroup:
     invariant_factors and characters come from group_structure_from_table's
     greedy walk over the table.  Characters are stored as integers over the
     group exponent e: characters[k][i] = v in [0, e) means chi_k(reps[i]) =
-    e^(2 pi i v/e), and characters[0] is the trivial character.
+    e^(2 pi i v/e), and characters[0] is the trivial character.  The walk
+    itself is kept as `_walk` (a Walk, outside equality and to_json, like
+    `_index`): lfunctions runs its Fourier transforms over the characters
+    along it.
     """
 
     disc: int
@@ -498,8 +501,9 @@ class ClassGroup:
     table: List[List[int]]
     invariant_factors: List[int]
     characters: List[List[int]]
-    # class_label -> index, filled in by class_enumerate
+    # class_label -> index and the greedy walk, filled in by class_enumerate
     _index: Dict[Tuple, int] = field(init=False, repr=False, compare=False)
+    _walk: Walk = field(init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -623,9 +627,10 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
                 table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
                 walk.append(z)
 
-    factors, characters = group_structure_from_table(table)
+    factors, characters, greedy_walk = group_structure_from_table(table)
     G = ClassGroup(ctx.disc, N, reps, table, factors, characters)
     G._index = index
+    G._walk = greedy_walk
     return G
 
 
@@ -651,9 +656,26 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> None:
                         raise InvariantViolation("table is not associative")
 
 
-def group_structure_from_table(table: Sequence[Sequence[int]]) -> Tuple[List[int], List[List[int]]]:
-    """(invariant factors d_1 | d_2 | ..., character table) of an abelian table
-    whose identity is element 0.
+class Walk(NamedTuple):
+    """The greedy walk of group_structure_from_table.
+
+    `elems` lists the elements in walk order.  Stage t adjoins g_t, of order
+    m_t over the subgroup H built so far: with size = |H|, element
+    i*size + p of the order is elems[p]*g_t^i, and character k*m_t + j of
+    H<g_t> extends character k of H by chi(g_t) = (column[k] + j*e)/(m_t*e),
+    where column[k] = e*chi_k(g_t^m_t) and e is the group exponent.
+    `stages` holds (m_t, column) for each stage, in walk order.
+    """
+
+    elems: List[int]
+    stages: List[Tuple[int, List[int]]]
+
+
+def group_structure_from_table(
+    table: Sequence[Sequence[int]],
+) -> Tuple[List[int], List[List[int]], Walk]:
+    """(invariant factors d_1 | d_2 | ..., character table, walk) of an abelian
+    table whose identity is element 0.
 
     A greedy walk grows a subgroup H from {0}, with its characters.  Each
     step adjoins the least g of largest order m over H; g spans a direct summand
@@ -669,6 +691,7 @@ def group_structure_from_table(table: Sequence[Sequence[int]]) -> Tuple[List[int
     pos = {0: 0}  # element -> its index in elems
     chars = [[0]]  # chars[k][p] * (1/e) = chi_k(elems[p]) mod 1, e the exponent
     factors: List[int] = []
+    stages: List[Tuple[int, List[int]]] = []
     e = 1
     while len(elems) < n:
         m = 0
@@ -689,11 +712,14 @@ def group_structure_from_table(table: Sequence[Sequence[int]]) -> Tuple[List[int
             for h in elems[:size]:
                 pos[table[h][power]] = len(elems)
                 elems.append(table[h][power])
+        column = [row[pos[gm]] for row in chars]
+        stages.append((m, column))
         chars = [
             row + [(row[p] + i * c) % e for i in range(1, m) for p in range(size)]
-            for row in chars
-            for c in ((row[pos[gm]] + j * e) // m for j in range(m))
+            for row, b in zip(chars, column)
+            for c in ((b + j * e) // m for j in range(m))
         ]
     if sorted(elems) != list(range(n)):
         raise InvariantViolation("the walk did not list every element exactly once")
-    return factors[::-1], [[row[pos[x]] for x in range(n)] for row in chars]
+    characters = [[row[pos[x]] for x in range(n)] for row in chars]
+    return factors[::-1], characters, Walk(elems, stages)

@@ -9,12 +9,16 @@ import sys
 from importlib import resources
 
 import jsonschema
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import classfield
-from classfield import cartan, cli, invariants, verify
-from classfield.numerics import DomainError, InvariantViolation, ResourceError
+import fourier_reference
+from classfield import cartan, cli, invariants, lfunctions, verify
+from classfield.numerics import DomainError, InvariantViolation, ResourceError, working_bits
+from classfield.quadforms import OrderContext, class_enumerate
 
 
 @pytest.fixture(scope="module")
@@ -223,18 +227,46 @@ def test_lderiv_inversion_residual_has_guard_digits(capsys):
     assert float(payload["inversion_residual"]) < 1e-80
 
 
+@pytest.mark.parametrize("D, N", [(-200, 3), (-116, 5)])
+def test_lderiv_transform_prints_the_per_character_sums(capsys, D, N):
+    # the walk transform against one n-term sum per character, with ln|g|
+    # from one g_ON per class, and the inversion against the n^2 reference
+    code, payload = run_json(
+        capsys, "lderiv", "--disc", str(D), "--level", str(N), "--digits", "60", "--format", "json"
+    )
+    assert code == 0
+    ctx = OrderContext.from_disc(D)
+    G = class_enumerate(ctx, N)
+    prec = working_bits(60)
+    with mp.workprec(prec):
+        logs = [mpmath.log(abs(invariants.g_ON(Q, ctx, N, 60).to_mpc())) for Q in G.reps]
+    assert payload["per_class_log_g"] == [mpmath.nstr(x, 60) for x in logs]
+    values = [lfunctions.lderiv0(chi, G, ctx, 60, logs=logs) for chi in G.characters]
+    tiny = mpmath.mpf(10) ** -60
+    want = {str(k): cli._zero_below(v, tiny).to_decimal(60) for k, v in enumerate(values)}
+    assert {k: c["lderiv0"] for k, c in payload["characters"].items()} == want
+    assert float(payload["inversion_residual"]) < 1e-80
+    with mp.workprec(prec):
+        assert fourier_reference.fourier_inversion_residual(G, ctx, values, logs, prec) < mpmath.mpf(10) ** -80
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         *(["lderiv", "--character", k] for k in ("12", "99", "-1")),
         *([c, "--digits", d] for c in ("lderiv", "invariants") for d in ("0", "-5")),
         *(["classgroup", "--check-oracle", "--norm-bound", b] for b in ("0", "-5")),
+        # verify checks both options on every battery, also where it ignores them
+        *(["verify", b, o, "-5"] for b in ("small", "paper", "full") for o in ("--digits", "--norm-bound")),
+        ["verify", "small", "--digits", "0"],
+        ["verify", "paper", "--norm-bound", "0"],
     ],
 )
 def test_out_of_range_option_exit_2_with_one_line(capsys, argv):
-    # (-200, 3) has 12 classes, so characters 0..11
+    # (-200, 3) has 12 classes, so characters 0..11; verify takes no group
     command, *rest = argv
-    code = cli.main([command, "--disc", "-200", "--level", "3", *rest])
+    where = [] if command == "verify" else ["--disc", "-200", "--level", "3"]
+    code = cli.main([command, *where, *rest])
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE
     assert captured.out == ""

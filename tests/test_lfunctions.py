@@ -1,14 +1,18 @@
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
+import fourier_reference
 from classfield import modfun
 from classfield.lfunctions import (
     ZetaPartial,
+    _character_sums,
+    _class_sums,
     _roots_of_unity,
     fourier_inversion_residual,
     gamma_ON,
@@ -19,7 +23,16 @@ from classfield.lfunctions import (
 )
 from classfield.numerics import BigComplex, DomainError, bits_for_digits, working_bits
 from classfield.orderideals import _class_bases, integral_ideals, omega_ideal, ray_label
-from classfield.quadforms import SL2, Form, OrderContext, class_enumerate, enumerate_reduced, make_coprime
+from classfield.quadforms import (
+    SL2,
+    Form,
+    OrderContext,
+    class_enumerate,
+    enumerate_reduced,
+    group_structure_from_table,
+    make_coprime,
+)
+from test_quadforms import RNG_SEED, shuffled_product_tables
 
 DIGITS = 50
 PREC = working_bits(DIGITS)
@@ -234,6 +247,39 @@ def test_lderiv_fourier_inversion(ctx200, G200, logs200):
     residual = fourier_inversion_residual(G200, ctx200, vals, logs200, prec)
     with mp.workprec(prec):
         assert residual < mpmath.mpf(10) ** -45
+
+
+def assert_walk_transforms_match_n2_sums(walk, characters, e, rng, prec=100):
+    """Both transforms along the walk against the term-by-term sums, on
+    random real inputs forward and random complex ones transposed."""
+    n = len(characters)
+    with mp.workprec(prec):
+        xs = [mpmath.mpf(rng.uniform(-1, 1)) for _ in range(n)]
+        ys = [mpmath.mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(n)]
+        # each sum has n terms of modulus at most sqrt(2)
+        bound = 2 * n * mpmath.mpf(2) ** (20 - prec)
+        pairs = [
+            (_character_sums(walk, e, xs, prec), fourier_reference.character_sums(characters, e, xs, prec)),
+            (_class_sums(walk, e, ys, prec), fourier_reference.class_sums(characters, e, ys, prec)),
+        ]
+        for got, want in pairs:
+            assert len(got) == n
+            assert max(abs(a - b) for a, b in zip(got, want)) < bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(shuffled_product_tables(), st.randoms(use_true_random=False))
+def test_walk_transforms_match_n2_sums_on_shuffled_product_tables(case, rng):
+    _, _, table = case
+    factors, characters, walk = group_structure_from_table(table)
+    assert_walk_transforms_match_n2_sums(walk, characters, max(factors, default=1), rng)
+
+
+def test_walk_transforms_with_a_stage_of_three_primes():
+    # (-4000, 7) is Z2 x Z6 x Z30; its first stage is a 30-point DFT over 2, 3 and 5
+    G = class_enumerate(OrderContext.from_disc(-4000), 7)
+    assert [m for m, _ in G._walk.stages] == [30, 6, 2]
+    assert_walk_transforms_match_n2_sums(G._walk, G.characters, G.exponent, Random(RNG_SEED), prec=64)
 
 
 def test_lderiv_trivial_character_vanishes(ctx200, G200, logs200):

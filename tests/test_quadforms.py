@@ -344,7 +344,7 @@ def reference_enumerate(ctx, N):
         frontier = new_frontier
     table = [[add(compose_level(P, P2, ctx, N)) for P2 in reps] for P in reps]
     assert len(reps) == _expected_order(ctx, N)
-    factors, characters = group_structure_from_table(table)
+    factors, characters, _ = group_structure_from_table(table)
     return reps, table, factors, characters
 
 
@@ -382,7 +382,7 @@ def pairwise_table(ctx, N):
     for i in range(n):
         for j in range(i, n):
             table[i][j] = table[j][i] = index[class_label(compose_level(reps[i], reps[j], ctx, N), N)]
-    factors, characters = group_structure_from_table(table)
+    factors, characters, _ = group_structure_from_table(table)
     return table, factors, characters
 
 
@@ -500,8 +500,9 @@ def test_invariant_factors_reference(G200):
 
 
 def test_invariant_factors_trivial():
-    factors, chars = group_structure_from_table([[0]])
+    factors, chars, walk = group_structure_from_table([[0]])
     assert factors == [] and chars == [[0]]
+    assert walk.elems == [0] and walk.stages == []
 
 
 def test_invariant_factors_c15():
@@ -572,7 +573,7 @@ def invariant_factors_of(dims):
 def test_group_structure_of_shuffled_product_tables(case):
     dims, gens, table = case
     n = len(table)
-    factors, chars = group_structure_from_table(table)
+    factors, chars, _ = group_structure_from_table(table)
     expected = invariant_factors_of(dims)
     assert factors == expected
     assert len(chars) == n
