@@ -10,11 +10,10 @@ identity are out of scope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import FrozenSet, List, Tuple
+from typing import FrozenSet, Tuple
 
 from .numerics import DomainError
-from .quadforms import OrderContext, _unit_coords
+from .quadforms import OrderContext, _unit_coords, unit_group
 
 __all__ = ["mu", "unit_group", "cartan_groups", "CartanData"]
 
@@ -38,20 +37,6 @@ def _mat_mul(a: Mat, b: Mat, N: int) -> Mat:
         (a[2] * b[0] + a[3] * b[2]) % N,
         (a[2] * b[1] + a[3] * b[3]) % N,
     )
-
-
-def unit_group(ctx: OrderContext, N: int) -> List[Tuple[int, int]]:
-    """The (s, t) of every unit s*tau + t of O/NO: those whose multiplication
-    matrix is invertible mod N."""
-    if N < 1:
-        raise DomainError("level must be positive")
-    # det(mu(s, t)) is the norm of s*tau + t
-    return [
-        (s, t)
-        for s in range(N)
-        for t in range(N)
-        if gcd(ctx.elem_norm(t, s), N) == 1
-    ]
 
 
 @dataclass

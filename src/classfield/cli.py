@@ -72,7 +72,7 @@ def cmd_classgroup(args) -> int:
     G = class_enumerate(ctx, args.level)
     payload = {"kind": "classgroup", **G.to_json()}
     if args.check_oracle:
-        oracle = oracle_class_group(ctx, args.level, norm_bound=args.norm_bound)
+        oracle = oracle_class_group(ctx, args.level)
         phi = form_ideal_dictionary(oracle, G)
         payload["oracle_isomorphic"] = tables_isomorphic(oracle, G, phi)
         payload["oracle_dictionary"] = phi
@@ -117,22 +117,14 @@ def cmd_lderiv(args) -> int:
     _require_digits(args)
     ctx = _context(args)
     G = class_enumerate(ctx, args.level)
-    if args.character is not None and not 0 <= args.character < G.order:
-        raise DomainError(f"--character must lie in [0, {G.order}), not {args.character}")
     logs = lfunctions.log_g_values(G, ctx, args.digits)
-    which = range(G.order) if args.character is None else [args.character]
-    inversion = None
-    if args.character is None:
-        values = dict(enumerate(lfunctions.lderiv0_all(G, ctx, args.digits, logs)))
-        # recover ln|g(C)| from all characters, at the precision the sums ran at
-        inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, working_bits(args.digits))
-    else:
-        k = args.character
-        values = {k: lfunctions.lderiv0(G.characters[k], G, ctx, args.digits, logs=logs)}
+    values = lfunctions.lderiv0_all(G, ctx, args.digits, logs)
+    # recover ln|g(C)| from all characters, at the precision the sums ran at
+    inversion = lfunctions.fourier_inversion_residual(G, ctx, values, logs, working_bits(args.digits))
     # the sums run at working_bits(digits), so their absolute accuracy is below
     # 10^-digits and any part smaller than that prints as zero
     tiny = mpmath.mpf(10) ** -args.digits
-    shown = {k: _zero_below(z, tiny) for k, z in values.items()}
+    shown = [_zero_below(z, tiny) for z in values]
     exponents = G.characters_qz()
     payload = {
         "kind": "lderiv",
@@ -143,21 +135,20 @@ def cmd_lderiv(args) -> int:
         "characters": {
             str(k): {
                 "exponents": exponents[k],
-                "lderiv0": shown[k].to_decimal(args.digits),
+                "lderiv0": z.to_decimal(args.digits),
             }
-            for k in which
+            for k, z in enumerate(shown)
         },
-        "inversion_residual": None if inversion is None else mpmath.nstr(inversion, 5),
+        "inversion_residual": mpmath.nstr(inversion, 5),
     }
 
     def text():
         print(f"gamma = {payload['gamma']}")
         for i, x in enumerate(logs):
             print(f"  ln|g(g{i + 1})| = {mpmath.nstr(x, min(args.digits, 30))}")
-        for k in which:
-            print(f"  L'(0, chi_{k}) = {shown[k].to_decimal(min(args.digits, 30))}")
-        if args.character is None:
-            print(f"inversion residual: {payload['inversion_residual']}")
+        for k, z in enumerate(shown):
+            print(f"  L'(0, chi_{k}) = {z.to_decimal(min(args.digits, 30))}")
+        print(f"inversion residual: {payload['inversion_residual']}")
 
     _emit(payload, args.format, text)
     return EXIT_OK
@@ -221,17 +212,10 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # every battery checks its options, also those it does not use
+    # every battery checks --digits, also one that does not use it
     if args.digits is not None:
         _require_digits(args)
-    if args.norm_bound is not None and args.norm_bound < 1:
-        raise DomainError(f"--norm-bound must be at least 1, not {args.norm_bound}")
-    checks = verify.run_battery(
-        args.battery,
-        seed=args.seed,
-        minpoly_digits=args.digits,
-        norm_bound=args.norm_bound,
-    )
+    checks = verify.run_battery(args.battery, seed=args.seed, minpoly_digits=args.digits)
     n_ok = sum(1 for _, ok, _ in checks if ok)
     payload = {
         "kind": "verify",
@@ -264,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classgroup", help="level-N form class group")
     common(p)
     p.add_argument("--check-oracle", action="store_true")
-    p.add_argument("--norm-bound", type=int, default=None)
     p.set_defaults(fn=cmd_classgroup)
 
     p = sub.add_parser("minpoly", help="integer minimal polynomial of the identity invariant")
@@ -276,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lderiv", help="L'(0, chi) for the class group characters")
     common(p, digits_default=60)
-    p.add_argument("--character", type=int, default=None)
     p.set_defaults(fn=cmd_lderiv)
 
     p = sub.add_parser("cartan", help="Cartan subgroup orders and the order identity")
@@ -293,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--norm-bound", type=int, default=None)
     p.set_defaults(fn=cmd_verify)
     return ap
 

@@ -7,9 +7,10 @@ a representing form, evaluated by Poisson summation over a reduced basis
 (Chowla-Selberg).  The s = 0 derivative itself is the closed-form finite sum
 over class invariants; no analytic continuation machinery is implemented.
 
-Over all characters at once that sum is a finite Fourier transform on the
-class group.  `lderiv0_all` runs it, and `fourier_inversion_residual` its
-transpose with conjugate roots, along the greedy walk that class_enumerate
+That sum is computed for every character at once, as one finite Fourier
+transform on the class group; there is no one-character path.  `lderiv0_all`
+runs the transform, and `fourier_inversion_residual` its transpose with
+conjugate roots, along the greedy walk that class_enumerate
 stores on the ClassGroup: one stage per walk step, each a twiddle and a
 length-m DFT split over the prime factors of m (mixed-radix Cooley-Tukey), so
 n classes cost n * (sum of the primes) products in place of n^2.
@@ -42,7 +43,6 @@ __all__ = [
     "zeta_ideal_partial_all",
     "zeta_lattice_partial",
     "log_g_values",
-    "lderiv0",
     "lderiv0_all",
     "fourier_inversion_residual",
     "kronecker_xi",
@@ -296,38 +296,15 @@ def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.m
     return out
 
 
-def lderiv0(
-    chi: Sequence[int],
-    G: ClassGroup,
-    ctx: OrderContext,
-    digits: int,
-    logs: Sequence[mpmath.mpf],
-) -> BigComplex:
-    """L'(0, chi) = -1/(gamma 6N) * sum_C chi(C) ln|g(C)|.
-
-    chi is a row of G.characters: chi(C_i) = e^(2 pi i chi[i]/e), e = G.exponent.
-    logs is log_g_values(G, ctx, digits).  This is the one-character sum,
-    |G| products; lderiv0_all gives every character at once.
-    """
-    N = G.level
-    gamma = gamma_ON(ctx, N)
-    prec = working_bits(digits)
-    roots = _roots_of_unity(G.exponent, prec)
-    with mp.workprec(prec):
-        total = mpmath.mpc(0)
-        for i in range(G.order):
-            total += roots[chi[i]] * logs[i]
-        total *= mpmath.mpf(-1) / (gamma * 6 * N)
-    return BigComplex.from_mpc(total, prec)
-
-
 def lderiv0_all(
     G: ClassGroup, ctx: OrderContext, digits: int, logs: Sequence[mpmath.mpf]
 ) -> List[BigComplex]:
-    """lderiv0 of every character: entry k is L'(0, chi_k), chi_k = G.characters[k].
+    """L'(0, chi_k) = -1/(gamma 6N) * sum_C chi_k(C) ln|g(C)| for every
+    character: entry k is for chi_k = G.characters[k], with chi_k(C_i) =
+    e^(2 pi i chi_k[i]/e), e = G.exponent.  logs is log_g_values(G, ctx, digits).
 
-    One transform along G's walk gives every sum_C chi_k(C) ln|g(C)| in
-    n * (sum of the prime factors of the walk's m) products.
+    One transform along G's walk gives every sum in n * (sum of the prime
+    factors of the walk's m) products.
     """
     N = G.level
     gamma = gamma_ON(ctx, N)
@@ -347,14 +324,14 @@ def fourier_inversion_residual(
 ) -> mpmath.mpf:
     """max_i |scale * sum_k conj chi_k(C_i) L'(0, chi_k) - ln|g(C_i)||.
 
-    Finite Fourier inversion of lderiv0 with scale = -gamma 6N / |G|:
-    values[k] is L'(0, chi_k) for every character k, at `prec` bits.  The sums
-    over k are the transpose of lderiv0_all's transform, with conjugate roots.
+    Finite Fourier inversion of L'(0, chi) with scale = -gamma 6N / |G|:
+    values is the list lderiv0_all returns, at `prec` bits.  The sums over k
+    are the transpose of lderiv0_all's transform, with conjugate roots.
     """
     with mp.workprec(prec):
         scale = mpmath.mpf(-gamma_ON(ctx, G.level) * 6 * G.level) / G.order
         # a generator, so that the transform holds the only copy of the values
-        sums = _class_sums(G._walk, G.exponent, (values[k].to_mpc() for k in range(G.order)), prec)
+        sums = _class_sums(G._walk, G.exponent, (v.to_mpc() for v in values), prec)
         return max(abs(scale * acc - x) for acc, x in zip(sums, logs))
 
 

@@ -301,16 +301,14 @@ def ray_label(ctx: OrderContext, L: Ideal, N: int, bases: ClassBases) -> Tuple:
     return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
 
 
-def oracle_class_group(
-    ctx: OrderContext, N: int, norm_bound: Optional[int] = None
-) -> IdealClassOracle:
+def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
     Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
-    ray label.  The bound starts at norm_bound (None for a default from D and
-    N; below 1 is a DomainError) and is doubled until the independently
-    known class count is reached, over at most nine tries; ResourceError
-    names the last bound searched.
+    ray label.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
+    and is doubled until the independently known class count is reached,
+    over at most nine tries; ResourceError names the last bound searched,
+    and the result's norm_bound is the bound that reached the count.
     The table follows from the label group law: if w1, w2 generate
     L1*conj(B1), L2*conj(B2) and c12 generates B1*B2*conj(B3), then
     w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).  So only the base
@@ -321,12 +319,10 @@ def oracle_class_group(
     """
     if N < 1:
         raise DomainError("level must be positive")
-    if norm_bound is not None and norm_bound < 1:
-        raise DomainError(f"norm bound must be at least 1, not {norm_bound}")
     target = _expected_order(ctx, N)
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
-    start = norm_bound or max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
+    start = max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, Ideal] = {}
         for _, L in integral_ideals(ctx, bound, coprime_to=lN):

@@ -553,16 +553,23 @@ class ClassGroup:
         return "\n".join(lines)
 
 
-def _expected_order(ctx: OrderContext, N: int) -> int:
-    """|C_N(O)| = h * |(O/NO)*| / |image of the unit group|."""
-    units = sum(
-        1
+def unit_group(ctx: OrderContext, N: int) -> List[Tuple[int, int]]:
+    """The (s, t) of every unit s*tau + t of O/NO: those whose norm is prime
+    to N, that is whose multiplication matrix on {tau, 1} is invertible mod N."""
+    if N < 1:
+        raise DomainError("level must be positive")
+    return [
+        (s, t)
         for s in range(N)
         for t in range(N)
         if gcd(ctx.elem_norm(t, s), N) == 1
-    )
+    ]
+
+
+def _expected_order(ctx: OrderContext, N: int) -> int:
+    """|C_N(O)| = h * |(O/NO)*| / |image of the unit group|."""
     img = {(x % N, y % N) for (x, y) in _unit_coords(ctx)}
-    return class_number(ctx.disc) * units // len(img)
+    return class_number(ctx.disc) * len(unit_group(ctx, N)) // len(img)
 
 
 def _unit_coords(ctx: OrderContext) -> List[Tuple[int, int]]:

@@ -106,8 +106,8 @@ def battery_paper(minpoly_digits: Optional[int] = None) -> List[Check]:
 # form side against the ideal side, and the Cartan order identity
 
 
-def check_oracle_match(ctx: OrderContext, G: ClassGroup, norm_bound: Optional[int] = None) -> Check:
-    oracle = oracle_class_group(ctx, G.level, norm_bound=norm_bound)
+def check_oracle_match(ctx: OrderContext, G: ClassGroup) -> Check:
+    oracle = oracle_class_group(ctx, G.level)
     name = f"oracle-match D={ctx.disc} N={G.level}"
     if G.order != oracle.order:
         return _check(name, False, "orders differ")
@@ -121,14 +121,14 @@ def check_wuog(ctx: OrderContext, G: ClassGroup) -> Check:
     return _check(f"cartan-wuog D={ctx.disc} N={G.level}", ok)
 
 
-def battery_small(norm_bound: Optional[int] = None) -> List[Check]:
+def battery_small() -> List[Check]:
     """Form-side vs ideal-side oracle across the discriminant/level battery."""
     checks: List[Check] = []
     for D in refdata.BATTERY_DISCS:
         ctx = OrderContext.from_disc(D)
         for N in refdata.BATTERY_LEVELS:
             G = class_enumerate(ctx, N)
-            checks.append(check_oracle_match(ctx, G, norm_bound))
+            checks.append(check_oracle_match(ctx, G))
             if N >= 2:
                 checks.append(check_wuog(ctx, G))
     return checks
@@ -255,14 +255,14 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
         ]
 
 
-def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits=None, norm_bound=None) -> List[Check]:
+def run_battery(name: str, seed: int = DEFAULT_SEED, minpoly_digits=None) -> List[Check]:
     if name == "paper":
         return battery_paper(minpoly_digits=minpoly_digits)
     if name == "small":
-        return battery_small(norm_bound=norm_bound)
+        return battery_small()
     if name == "full":
         return (
-            battery_small(norm_bound=norm_bound)
+            battery_small()
             + battery_paper(minpoly_digits=minpoly_digits)
             + battery_modular(seed=seed)
         )

@@ -45,6 +45,17 @@ def class_sums(characters: Sequence[Sequence[int]], e: int, ys: Sequence, prec: 
     return out
 
 
+def lderiv0_values(
+    G: ClassGroup, ctx: OrderContext, logs: Sequence[mpmath.mpf], prec: int
+) -> List[BigComplex]:
+    """L'(0, chi_k) = -1/(gamma 6N) * sum_C chi_k(C) ln|g(C)| for every
+    character k, one n-term sum each, at `prec` bits."""
+    sums = character_sums(G.characters, G.exponent, logs, prec)
+    with mp.workprec(prec):
+        scale = mpmath.mpf(-1) / (gamma_ON(ctx, G.level) * 6 * G.level)
+        return [BigComplex.from_mpc(total * scale, prec) for total in sums]
+
+
 def fourier_inversion_residual(
     G: ClassGroup,
     ctx: OrderContext,
@@ -56,5 +67,5 @@ def fourier_inversion_residual(
     -gamma 6N / |G|, summed term by term."""
     with mp.workprec(prec):
         scale = mpmath.mpf(-gamma_ON(ctx, G.level) * 6 * G.level) / G.order
-        sums = class_sums(G.characters, G.exponent, [values[k].to_mpc() for k in range(G.order)], prec)
+        sums = class_sums(G.characters, G.exponent, [v.to_mpc() for v in values], prec)
         return max(abs(scale * acc - x) for acc, x in zip(sums, logs))

@@ -18,7 +18,7 @@ from classfield import refdata, verify
 from classfield.invariants import FamilyId, g_ON_from_ideal, general_invariant
 from classfield.lfunctions import (
     fourier_inversion_residual,
-    lderiv0,
+    lderiv0_all,
     zeta_ideal_partial_all,
     zeta_lattice_partial,
 )
@@ -145,7 +145,7 @@ def test_criterion_08_zeta_equivalence(ctx200, G200):
 
 def test_criterion_09_derivative_consistency(ctx200, G200, logs200):
     t0 = time.perf_counter()
-    vals = [lderiv0(chi, G200, ctx200, 60, logs=logs200) for chi in G200.characters]
+    vals = lderiv0_all(G200, ctx200, 60, logs200)
     prec = bits_for_digits(90)
     residual = fourier_inversion_residual(G200, ctx200, vals, logs200, prec)
     with mp.workprec(prec):

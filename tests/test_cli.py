@@ -16,7 +16,7 @@ from mpmath import mp
 
 import classfield
 import fourier_reference
-from classfield import cartan, cli, invariants, lfunctions, verify
+from classfield import cartan, cli, invariants, verify
 from classfield.numerics import DomainError, InvariantViolation, ResourceError, working_bits
 from classfield.quadforms import OrderContext, class_enumerate
 
@@ -126,12 +126,14 @@ def test_minpoly_bad_policy_fails_before_evaluation(capsys, monkeypatch):
         ("minpoly", "--guard"),
         *((c, "--digits") for c in ("classgroup", "cartan")),
         *((c, "--seed") for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants")),
-        *((c, "--norm-bound") for c in ("minpoly", "lderiv", "cartan", "invariants")),
+        *((c, "--norm-bound") for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants", "verify")),
+        ("lderiv", "--character"),
     ],
 )
 def test_removed_option_is_rejected(capsys, command, option):
+    where = ["small"] if command == "verify" else ["--disc", "-200", "--level", "3"]
     with pytest.raises(SystemExit):
-        cli.main([command, "--disc", "-200", "--level", "3", option, "2"])
+        cli.main([command, *where, option, "2"])
 
 
 def test_classgroup_text_table(capsys):
@@ -218,7 +220,7 @@ def test_lderiv_prints_parts_below_accuracy_as_zero(capsys):
 
 
 def test_lderiv_inversion_residual_has_guard_digits(capsys):
-    # the inversion sums at the guard digits lderiv0 summed at, so it shows the
+    # the inversion runs at the guard digits of the L'(0, chi) sums, so it shows the
     # identity's residual (about 1e-90) and not rounding noise near 10^-60
     code, payload = run_json(
         capsys, "lderiv", "--disc", "-200", "--level", "3", "--digits", "60", "--format", "json"
@@ -241,7 +243,7 @@ def test_lderiv_transform_prints_the_per_character_sums(capsys, D, N):
     with mp.workprec(prec):
         logs = [mpmath.log(abs(invariants.g_ON(Q, ctx, N, 60).to_mpc())) for Q in G.reps]
     assert payload["per_class_log_g"] == [mpmath.nstr(x, 60) for x in logs]
-    values = [lfunctions.lderiv0(chi, G, ctx, 60, logs=logs) for chi in G.characters]
+    values = fourier_reference.lderiv0_values(G, ctx, logs, prec)
     tiny = mpmath.mpf(10) ** -60
     want = {str(k): cli._zero_below(v, tiny).to_decimal(60) for k, v in enumerate(values)}
     assert {k: c["lderiv0"] for k, c in payload["characters"].items()} == want
@@ -253,17 +255,20 @@ def test_lderiv_transform_prints_the_per_character_sums(capsys, D, N):
 @pytest.mark.parametrize(
     "argv",
     [
-        *(["lderiv", "--character", k] for k in ("12", "99", "-1")),
         *([c, "--digits", d] for c in ("lderiv", "invariants") for d in ("0", "-5")),
-        *(["classgroup", "--check-oracle", "--norm-bound", b] for b in ("0", "-5")),
-        # verify checks both options on every battery, also where it ignores them
-        *(["verify", b, o, "-5"] for b in ("small", "paper", "full") for o in ("--digits", "--norm-bound")),
+        # verify checks --digits on every battery, also where it ignores it
+        *(["verify", b, "--digits", "-5"] for b in ("small", "paper", "full")),
         ["verify", "small", "--digits", "0"],
-        ["verify", "paper", "--norm-bound", "0"],
+        ["minpoly", "--digits", "0"],
+        ["minpoly", "--max-escalations", "-1"],
+        # a later --level replaces the 3 given before it; cartan and
+        # invariants need level >= 2
+        *([c, "--level", "0"] for c in ("classgroup", "minpoly", "lderiv", "cartan", "invariants")),
+        *([c, "--level", "1"] for c in ("cartan", "invariants")),
     ],
 )
 def test_out_of_range_option_exit_2_with_one_line(capsys, argv):
-    # (-200, 3) has 12 classes, so characters 0..11; verify takes no group
+    # verify takes no group
     command, *rest = argv
     where = [] if command == "verify" else ["--disc", "-200", "--level", "3"]
     code = cli.main([command, *where, *rest])
@@ -287,15 +292,11 @@ def cli_argv(draw):
     if command == "classgroup":
         if draw(st.booleans()):
             argv.append("--check-oracle")
-        if draw(st.booleans()):
-            argv += ["--norm-bound", draw(FUZZ_VALUES)]
     elif command == "minpoly":
         argv += ["--digits", draw(FUZZ_VALUES)]
         argv += ["--max-escalations", str(draw(st.integers(-1, 1)))]
     elif command in ("lderiv", "invariants"):
         argv += ["--digits", draw(FUZZ_VALUES)]
-        if command == "lderiv" and draw(st.booleans()):
-            argv += ["--character", draw(FUZZ_VALUES)]
         if command == "invariants":
             argv += ["--family", draw(st.sampled_from(["siegel", "fricke", "j"]))]
     return argv + ["--format", draw(st.sampled_from(["text", "json"]))]

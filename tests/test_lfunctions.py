@@ -17,7 +17,7 @@ from classfield.lfunctions import (
     fourier_inversion_residual,
     gamma_ON,
     kronecker_xi,
-    lderiv0,
+    lderiv0_all,
     zeta_ideal_partial_all,
     zeta_lattice_partial,
 )
@@ -242,7 +242,7 @@ def test_zeta_ideal_tail_against_closed_form():
 
 
 def test_lderiv_fourier_inversion(ctx200, G200, logs200):
-    vals = [lderiv0(chi, G200, ctx200, 60, logs=logs200) for chi in G200.characters]
+    vals = lderiv0_all(G200, ctx200, 60, logs200)
     prec = bits_for_digits(90)
     residual = fourier_inversion_residual(G200, ctx200, vals, logs200, prec)
     with mp.workprec(prec):
@@ -286,7 +286,7 @@ def test_lderiv_trivial_character_vanishes(ctx200, G200, logs200):
     # sum of ln|g(C)| equals ln|constant term| = ln 1 = 0
     triv = G200.characters[0]
     assert triv == [0] * G200.order
-    val = lderiv0(triv, G200, ctx200, 60, logs=logs200)
+    val = lderiv0_all(G200, ctx200, 60, logs200)[0]
     with mp.workprec(bits_for_digits(90)):
         assert abs(val.to_mpc()) < mpmath.mpf(10) ** -45
         assert abs(sum(logs200, mpmath.mpf(0))) < mpmath.mpf(10) ** -45
@@ -295,22 +295,24 @@ def test_lderiv_trivial_character_vanishes(ctx200, G200, logs200):
 def test_lderiv_real_for_real_characters(ctx200, G200, logs200):
     # chi is real when chi = conj chi, that is 2v = 0 mod e; Z2 x Z6 has four
     e = G200.exponent
-    real = [chi for chi in G200.characters if all(2 * v % e == 0 for v in chi)]
+    vals = lderiv0_all(G200, ctx200, 60, logs200)
+    real = [k for k, chi in enumerate(G200.characters) if all(2 * v % e == 0 for v in chi)]
     assert len(real) == 4
-    for chi in real:
-        v = lderiv0(chi, G200, ctx200, 60, logs=logs200)
+    for k in real:
+        v = vals[k]
         with mp.workprec(v.prec):
             assert abs(v.im) < mpmath.mpf(10) ** -45
 
 
 def test_lderiv_conjugation_equivariance(ctx200, G200, logs200):
     e = G200.exponent
+    vals = lderiv0_all(G200, ctx200, 60, logs200)
     with mp.workprec(bits_for_digits(90)):
-        for chi in G200.characters:
+        for k, chi in enumerate(G200.characters):
             conj = [(-v) % e for v in chi]
             assert conj in G200.characters
-            a = lderiv0(chi, G200, ctx200, 60, logs=logs200).to_mpc()
-            b = lderiv0(conj, G200, ctx200, 60, logs=logs200).to_mpc()
+            a = vals[k].to_mpc()
+            b = vals[G200.characters.index(conj)].to_mpc()
             assert abs(a.conjugate() - b) < mpmath.mpf(10) ** -45
 
 
