@@ -102,7 +102,7 @@ def cmd_minpoly(args) -> int:
     def text():
         print(f"degree {res.degree} over K, precision used {res.precision_used} digits")
         if res.ok:
-            for k, c in enumerate(res.coefficients):
+            for k, c in enumerate(payload["coefficients"]):
                 print(f"  x^{res.degree - k}: {c}   (residual {res.residuals[k]:.3e})")
         else:
             print("integer recognition FAILED; high-precision coefficients follow")

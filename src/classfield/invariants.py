@@ -181,6 +181,23 @@ def conjugate_orbit(
     return out
 
 
+def _int_str(n: int) -> str:
+    """str(n) for an int of any length.
+
+    str() refuses ints of more than sys.get_int_max_str_digits() digits (4300
+    by default, 640 at the least), so a longer n is cut at a power of ten
+    near its middle and each part printed alone.  (Decimal has no limit, but
+    its first conversion adds 0.16 MB to the process's RSS.)
+    """
+    if n < 0:
+        return "-" + _int_str(-n)
+    if n.bit_length() <= 2000:  # at most 603 digits
+        return str(n)
+    k = n.bit_length() * 3 // 20  # about half of n's digits
+    hi, lo = divmod(n, 10**k)
+    return _int_str(hi) + _int_str(lo).rjust(k, "0")
+
+
 @dataclass
 class MinimalPolynomialResult:
     disc: int
@@ -199,7 +216,7 @@ class MinimalPolynomialResult:
             "level": str(self.level),
             "degree": str(self.degree),
             "ok": self.ok,
-            "coefficients": [str(c) for c in self.coefficients] if self.ok else None,
+            "coefficients": [_int_str(c) for c in self.coefficients] if self.ok else None,
             "residuals": [float(r) for r in self.residuals],
             "precision_used": str(self.precision_used),
             "escalations": str(self.escalations),

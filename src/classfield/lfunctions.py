@@ -1,5 +1,5 @@
-"""Partial zeta sums for ray classes, the Kronecker limit formula evaluator,
-and derivatives of the order L-functions at s = 0.
+"""Partial zeta sums for ray classes and derivatives of the order L-functions
+at s = 0.
 
 Two independent routes compute the same partial zeta data: a direct sum over
 integral ideals bucketed by ray class, and the shifted lattice zeta attached to
@@ -31,10 +31,9 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from . import modfun
 from .invariants import _conjugate_partners, g_ON
 from .numerics import BigComplex, DomainError, working_bits
-from .orderideals import _class_bases, integral_ideals, ray_label
+from .orderideals import _class_bases, labelled_ideals
 from .quadforms import ClassGroup, Form, OrderContext, Walk, _unit_coords, reduce_form
 
 __all__ = [
@@ -45,7 +44,6 @@ __all__ = [
     "log_g_values",
     "lderiv0_all",
     "fourier_inversion_residual",
-    "kronecker_xi",
 ]
 
 
@@ -94,8 +92,9 @@ def zeta_ideal_partial_all(
     _require_res_gt1(s)
     bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
-    for norm, L in integral_ideals(ctx, bound, coprime_to=N):
-        lab = ray_label(ctx, L, N, bases)
+    # ideals not prime to the conductor stay in; labelled_ideals calls
+    # ray_label once per primitive ideal and labels its multiples from it
+    for norm, _, lab in labelled_ideals(ctx, bound, N, bases, coprime_to=N):
         norms.setdefault(lab, []).append(norm)
     for ns in norms.values():
         ns.sort()
@@ -433,39 +432,3 @@ def _class_sums(walk: Walk, e: int, ys: Iterable, prec: int) -> List:
         out[x] = data[q]
     return out
 
-
-def _on_lattice(omega: BigComplex, z: BigComplex, prec: int) -> bool:
-    with mp.workprec(prec):
-        m = mpmath.nint(omega.im / z.im)
-        n = mpmath.nint(omega.re - m * z.re)
-        r = abs(omega.to_mpc() - (m * z.to_mpc() + n))
-        return bool(r < mpmath.mpf(2) ** (-prec // 2))
-
-
-def kronecker_xi(
-    inside: bool, omega: BigComplex, z: BigComplex, digits: int
-) -> Tuple[BigComplex, BigComplex]:
-    """Closed forms (xi(0), xi'(0)) of the shifted lattice zeta.
-
-    inside=True is the branch omega in [z, 1]: (-1, -ln|4 pi^2 eta(z)^4|).
-    Outside the lattice: (0, -ln|theta1(omega, z)/eta(z) * exp(pi i omega
-    (omega - conj omega)/(z - conj z))|^2).  Formula evaluator only.
-    """
-    prec = working_bits(digits)
-    if not z.im > 0:
-        raise DomainError("z must lie in the upper half-plane")
-    e = modfun.eta(z, digits)
-    if inside:
-        with mp.workprec(prec):
-            xi0 = BigComplex(-1, 0, prec)
-            val = -mpmath.log(abs(4 * mpmath.pi**2 * e.to_mpc() ** 4))
-        return xi0, BigComplex.from_mpc(val, prec)
-    if _on_lattice(omega, z, prec):
-        raise DomainError("omega lies on the lattice in the outside branch")
-    th = modfun.theta1(omega, z, digits)
-    with mp.workprec(prec):
-        w = omega.to_mpc()
-        zz = z.to_mpc()
-        corr = mpmath.exp(1j * mpmath.pi * w * (w - mpmath.conj(w)) / (zz - mpmath.conj(zz)))
-        val = -2 * mpmath.log(abs(th.to_mpc() / e.to_mpc() * corr))
-    return BigComplex(0, 0, prec), BigComplex.from_mpc(val, prec)

@@ -1,9 +1,9 @@
-"""High-precision evaluation of eta, Delta, j, Siegel, theta, Weierstrass and
-Fricke functions by q-series.
+"""High-precision evaluation of eta, Delta, j, Siegel, Weierstrass and Fricke
+functions by q-series.
 
 All evaluators take a target decimal-digit count; work happens at
-`working_bits(digits)`, and results carry that precision.  Eta, Siegel and
-theta1 use theta series with q^(n^2/2) decay: the Jacobi triple product and
+`working_bits(digits)`, and results carry that precision.  Eta and Siegel
+use theta series with q^(n^2/2) decay: the Jacobi triple product and
 Euler's pentagonal series, whose q-powers are built once per point (`_point`)
 and cut by a stated remainder bound.  The Eisenstein and Weierstrass q-series
 are truncated once their geometric tail bound drops below 2^-working_bits.
@@ -30,7 +30,6 @@ __all__ = [
     "delta_j",
     "j_eisenstein",
     "siegel",
-    "theta1",
     "wp",
     "fricke",
     "g2_g3_delta",
@@ -284,28 +283,6 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
         w = _qexp(_frac(a1) * t_ + _frac(v.v2 % 1))
         lead = _qexp(_frac(b2 / 2) * t_ + _frac(turn))
         val = lead * _triple(pt, w, float(a1)) / pt.euler
-    return BigComplex.from_mpc(val, prec)
-
-
-def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
-    """First Jacobi theta 2 q^(1/8) sin(pi omega) prod_{n>=1} (1 - q^n)(1 - q^n x)(1 - q^n/x),
-    q = e(z), x = e(omega).
-
-    As 2 sin(pi omega) = i e(-omega/2) (1 - x), this is i q^(1/8) e(-omega/2)
-    times `_triple`.  omega is first moved into 0 <= Im omega < Im z by
-    theta1(omega + m z) = (-1)^m e(-m^2 z/2 - m omega) theta1(omega).
-    """
-    _require_upper(z)
-    prec = working_bits(digits)
-    pt = _point(z.re, z.im, prec)
-    with mp.workprec(prec):
-        z_ = z.to_mpc()
-        w = omega.to_mpc()
-        m = int(mpmath.floor(w.imag / z_.imag))
-        w -= m * z_
-        b = min(max(float(w.imag / z_.imag), 0.0), 1.0)
-        lead = _qexp(z_ / 8 - w / 2 - m * m * z_ / 2 - m * w)
-        val = (-1) ** m * 1j * lead * _triple(pt, _qexp(w), b)
     return BigComplex.from_mpc(val, prec)
 
 

@@ -19,6 +19,7 @@ base ideals' generators and invariants.general_invariant.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from math import gcd, isqrt
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -42,6 +43,7 @@ __all__ = [
     "form_to_lattice",
     "ideal_mul",
     "integral_ideals",
+    "labelled_ideals",
 ]
 
 
@@ -129,25 +131,40 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     return r
 
 
-def _disc_roots(D: int, a: int) -> List[int]:
+def _factor_table(bound: int) -> memoryview:
+    """spf[n] = the least prime factor of n for composite n <= bound, else 0.
+
+    Each d from sqrt(bound) down to 2 is written over its multiples from d^2
+    on.  The last write to a composite n is then its least divisor d > 1,
+    which is prime and has d^2 <= n.  The table is a bytearray cast to
+    unsigned 32-bit ints, 4 bytes a number: the array module would do the
+    same, but loading it adds about 0.13 MB to every process's RSS.
+    """
+    spf = memoryview(bytearray(4 * (bound + 1))).cast("I")
+    for d in range(isqrt(bound), 1, -1):
+        run = d.to_bytes(4, sys.byteorder) * len(range(d * d, bound + 1, d))
+        spf[d * d :: d] = memoryview(run).cast("I")
+    return spf
+
+
+def _disc_roots(D: int, a: int, spf: memoryview, sqrts: Dict[int, Optional[int]]) -> List[int]:
     """The b in [0, 2a) with b^2 = D mod 4a, ascending.
 
-    Roots mod 2m are built up as m runs through the prime factors of a, found
-    by trial division.  The first power of an odd prime p joins the roots
-    +-s of D mod p to those mod 2m by CRT; for p = 2 or a repeated p, each
-    root r mod 2m is tried at its p lifts r + 2m*k.
+    Roots mod 2m are built up as m runs through the prime factors of a, read
+    off the least-prime-factor table spf (0 marks a prime).  The first power of an odd prime p
+    joins the roots +-s of D mod p to those mod 2m by CRT, with s from the
+    per-prime cache sqrts (filled here); for p = 2 or a repeated p, each root
+    r mod 2m is tried at its p lifts r + 2m*k.
     """
     roots = [b for b in (0, 1) if (b * b - D) % 4 == 0]
-    m, rest, p = 1, a, 2
+    m, rest = 1, a
     while rest > 1 and roots:
-        if p * p > rest:
-            p = rest
-        if rest % p:
-            p += 1
-            continue
+        p = spf[rest] or rest
         rest //= p
         if p > 2 and m % p:
-            s = _sqrt_mod_prime(D, p)
+            if p not in sqrts:
+                sqrts[p] = _sqrt_mod_prime(D, p)
+            s = sqrts[p]
             if s is None:
                 return []
             k = pow(2 * m, -1, p)
@@ -166,13 +183,19 @@ def integral_ideals(
     `coprime_to`; primitive ideals come from forms (a, b mod 2a), and integer
     multiples m*ideal account for the imprimitive ones.
 
-    Ideals come in order of a, then b ascending in [0, 2a), then m; the
-    oracle's representatives are the first ideal of each class in this order.
+    Ideals come in order of a, then b ascending in [0, 2a), then m, so every
+    multiple m*L comes right after its primitive ideal L (m = 1), which
+    labelled_ideals relies on; the oracle's representatives are the first
+    ideal of each class in this order.  The roots b come from one
+    least-prime-factor table up to the bound (4 bytes a number) and one
+    square root of D per prime, both built once per call.
     """
+    spf = _factor_table(bound)
+    sqrts: Dict[int, Optional[int]] = {}
     for a in range(1, bound + 1):
         if gcd(a, coprime_to) != 1:
             continue
-        for b in _disc_roots(ctx.disc, a):
+        for b in _disc_roots(ctx.disc, a, spf, sqrts):
             c = (b * b - ctx.disc) // (4 * a)
             if gcd(gcd(a, b), c) != 1:
                 continue  # not a proper O-ideal
@@ -182,6 +205,25 @@ def integral_ideals(
                 if gcd(m, coprime_to) == 1:
                     yield m * m * a, form_to_lattice(ctx, Q, scale=m)
                 m += 1
+
+
+def labelled_ideals(
+    ctx: OrderContext, bound: int, N: int, bases: ClassBases, coprime_to: int
+) -> Iterator[Tuple[int, Ideal, Tuple]]:
+    """(norm, ideal, ray label mod N) for the ideals of
+    integral_ideals(ctx, bound, coprime_to), in its order.
+
+    Only primitive ideals (g = 1) go through ray_label.  A multiple m*L comes
+    right after L and has L's reduced form, and its generator residue is m
+    times L's, so its label is (R, least of the unit orbit of m*w) for L's
+    label (R, w): the orbit of m*w is m times the orbit of w.
+    """
+    for norm, L in integral_ideals(ctx, bound, coprime_to):
+        if L.g == 1:
+            R, w = label = ray_label(ctx, L, N, bases)
+        else:
+            label = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
+        yield norm, L, label
 
 
 @dataclass
@@ -305,7 +347,9 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
     Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
-    ray label.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
+    ray label, from labelled_ideals: one ray_label per primitive ideal, and
+    each multiple labelled from its primitive ideal.  Each try relabels from
+    a = 1 on.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
     and is doubled until the independently known class count is reached,
     over at most nine tries; ResourceError names the last bound searched,
     and the result's norm_bound is the bound that reached the count.
@@ -325,8 +369,7 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     start = max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, Ideal] = {}
-        for _, L in integral_ideals(ctx, bound, coprime_to=lN):
-            lab = ray_label(ctx, L, N, bases)
+        for _, L, lab in labelled_ideals(ctx, bound, N, bases, lN):
             buckets.setdefault(lab, L)
             if len(buckets) == target:
                 break

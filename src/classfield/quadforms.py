@@ -247,34 +247,38 @@ def _conductor(disc: int) -> int:
 
 
 def reduce_form(Q: Form) -> Tuple[Form, SL2]:
-    """Gauss reduction; returns (R, gamma) with Q^gamma = R reduced."""
+    """Gauss reduction; returns (R, gamma) with Q^gamma = R reduced.
+
+    gamma = (p, q, r, s) is carried as four integers, multiplied on the right
+    by S = [[0, -1], [1, 0]] or T^k = [[1, k], [0, 1]] at each step, and
+    becomes one SL2 at the end.
+    """
     a, b, c = Q
-    g = SL2.I
-    T = lambda k: SL2(1, k, 0, 1)
-    S = SL2(0, -1, 1, 0)
+    p, q, r, s = 1, 0, 0, 1
     while True:
         if a > c:
             a, b, c = c, -b, a
-            g = g * S
+            p, q, r, s = q, -p, s, -r  # gamma * S
             continue
         if b <= -a or b > a:
             k = (a - b) // (2 * a)  # translate b into (-a, a]
             b2 = b + 2 * a * k
             c = a * k * k + b * k + c
             b = b2
-            g = g * T(k)
+            q, s = p * k + q, r * k + s  # gamma * T^k
             continue
         if b < 0 and (b == -a or a == c):
             if b == -a:
                 c = a + b + c
                 b = b + 2 * a
-                g = g * T(1)
+                q, s = p + q, r + s  # gamma * T
             else:
                 a, b, c = c, -b, a
-                g = g * S
+                p, q, r, s = q, -p, s, -r  # gamma * S
             continue
         break
     R = Form(a, b, c)
+    g = SL2(p, q, r, s)
     assert Q.apply(g) == R
     return R, g
 

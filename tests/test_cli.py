@@ -189,6 +189,49 @@ def test_minpoly_info_log_leaves_stdout_unchanged(capsys, caplog):
     assert len(passes) == int(json.loads(loud[1])["escalations"]) + 1
 
 
+def test_minpoly_prints_coefficients_past_the_int_string_limit(capsys, schema):
+    # (-104, 7) has coefficients of up to 904 digits; str() refuses ints longer
+    # than sys.get_int_max_str_digits()
+    argv = ["minpoly", "--disc", "-104", "--level", "7"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, payload = run_json(capsys, *argv, "--format", "json")
+        text_code, text = run_cli(capsys, *argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == text_code == cli.EXIT_OK
+    jsonschema.validate(payload, schema)
+    assert max(len(c) for c in payload["coefficients"]) > 640
+    _, default = run_json(capsys, *argv, "--format", "json")
+    assert payload["coefficients"] == default["coefficients"]
+    shown = [line.split(": ")[1].split()[0] for line in text.splitlines() if line.startswith("  x^")]
+    assert shown == default["coefficients"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.integers(-(10**6000), 10**6000),
+        # halves with leading zeros: 10^k + small, 10^k - 1
+        st.tuples(st.integers(600, 6000), st.integers(-1, 10**6), st.sampled_from([1, -1])).map(
+            lambda t: t[2] * (10 ** t[0] + t[1])
+        ),
+    )
+)
+def test_int_str_matches_str_at_any_length(n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        got = invariants._int_str(n)
+    finally:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert got == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_minpoly_rejects_level_one(capsys):
     code, _ = run_cli(capsys, "minpoly", "--disc", "-200", "--level", "1")
     assert code == cli.EXIT_USAGE

@@ -9,6 +9,7 @@ from mpmath import mp
 
 import fourier_reference
 from classfield import modfun
+from kronecker_reference import kronecker_xi
 from classfield.lfunctions import (
     ZetaPartial,
     _character_sums,
@@ -16,7 +17,6 @@ from classfield.lfunctions import (
     _roots_of_unity,
     fourier_inversion_residual,
     gamma_ON,
-    kronecker_xi,
     lderiv0_all,
     zeta_ideal_partial_all,
     zeta_lattice_partial,

@@ -14,10 +14,12 @@ from classfield.orderideals import (
     Ideal,
     _class_bases,
     _disc_roots,
+    _factor_table,
     form_ideal_dictionary,
     form_to_lattice,
     ideal_mul,
     integral_ideals,
+    labelled_ideals,
     omega_ideal,
     oracle_class_group,
     ray_label,
@@ -257,11 +259,25 @@ def disc_and_a(draw):
     return D, p**e * k
 
 
+# least prime factors of every a the strategy draws
+SPF_3000 = _factor_table(3000)
+
+
+def test_factor_table_matches_trial_division():
+    for bound in (0, 1, 2, 3, 4, 48, 49, 50, 3000):
+        spf = _factor_table(bound)
+        assert len(spf) == bound + 1 and spf.itemsize == 4
+        assert list(spf[:2]) == [0, 0][: bound + 1]
+        for n in range(2, bound + 1):
+            least = next(p for p in range(2, n + 1) if n % p == 0)
+            assert spf[n] == (least if least < n else 0)
+
+
 @settings(max_examples=400, deadline=None)
 @given(disc_and_a())
 def test_disc_roots_match_naive_scan(case):
     D, a = case
-    assert _disc_roots(D, a) == naive_disc_roots(D, a)
+    assert _disc_roots(D, a, SPF_3000, {}) == naive_disc_roots(D, a)
 
 
 def reference_integral_ideals(ctx, bound, coprime_to):
@@ -291,6 +307,34 @@ def test_integral_ideals_sequence_matches_naive_roots(D, N, bound):
     lN = ctx.conductor * N
     got = list(integral_ideals(ctx, bound, coprime_to=lN))
     assert got == reference_integral_ideals(ctx, bound, lN)
+
+
+def test_multiples_follow_their_primitive_ideal():
+    # labelled_ideals labels m*L from the label of the last primitive ideal
+    for D, coprime_to in [(-3, 1), (-4, 2), (-12, 1), (-27, 3), (-71, 10), (-180, 6), (-200, 3), (-200, 1)]:
+        ctx = OrderContext.from_disc(D)
+        last = None
+        for n, L in integral_ideals(ctx, 600, coprime_to):
+            if L.g == 1:
+                last = L
+            else:
+                assert L == Ideal(L.g, L.g * last.t, L.g * last.m) and n == L.g**2 * last.m
+
+
+STREAM_DISCS = [-3, -4, -12, -27, -71, -180, -200]
+
+
+@pytest.mark.parametrize("D", STREAM_DISCS)
+def test_labelled_ideals_match_ray_label_on_every_ideal(D):
+    # coprime_to = N keeps ideals not prime to the conductor (the zeta route),
+    # l_O * N drops them (the oracle)
+    ctx = OrderContext.from_disc(D)
+    for N in range(1, 13):
+        bases = _class_bases(ctx, N)
+        for coprime_to in (N, ctx.conductor * N):
+            got = list(labelled_ideals(ctx, 1000, N, bases, coprime_to))
+            want = [(n, L, ray_label(ctx, L, N, bases)) for n, L in integral_ideals(ctx, 1000, coprime_to)]
+            assert got == want and any(L.g > 1 for _, L, _ in got)
 
 
 # -- ray labels against the Fraction-based reference --------------------------

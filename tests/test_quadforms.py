@@ -2,7 +2,7 @@ import random
 from math import gcd, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from classfield import quadforms, refdata
 from classfield.numerics import DomainError, InvariantViolation
@@ -82,6 +82,82 @@ def test_reduce_idempotent_and_unique_small_discs():
             # translated forms come back to the same reduced form
             g = rng.choice(mats)
             assert reduce_form(R.apply(g))[0] == R
+
+
+def reference_reduce_form(Q):
+    """Gauss reduction with gamma kept as an SL2 product: one multiplication
+    by S or T^k per step, in reduce_form's step order."""
+    a, b, c = Q
+    g = SL2.I
+    T = lambda k: SL2(1, k, 0, 1)
+    S = SL2(0, -1, 1, 0)
+    while True:
+        if a > c:
+            a, b, c = c, -b, a
+            g = g * S
+            continue
+        if b <= -a or b > a:
+            k = (a - b) // (2 * a)
+            b2 = b + 2 * a * k
+            c = a * k * k + b * k + c
+            b = b2
+            g = g * T(k)
+            continue
+        if b < 0 and (b == -a or a == c):
+            if b == -a:
+                c = a + b + c
+                b = b + 2 * a
+                g = g * T(1)
+            else:
+                a, b, c = c, -b, a
+                g = g * S
+            continue
+        break
+    return Form(a, b, c), g
+
+
+@st.composite
+def positive_forms(draw):
+    """A primitive positive definite form: either (a, b, c) with 4ac > b^2
+    drawn directly, or a reduced-looking edge case (a = c, b = -a, b < 0)
+    moved by a random matrix, or left as it is."""
+    kind = draw(st.sampled_from(["direct", "edge", "moved_edge"]))
+    if kind == "direct":
+        a = draw(st.integers(1, 10**6))
+        b = draw(st.integers(-(10**6), 10**6))
+        c = b * b // (4 * a) + draw(st.integers(1, 10**6))
+    else:
+        a = draw(st.integers(1, 60))
+        shape = draw(st.sampled_from(["a=c", "b=-a", "b<0"]))
+        if shape == "a=c":
+            b, c = draw(st.integers(-a, a)), a
+        elif shape == "b=-a":
+            b, c = -a, draw(st.integers(a, 3 * a))
+        else:
+            b, c = draw(st.integers(-a, -1)), draw(st.integers(a, 3 * a))
+    assume(b * b < 4 * a * c and gcd(gcd(a, b), c) == 1)
+    Q = Form(a, b, c)
+    if kind == "moved_edge":
+        Q = Q.apply(draw(st.sampled_from(small_sl2(2))))
+    return Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(positive_forms())
+def test_reduce_form_matches_sl2_product_reference(Q):
+    # the same (R, gamma), not only the same R: class_label and the lattice
+    # zeta read gamma
+    R, g = reduce_form(Q)
+    assert (R, g) == reference_reduce_form(Q)
+    assert type(g) is SL2 and is_reduced(R)
+
+
+@pytest.mark.parametrize(
+    "abc", [(1, -1, 1), (2, -1, 2), (3, -2, 3), (2, -2, 3), (4, -4, 5), (7, -3, 7), (5, -1, 4), (3, -3, 1)]
+)
+def test_reduce_form_edge_cases_match_reference(abc):
+    Q = Form(*abc)
+    assert reduce_form(Q) == reference_reduce_form(Q)
 
 
 def test_enumerate_reduced_examples():
