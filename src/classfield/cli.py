@@ -139,7 +139,8 @@ def cmd_lderiv(args) -> int:
             }
             for k, z in enumerate(shown)
         },
-        "inversion_residual": mpmath.nstr(inversion, 5),
+        # from a 53-bit copy: at full precision nstr builds an int too long for str()
+        "inversion_residual": mpmath.nstr(mpmath.mpf(inversion, prec=53), 5),
     }
 
     def text():
@@ -194,7 +195,7 @@ def cmd_invariants(args) -> int:
     orbit = invariants.conjugate_orbit(fam, G, ctx, args.digits)
     # a part below |z| 10^-digits is below the value's accuracy: print it as zero
     scale = mpmath.mpf(10) ** -args.digits
-    shown = [_zero_below(v.value, abs(v.value.to_mpc()) * scale) for v in orbit]
+    shown = [_zero_below(z, abs(z.to_mpc()) * scale) for z in orbit]
     payload = {
         "kind": "invariants",
         "disc": str(ctx.disc),
@@ -204,8 +205,8 @@ def cmd_invariants(args) -> int:
     }
 
     def text():
-        for v, z in zip(orbit, shown):
-            print(f"  g{v.class_index + 1}: {z.to_decimal(min(args.digits, 40))}")
+        for i, z in enumerate(shown):
+            print(f"  g{i + 1}: {z.to_decimal(min(args.digits, 40))}")
 
     _emit(payload, args.format, text)
     return EXIT_OK

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import List, Literal, Optional, Tuple
+from typing import Callable, Iterator, List, Literal, Optional, Tuple
 
 import mpmath
 from mpmath import mp
@@ -38,7 +38,6 @@ log = logging.getLogger(__name__)
 
 __all__ = [
     "FamilyId",
-    "InvariantValue",
     "MinimalPolynomialResult",
     "class_invariant",
     "general_invariant",
@@ -75,14 +74,6 @@ class FamilyId:
         return cls("j_rational")
 
 
-@dataclass(frozen=True)
-class InvariantValue:
-    class_index: int
-    value: BigComplex
-    family: FamilyId
-    matrix: Tuple[int, int, int, int]
-
-
 def _check_ctx(ctx: OrderContext) -> None:
     if ctx.disc in (-3, -4):
         raise DomainError("discriminants -3 and -4 are excluded here")
@@ -107,11 +98,6 @@ def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: 
     return modfun.siegel(idx, point, digits) ** (12 * N)
 
 
-def _fmatrix(Q: Form, ctx: OrderContext, N: int) -> Tuple[int, int, int, int]:
-    a_inv = pow(Q.a, -1, N) if N > 1 else 1
-    return (1, -a_inv * (Q.b + ctx.b0) // 2, 0, a_inv)
-
-
 def class_invariant(
     family: FamilyId, Q: Form, ctx: OrderContext, N: int, digits: int
 ) -> BigComplex:
@@ -121,7 +107,8 @@ def class_invariant(
         raise DomainError("form does not belong to the order")
     if gcd(Q.a, N) != 1:
         raise DomainError("leading coefficient must be coprime to the level")
-    M = _fmatrix(Q, ctx, N)
+    a_inv = pow(Q.a, -1, N) if N > 1 else 1
+    M = (1, -a_inv * (Q.b + ctx.b0) // 2, 0, a_inv)
     # the evaluation point -conj(omega_Q) = (b + sqrt(D))/(2a) is the root of (a, -b, c)
     return _family_value_at(family, M, Form(Q.a, -Q.b, Q.c), N, digits)
 
@@ -171,13 +158,19 @@ def g_ON_from_ideal(L: Ideal, ctx: OrderContext, N: int, digits: int) -> BigComp
 
 def conjugate_orbit(
     family: FamilyId, G: ClassGroup, ctx: OrderContext, digits: int
-) -> List[InvariantValue]:
-    """All Galois conjugates {f(C)}: one invariant per class, no field arithmetic."""
-    out = []
-    for i, Q in enumerate(G.reps):
-        M = _fmatrix(Q, ctx, G.level)
-        val = class_invariant(family, Q, ctx, G.level, digits)
-        out.append(InvariantValue(i, val, family, M))
+) -> List[BigComplex]:
+    """All Galois conjugates f(C), in class order, with no field arithmetic.
+
+    The family is evaluated once per self-conjugate class and once per
+    conjugate pair; the other class of a pair gets the complex conjugate.
+    """
+    out: List[Optional[BigComplex]] = [None] * G.order
+    for i, j, z in _conjugate_pairs(G, G.level, lambda Q: class_invariant(family, Q, ctx, G.level, digits)):
+        out[i] = z
+        if j != i:
+            # negate inside z's precision; the ambient 53 bits would round it
+            with mp.workprec(z.prec):
+                out[j] = BigComplex(z.re, -z.im, z.prec)
     return out
 
 
@@ -234,15 +227,25 @@ def _conjugate_partners(G: ClassGroup, N: int) -> List[int]:
     given reps, so any choice and order of representatives works.
     """
     index = {class_label(Q, N): i for i, Q in enumerate(G.reps)}
-    partner = []
-    for Q in G.reps:
-        j = index.get(class_label(Form(Q.a, -Q.b, Q.c), N))
-        if j is None:
-            raise InvariantViolation(f"the conjugate of the class of {Q} is not among the classes")
-        partner.append(j)
+    partner = [index.get(class_label(Form(Q.a, -Q.b, Q.c), N)) for Q in G.reps]
+    if None in partner:
+        Q = G.reps[partner.index(None)]
+        raise InvariantViolation(f"the conjugate of the class of {Q} is not among the classes")
     if any(partner[j] != i for i, j in enumerate(partner)):
         raise InvariantViolation("class conjugation is not an involution")
     return partner
+
+
+def _conjugate_pairs(
+    G: ClassGroup, N: int, value: Callable[[Form], BigComplex]
+) -> Iterator[Tuple[int, int, BigComplex]]:
+    """(i, j, value(reps[i])) for each self-conjugate class i = j and each
+    conjugate pair i < j: the one walk over the partners.  The class values
+    g here have g(conj C) = conj g(C), so value(reps[j]) is never evaluated.
+    """
+    for i, j in enumerate(_conjugate_partners(G, N)):
+        if i <= j:
+            yield i, j, value(G.reps[i])
 
 
 def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
@@ -253,10 +256,8 @@ def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
     linear: List[mpmath.mpf] = []
     quadratic: List[Tuple[mpmath.mpf, mpmath.mpf]] = []
     log2_m = 0.0
-    for i, j in enumerate(_conjugate_partners(G, N)):
-        if j < i:
-            continue
-        z = g_ON(G.reps[i], ctx, N, digits).to_mpc()
+    for i, j, g in _conjugate_pairs(G, N, lambda Q: g_ON(Q, ctx, N, digits)):
+        z = g.to_mpc()
         with mp.workprec(prec):
             size = abs(z)
             if j == i:

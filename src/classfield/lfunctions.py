@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import mpmath
 from mpmath import mp
 
-from .invariants import _conjugate_partners, g_ON
+from .invariants import _conjugate_pairs, g_ON
 from .numerics import BigComplex, DomainError, working_bits
 from .orderideals import _class_bases, labelled_ideals
 from .quadforms import ClassGroup, Form, OrderContext, Walk, _unit_coords, reduce_form
@@ -281,17 +281,13 @@ def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.m
     """ln|g(C)| for every class, at working precision.
 
     g(conj C) = conj g(C), so g_ON runs once per self-conjugate class and once
-    per conjugate pair, and both classes of a pair get the same logarithm.
+    per conjugate pair (invariants._conjugate_pairs), and a pair shares its ln|g|.
     """
     prec = working_bits(digits)
-    out: List[mpmath.mpf] = []
-    for i, j in enumerate(_conjugate_partners(G, G.level)):
-        if j < i:
-            out.append(out[j])
-            continue
-        g = g_ON(G.reps[i], ctx, G.level, digits)
+    out: List[mpmath.mpf] = [None] * G.order
+    for i, j, g in _conjugate_pairs(G, G.level, lambda Q: g_ON(Q, ctx, G.level, digits)):
         with mp.workprec(prec):
-            out.append(mpmath.log(abs(g.to_mpc())))
+            out[i] = out[j] = mpmath.log(abs(g.to_mpc()))
     return out
 
 

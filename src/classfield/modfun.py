@@ -125,8 +125,8 @@ def _least_n(c: float, b: float) -> int:
     return n
 
 
-# one entry per evaluation point: a class group has few ((-104, 5) has 6), and
-# 16 entries at 700 digits hold under 1 MB
+# one entry per point and precision: minpoly's probe and pass fill two per
+# reduced form (12 on (-104, 5)), and an entry holds 7 KB at 283 digits
 @functools.lru_cache(maxsize=16)
 def _point(re, im, prec: int) -> _Point:
     """q = e(tau), the coefficients (-1)^k q^(k(k-1)/2) and prod(1 - q^n) at

@@ -436,12 +436,13 @@ def class_label(Q: Form, N: int) -> Label:
     """
     if gcd(Q.a, N) != 1:
         raise DomainError("leading coefficient must be coprime to the level")
-    R, g = reduce_form(Q)
-    rows = []
-    for aut in _reduced_automorphisms(R):
-        _, _, r, s = g * aut
-        rows.append((r % N, s % N))
-    return R, min(rows)
+    R, (_, _, u, v) = reduce_form(Q)
+    return R, _least_row(u, v, _reduced_automorphisms(R), N)
+
+
+def _least_row(u: int, v: int, auts: Sequence[SL2], N: int) -> Tuple[int, int]:
+    """Least row (u, v)*aut mod N over the automorphisms auts."""
+    return min(((u * p + v * r) % N, (u * q + v * s) % N) for p, q, r, s in auts)
 
 
 def label_form(label: Label, N: int) -> Form:
@@ -610,8 +611,7 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
         for u in range(N):
             for v in range(N):
                 if gcd(R.evaluate(v, -u), N) == 1:
-                    rows = (((u * p + v * r) % N, (u * q + v * s) % N) for p, q, r, s in auts)
-                    labels.add((R, min(rows)))
+                    labels.add((R, _least_row(u, v, auts, N)))
     labels = sorted(labels)
     n = len(labels)
     target = _expected_order(ctx, N)

@@ -191,8 +191,8 @@ def check_conjugation_rule(ctxs: Sequence[OrderContext], vs: Sequence, digits: i
 def check_class_conjugation(groups: Sequence[Tuple[OrderContext, ClassGroup]], digits: int) -> Check:
     """g(conj C) = conj g(C) for every class, conj C the class of (a, -b, c).
 
-    minimal_polynomial evaluates one class of each conjugate pair and takes
-    the other value as the conjugate; this evaluates both.
+    minimal_polynomial, log_g_values and conjugate_orbit evaluate one class of
+    each conjugate pair (invariants._conjugate_pairs); this evaluates both.
     """
     errors = []
     for ctx, G in groups:

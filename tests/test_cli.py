@@ -272,6 +272,21 @@ def test_lderiv_inversion_residual_has_guard_digits(capsys):
     assert float(payload["inversion_residual"]) < 1e-80
 
 
+def test_lderiv_prints_the_residual_past_the_int_string_limit(capsys):
+    # at full precision, nstr scales a residual near 10^-1230 through an int
+    # longer than the limit; the residual is printed from a 53-bit copy
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, payload = run_json(
+            capsys, "lderiv", "--disc", "-200", "--level", "3", "--digits", "1200", "--format", "json"
+        )
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0
+    assert mpmath.mpf(payload["inversion_residual"]) < mpmath.mpf(10) ** -1200
+
+
 @pytest.mark.parametrize("D, N", [(-200, 3), (-116, 5)])
 def test_lderiv_transform_prints_the_per_character_sums(capsys, D, N):
     # the walk transform against one n-term sum per character, with ln|g|
@@ -392,6 +407,23 @@ def test_invariants_json(capsys, schema):
     assert code == 0
     jsonschema.validate(payload, schema)
     assert len(payload["values"]) == 12
+
+
+def test_invariants_evaluates_once_per_conjugate_pair(capsys, monkeypatch):
+    # (-180, 8) has 64 classes: 16 self-conjugate and 24 conjugate pairs
+    calls = []
+    counted = invariants.class_invariant
+
+    def counting(*args):
+        calls.append(args[1])
+        return counted(*args)
+
+    monkeypatch.setattr(invariants, "class_invariant", counting)
+    code, payload = run_json(
+        capsys, "invariants", "--disc", "-180", "--level", "8", "--digits", "20", "--format", "json"
+    )
+    assert code == 0 and len(payload["values"]) == 64
+    assert len(calls) == 40
 
 
 def test_invariants_prints_parts_below_accuracy_as_zero(capsys):

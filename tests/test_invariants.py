@@ -1,3 +1,4 @@
+import ast
 import json
 import logging
 import random
@@ -123,17 +124,55 @@ def test_representative_independence(ctx200, G200):
 
 
 def test_conjugate_orbit(ctx200, G200):
+    # one value per class, in class order; the partner of each conjugate pair
+    # gets the conjugate, which must agree with evaluating its own class
     fam = FamilyId.siegel_power(3)
     orbit = conjugate_orbit(fam, G200, ctx200, DIGITS)
     assert len(orbit) == 12
-    id_val = orbit[0].value
     tau_val = class_invariant(fam, ctx200.principal_form(), ctx200, 3, DIGITS)
     with mp.workprec(PREC):
-        assert abs(id_val.to_mpc() - tau_val.to_mpc()) / abs(tau_val.to_mpc()) < tol()
-        # value multiset is stable under complex conjugation
-        vals = [v.value.to_mpc() for v in orbit]
-        for v in vals:
-            assert min(abs(v.conjugate() - w) for w in vals) < tol(20) * max(1, abs(v))
+        assert abs(orbit[0].to_mpc() - tau_val.to_mpc()) / abs(tau_val.to_mpc()) < tol()
+        for Q, v in zip(G200.reps, orbit):
+            ref = class_invariant(fam, Q, ctx200, 3, DIGITS).to_mpc()
+            assert abs(v.to_mpc() - ref) < tol() * abs(ref)
+
+
+@pytest.mark.parametrize("D, N", [(-200, 3), (-71, 5), (-180, 8)])
+def test_class_conjugation_for_every_family(D, N):
+    # g(conj C) = conj g(C), conj C the class of (a, -b, c): conjugate_orbit,
+    # minimal_polynomial and log_g_values evaluate one class of each pair;
+    # here every class is evaluated on its own
+    digits = 40
+    ctx, G = _halving_group(D, N)
+    for fam in (FamilyId.siegel_power(N), FamilyId.fricke(0, Fraction(1, N)), FamilyId.j()):
+        values = [class_invariant(fam, Q, ctx, N, digits).to_mpc() for Q in G.reps]
+        with mp.workprec(working_bits(digits)):
+            for Q, v in zip(G.reps, values):
+                w = values[G.index_of(Form(Q.a, -Q.b, Q.c))]
+                assert abs(v.conjugate() - w) <= mpmath.mpf(10) ** -(digits - 10) * abs(v)
+
+
+def test_only_the_pair_pass_walks_conjugate_partners():
+    # the conjugate-pair rule has one home; the class values that use it go
+    # through invariants._conjugate_pairs
+    callers = {"_conjugate_partners": set(), "_conjugate_pairs": set()}
+    for path in Path(invariants.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{fn.name}")
+    assert callers == {
+        "_conjugate_partners": {"invariants._conjugate_pairs"},
+        "_conjugate_pairs": {
+            "invariants._real_factors",
+            "invariants.conjugate_orbit",
+            "lfunctions.log_g_values",
+        },
+    }
 
 
 def test_minimal_polynomial_relabeling_invariance(ctx200, G200):
