@@ -7,10 +7,10 @@ the order context travels as an explicit argument.  A ray class modulo N is
 named by an exact integer label: the reduced form of the class and, up to
 units, the generator residue mod N*O of the ideal times a fixed base ideal's
 conjugate.  The oracle buckets integral ideals by label and fills its table
-from the label group law, multiplying base ideals by the Hermite form of the
-four basis products (ideal_mul), not by Dirichlet composition.  This module is
-the independent ground truth against which the form-side class group is
-checked.
+from Cayley rows under the label group law, multiplying base ideals by the
+Hermite form of the four basis products (ideal_mul), not by Dirichlet
+composition.  This module is the independent ground truth against which the
+form-side class group is checked.
 
 An ideal's form, its reduced form and the matching basis change come from one
 integer pair, _ideal_form and _reduced_basis, which serves the ray labels, the
@@ -208,7 +208,12 @@ def integral_ideals(
 
 
 def labelled_ideals(
-    ctx: OrderContext, bound: int, N: int, bases: ClassBases, coprime_to: int
+    ctx: OrderContext,
+    bound: int,
+    N: int,
+    bases: ClassBases,
+    coprime_to: int,
+    known: Optional[Dict[Ideal, Tuple]] = None,
 ) -> Iterator[Tuple[int, Ideal, Tuple]]:
     """(norm, ideal, ray label mod N) for the ideals of
     integral_ideals(ctx, bound, coprime_to), in its order.
@@ -216,13 +221,19 @@ def labelled_ideals(
     Only primitive ideals (g = 1) go through ray_label.  A multiple m*L comes
     right after L and has L's reduced form, and its generator residue is m
     times L's, so its label is (R, least of the unit orbit of m*w) for L's
-    label (R, w): the orbit of m*w is m times the orbit of w.
+    label (R, w): the orbit of m*w is m times the orbit of w.  If `known` is
+    given, it maps primitive ideals to their labels: a primitive ideal found
+    there is not labelled again, and each new label is added to it.
     """
     for norm, L in integral_ideals(ctx, bound, coprime_to):
-        if L.g == 1:
-            R, w = label = ray_label(ctx, L, N, bases)
-        else:
+        if L.g != 1:
             label = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
+        elif known is None:
+            R, w = label = ray_label(ctx, L, N, bases)
+        elif L in known:
+            R, w = label = known[L]
+        else:
+            R, w = label = known[L] = ray_label(ctx, L, N, bases)
         yield norm, L, label
 
 
@@ -343,23 +354,49 @@ def ray_label(ctx: OrderContext, L: Ideal, N: int, bases: ClassBases) -> Tuple:
     return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
 
 
+def _label_product(
+    ctx: OrderContext, N: int, bases: ClassBases, base_products: Dict, lab1: Tuple, lab2: Tuple
+) -> Tuple:
+    """Ray label of L1*L2 from the labels (R1, w1), (R2, w2) of L1, L2.
+
+    If w1, w2 generate L1*conj(B1), L2*conj(B2) and c12 generates
+    B1*B2*conj(B3), then w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).
+    So only the base product B1*B2 is labelled, once per pair of reduced
+    forms, and kept in base_products.
+    """
+    (R1, w1), (R2, w2) = lab1, lab2
+    key = (R1, R2) if R1 <= R2 else (R2, R1)
+    if key not in base_products:
+        B1, B2 = bases.lattice[R1], bases.lattice[R2]
+        R3, c12 = ray_label(ctx, ideal_mul(ctx, B1, B2), N, bases)
+        n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
+        base_products[key] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
+    R3, c = base_products[key]
+    return R3, _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
+
+
 def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
     Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
     ray label, from labelled_ideals: one ray_label per primitive ideal, and
-    each multiple labelled from its primitive ideal.  Each try relabels from
-    a = 1 on.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
-    and is doubled until the independently known class count is reached,
-    over at most nine tries; ResourceError names the last bound searched,
-    and the result's norm_bound is the bound that reached the count.
-    The table follows from the label group law: if w1, w2 generate
-    L1*conj(B1), L2*conj(B2) and c12 generates B1*B2*conj(B3), then
-    w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).  So only the base
-    products B1*B2 are labelled, once per pair of reduced forms.  Every pair
-    of classes is filled from these labels on purpose: the oracle shares no
-    table code with class_enumerate, so tables_isomorphic can catch a bug in
-    either fill.
+    each multiple labelled from its primitive ideal.  The bound starts at
+    max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2) and is doubled until the
+    independently known class count is reached, over at most nine tries;
+    each try reuses the labels of the primitive ideals an earlier try saw.
+    ResourceError names the last bound searched, and the result's norm_bound
+    is the bound that reached the count.
+
+    The table follows from the label group law (_label_product), filled from
+    Cayley rows.  The identity is the class of O, which is not index 0 in
+    general, since classes are numbered by sorted label.  Each step takes as
+    generator s the least class outside the subgroup H built so far, forms
+    the product of every class with s once (n products) and closes H under s
+    by breadth-first search: a class z = y*s first reached from y gets row
+    z = (cay_s[v] for v in row y), since z*j = (y*j)*s.  H at least doubles
+    at each step, so there are at most n*log2(n) products.  This fill is
+    written here on purpose, not shared with class_enumerate, so that
+    tables_isomorphic can catch a bug in either fill.
     """
     if N < 1:
         raise DomainError("level must be positive")
@@ -367,9 +404,10 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
     start = max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
+    known: Dict[Ideal, Tuple] = {}
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, Ideal] = {}
-        for _, L, lab in labelled_ideals(ctx, bound, N, bases, lN):
+        for _, L, lab in labelled_ideals(ctx, bound, N, bases, lN, known):
             buckets.setdefault(lab, L)
             if len(buckets) == target:
                 break
@@ -379,25 +417,34 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
         raise ResourceError(
             f"found {len(buckets)} of {target} ray classes up to norm bound {bound}"
         )
+    del known  # the labels the fill needs are the buckets' keys
     labels = sorted(buckets)
     reps = [buckets[lab] for lab in labels]
     idx = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    e = idx.get(ray_label(ctx, Ideal(1, 0, 1), N, bases))
+    if e is None:
+        raise InvariantViolation("the class of O has no known label")
     base_products: Dict[Tuple, Tuple] = {}
-    table = [[0] * len(reps) for _ in reps]
-    for i, (R1, w1) in enumerate(labels):
-        for j in range(i, len(labels)):
-            R2, w2 = labels[j]
-            if (R1, R2) not in base_products:
-                B1, B2 = bases.lattice[R1], bases.lattice[R2]
-                R3, c12 = ray_label(ctx, ideal_mul(ctx, B1, B2), N, bases)
-                n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
-                base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
-            R3, c = base_products[R1, R2]
-            w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
-            k = idx.get((R3, w3))
+    table: List[Optional[List[int]]] = [None] * n
+    table[e] = list(range(n))
+    walk = [e]  # the subgroup built so far, in breadth-first order
+    while len(walk) < n:
+        s = table.index(None)
+        cay = []  # cay[y] = index of the class of L_y*L_s
+        for y, lab in enumerate(labels):
+            k = idx.get(_label_product(ctx, N, bases, base_products, lab, labels[s]))
             if k is None:
-                raise InvariantViolation(f"product of ray classes {i} and {j} has no known label")
-            table[i][j] = table[j][i] = k
+                raise InvariantViolation(f"product of ray classes {y} and {s} has no known label")
+            cay.append(k)
+        if cay[e] != s:
+            raise InvariantViolation(f"the class of O times class {s} is class {cay[e]}")
+        # walk grows while it is read, so this closes the subgroup under s
+        for y in walk:
+            z = cay[y]
+            if table[z] is None:
+                table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
+                walk.append(z)
     return IdealClassOracle(ctx, N, reps, labels, table, bound, bases)
 
 

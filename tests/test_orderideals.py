@@ -2,7 +2,7 @@ import ast
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -14,7 +14,10 @@ from classfield.orderideals import (
     Ideal,
     _class_bases,
     _disc_roots,
+    _elem_mul,
     _factor_table,
+    _label_product,
+    _unit_orbit_min,
     form_ideal_dictionary,
     form_to_lattice,
     ideal_mul,
@@ -378,6 +381,29 @@ def reference_table(oracle):
     return table
 
 
+def pairwise_label_law_table(oracle):
+    """The oracle's table filled cell by cell under the label group law: one
+    label-law product per unordered pair of classes, with the base product
+    B1*B2 labelled once per pair of reduced forms.  The reference for the
+    Cayley fill of oracle_class_group."""
+    ctx, N, bases, labels = oracle.ctx, oracle.level, oracle.bases, oracle.labels
+    idx = {lab: i for i, lab in enumerate(labels)}
+    base_products = {}
+    table = [[0] * len(labels) for _ in labels]
+    for i, (R1, w1) in enumerate(labels):
+        for j in range(i, len(labels)):
+            R2, w2 = labels[j]
+            if (R1, R2) not in base_products:
+                B1, B2 = bases.lattice[R1], bases.lattice[R2]
+                R3, c12 = ray_label(ctx, ideal_mul(ctx, B1, B2), N, bases)
+                n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
+                base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
+            R3, c = base_products[R1, R2]
+            w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
+            table[i][j] = table[j][i] = idx[R3, w3]
+    return table
+
+
 @lru_cache(maxsize=None)
 def _ideal_pool(D, N):
     ctx = OrderContext.from_disc(D)
@@ -418,6 +444,67 @@ def test_ray_label_matches_reference_and_same_ray_class(D, N, picks, lam, kind):
 def test_oracle_table_law_matches_product_labels(D, N):
     oracle = oracle_class_group(OrderContext.from_disc(D), N)
     assert oracle.table == reference_table(oracle)
+
+
+@settings(max_examples=40, deadline=None)
+@given(D=st.sampled_from([-3, -4, -12, -27, -180, -200]), N=st.integers(1, 12))
+def test_oracle_cayley_table_matches_pairwise_label_law(D, N):
+    # extra units (-3, -4) and non-maximal orders (-12, -27, -180, -200); the
+    # identity is the class of O, whose index follows the sorted labels
+    oracle = oracle_class_group(OrderContext.from_disc(D), N)
+    assert oracle.table == pairwise_label_law_table(oracle)
+    assert oracle.table[oracle.index_of(Ideal(1, 0, 1))] == list(range(oracle.order))
+
+
+@pytest.mark.parametrize("D, N", [(-95, 5), (-200, 3)])
+def test_oracle_label_product_count(D, N, monkeypatch):
+    # one Cayley row of n label-law products per generator, at most log2(n)
+    # generators
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return _label_product(*args)
+
+    monkeypatch.setattr(orderideals, "_label_product", counting)
+    n = oracle_class_group(OrderContext.from_disc(D), N).order
+    assert calls and len(calls) <= n * (n.bit_length() - 1)
+
+
+def test_oracle_rejects_label_law_without_identity(monkeypatch):
+    # a law under which the class of O is no identity stops the fill instead
+    # of picking the same generator forever
+    monkeypatch.setattr(orderideals, "_label_product", lambda ctx, N, bases, cache, lab1, lab2: lab1)
+    with pytest.raises(InvariantViolation, match="the class of O times class"):
+        oracle_class_group(OrderContext.from_disc(-200), 3)
+
+
+def test_oracle_labels_each_primitive_ideal_once_across_tries(monkeypatch):
+    # (-4000, 7) reaches its 360 classes on the third try.  Each primitive
+    # ideal of the stream is labelled once over all tries; besides those,
+    # ray_label sees only the class of O and at most one base product per
+    # pair of reduced forms.
+    ctx = OrderContext.from_disc(-4000)
+    primitive, calls = set(), []
+
+    def counting_stream(*args):
+        for norm, L in integral_ideals(*args):
+            if L.g == 1:
+                primitive.add(L)
+            yield norm, L
+
+    def counting_label(ctx, L, N, bases):
+        calls.append(L)
+        return ray_label(ctx, L, N, bases)
+
+    monkeypatch.setattr(orderideals, "integral_ideals", counting_stream)
+    monkeypatch.setattr(orderideals, "ray_label", counting_label)
+    oracle = oracle_class_group(ctx, 7)
+    h = len(enumerate_reduced(ctx.disc))
+    start = 2 * (isqrt(-ctx.disc // 3 - 1) + 1) * 7 * 7
+    assert oracle.order == 360 and oracle.norm_bound == 4 * start
+    assert primitive <= set(calls)
+    assert len(calls) <= len(primitive) + 1 + h * (h + 1) // 2
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 12])
@@ -507,7 +594,8 @@ ORACLE_QUADFORMS_IMPORTS = {
 
 
 def test_oracle_imports_no_form_side_composition():
-    assert not ORACLE_QUADFORMS_IMPORTS & {"dirichlet_compose", "compose_level", "class_enumerate"}
+    forbidden = {"dirichlet_compose", "compose_level", "class_enumerate", "group_structure_from_table"}
+    assert not ORACLE_QUADFORMS_IMPORTS & forbidden
     tree = ast.parse(Path(orderideals.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
