@@ -19,10 +19,11 @@ base ideals' generators and invariants.general_invariant.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DomainError, InvariantViolation, ResourceError
 from .quadforms import (
@@ -208,33 +209,25 @@ def integral_ideals(
 
 
 def labelled_ideals(
-    ctx: OrderContext,
-    bound: int,
-    N: int,
-    bases: ClassBases,
-    coprime_to: int,
-    known: Optional[Dict[Ideal, Tuple]] = None,
+    ctx: OrderContext, bound: int, N: int, label: Callable[[Ideal], Tuple], coprime_to: int
 ) -> Iterator[Tuple[int, Ideal, Tuple]]:
     """(norm, ideal, ray label mod N) for the ideals of
     integral_ideals(ctx, bound, coprime_to), in its order.
 
-    Only primitive ideals (g = 1) go through ray_label.  A multiple m*L comes
-    right after L and has L's reduced form, and its generator residue is m
-    times L's, so its label is (R, least of the unit orbit of m*w) for L's
-    label (R, w): the orbit of m*w is m times the orbit of w.  If `known` is
-    given, it maps primitive ideals to their labels: a primitive ideal found
-    there is not labelled again, and each new label is added to it.
+    Only primitive ideals (g = 1) go through `label`, which gives the ray
+    label mod N of a primitive ideal: ray_label itself for the zeta route,
+    a cache of it for the oracle, whose norm-bound tries see the same
+    primitive ideals again.  A multiple m*L comes right after L and has L's
+    reduced form, and its generator residue is m times L's, so its label is
+    (R, least of the unit orbit of m*w) for L's label (R, w): the orbit of
+    m*w is m times the orbit of w.
     """
     for norm, L in integral_ideals(ctx, bound, coprime_to):
-        if L.g != 1:
-            label = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
-        elif known is None:
-            R, w = label = ray_label(ctx, L, N, bases)
-        elif L in known:
-            R, w = label = known[L]
+        if L.g == 1:
+            R, w = lab = label(L)
         else:
-            R, w = label = known[L] = ray_label(ctx, L, N, bases)
-        yield norm, L, label
+            lab = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
+        yield norm, L, lab
 
 
 @dataclass
@@ -383,7 +376,8 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     each multiple labelled from its primitive ideal.  The bound starts at
     max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2) and is doubled until the
     independently known class count is reached, over at most nine tries;
-    each try reuses the labels of the primitive ideals an earlier try saw.
+    ray_label goes through a cache, so a try labels only the primitive
+    ideals no earlier try saw.
     ResourceError names the last bound searched, and the result's norm_bound
     is the bound that reached the count.
 
@@ -404,10 +398,10 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
     start = max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
-    known: Dict[Ideal, Tuple] = {}
+    label = functools.cache(lambda L: ray_label(ctx, L, N, bases))
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, Ideal] = {}
-        for _, L, lab in labelled_ideals(ctx, bound, N, bases, lN, known):
+        for _, L, lab in labelled_ideals(ctx, bound, N, label, lN):
             buckets.setdefault(lab, L)
             if len(buckets) == target:
                 break
@@ -417,14 +411,11 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
         raise ResourceError(
             f"found {len(buckets)} of {target} ray classes up to norm bound {bound}"
         )
-    del known  # the labels the fill needs are the buckets' keys
     labels = sorted(buckets)
     reps = [buckets[lab] for lab in labels]
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
-    e = idx.get(ray_label(ctx, Ideal(1, 0, 1), N, bases))
-    if e is None:
-        raise InvariantViolation("the class of O has no known label")
+    e = idx[next(iter(buckets))]  # O = Ideal(1, 0, 1) is the first ideal of the stream
     base_products: Dict[Tuple, Tuple] = {}
     table: List[Optional[List[int]]] = [None] * n
     table[e] = list(range(n))

@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -329,13 +329,18 @@ STREAM_DISCS = [-3, -4, -12, -27, -71, -180, -200]
 
 @pytest.mark.parametrize("D", STREAM_DISCS)
 def test_labelled_ideals_match_ray_label_on_every_ideal(D):
-    # coprime_to = N keeps ideals not prime to the conductor (the zeta route),
-    # l_O * N drops them (the oracle)
+    # coprime_to = N keeps ideals not prime to the conductor (the zeta route,
+    # labelling with ray_label itself), l_O * N drops them (the oracle,
+    # labelling through a cache that an earlier try at a smaller bound filled)
     ctx = OrderContext.from_disc(D)
     for N in range(1, 13):
         bases = _class_bases(ctx, N)
-        for coprime_to in (N, ctx.conductor * N):
-            got = list(labelled_ideals(ctx, 1000, N, bases, coprime_to))
+        fresh = lambda L: ray_label(ctx, L, N, bases)
+        cached = cache(fresh)
+        lN = ctx.conductor * N
+        list(labelled_ideals(ctx, 300, N, cached, lN))  # the earlier try
+        for coprime_to, label in ((N, fresh), (lN, cached)):
+            got = list(labelled_ideals(ctx, 1000, N, label, coprime_to))
             want = [(n, L, ray_label(ctx, L, N, bases)) for n, L in integral_ideals(ctx, 1000, coprime_to)]
             assert got == want and any(L.g > 1 for _, L, _ in got)
 
@@ -482,10 +487,11 @@ def test_oracle_rejects_label_law_without_identity(monkeypatch):
 def test_oracle_labels_each_primitive_ideal_once_across_tries(monkeypatch):
     # (-4000, 7) reaches its 360 classes on the third try.  Each primitive
     # ideal of the stream is labelled once over all tries; besides those,
-    # ray_label sees only the class of O and at most one base product per
-    # pair of reduced forms.
+    # ray_label sees at most one base product per pair of reduced forms.
+    # Every label the stream gave, many of them from the cache, is the one
+    # ray_label gives afresh.
     ctx = OrderContext.from_disc(-4000)
-    primitive, calls = set(), []
+    primitive, calls, seen = set(), [], []
 
     def counting_stream(*args):
         for norm, L in integral_ideals(*args):
@@ -497,14 +503,23 @@ def test_oracle_labels_each_primitive_ideal_once_across_tries(monkeypatch):
         calls.append(L)
         return ray_label(ctx, L, N, bases)
 
+    def recording_stream(*args):
+        for item in labelled_ideals(*args):
+            seen.append(item)
+            yield item
+
     monkeypatch.setattr(orderideals, "integral_ideals", counting_stream)
     monkeypatch.setattr(orderideals, "ray_label", counting_label)
+    monkeypatch.setattr(orderideals, "labelled_ideals", recording_stream)
     oracle = oracle_class_group(ctx, 7)
     h = len(enumerate_reduced(ctx.disc))
     start = 2 * (isqrt(-ctx.disc // 3 - 1) + 1) * 7 * 7
     assert oracle.order == 360 and oracle.norm_bound == 4 * start
     assert primitive <= set(calls)
-    assert len(calls) <= len(primitive) + 1 + h * (h + 1) // 2
+    assert len(calls) <= len(primitive) + h * (h + 1) // 2
+    monkeypatch.undo()
+    assert len(seen) > len(primitive)
+    assert all(lab == ray_label(ctx, L, 7, oracle.bases) for _, L, lab in seen)
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 12])
