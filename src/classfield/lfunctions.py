@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .invariants import _conjugate_pairs, g_ON
 from .numerics import BigComplex, DomainError, working_bits
-from .orderideals import _class_bases, labelled_ideals, ray_label
+from .orderideals import _class_bases, _factor_table, labelled_ideals, ray_label
 from .quadforms import ClassGroup, Form, OrderContext, Walk, _unit_coords, reduce_form
 
 __all__ = [
@@ -81,6 +81,27 @@ def zeta_ideal_partial_all(
 ) -> Dict[Tuple, ZetaPartial]:
     """Partial zeta values for every ray class at once, from one enumeration.
 
+    The ideals of norm <= B = bound come from labelled_ideals.  n^-s is
+    multiplicative, so it is the product of p^-s over the prime factors of
+    n, read off the stream's least-prime-factor table: one exp-log per
+    prime dividing a norm, not one per norm.  Each p^-s, each product and
+    each class total is a pair of integers in fixed point, 2^-F units with
+    F = prec + ceil(Re(s) w) + 1 + bits(T (2w - 1)), prec =
+    working_bits(digits), w = bits(B) and T the number of ideals; each
+    total becomes a BigComplex once, at prec bits.
+
+    Error bound.  p^-s, evaluated with enough bits that mpmath's error is
+    below 2^-7 units, is rounded to the nearest unit in each part, so it is
+    within u = 2^-F; |p^-s| <= 2^-Re(s) < 1/2.  Each product is rounded to
+    the nearest unit in each part, again within u.  n has k <= w - 1 prime
+    factors, and a product of k such factors, each partial product of
+    modulus at most 1, is within (2k - 1) u <= (2w - 1) u of n^-s.  The
+    integer sums are exact, so a class total of t terms is within
+    t (2w - 1) u <= 2^-prec 2^-Re(s) w < 2^-prec B^-Re(s) of the exact sum
+    S; rounding it to prec bits adds at most 2^-prec |total|.  So
+
+        |value - S| <= 2^-prec (|S| + 2 B^-Re(s)).
+
     The tail 2 kappa B^(1-s)/(s-1), kappa = (ideals of norm <= B)/B, is an
     estimate, not a proven bound: it assumes the class's ideal count keeps
     growing at its rate up to B, with a factor 2 to spare.  At s = 2 against
@@ -92,33 +113,52 @@ def zeta_ideal_partial_all(
     _require_res_gt1(s)
     bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
-    # ideals not prime to the conductor stay in; labelled_ideals calls
-    # ray_label once per primitive ideal and labels its multiples from it.
-    # One pass sees each ideal once, so no label is kept: a cache of them
-    # holds 1.1 MB more at the peak on (-200, 3) at B = 10^4 (tracemalloc).
+    # ideals not prime to the conductor stay in.  One pass sees each ideal
+    # once, so ray_label goes uncached: a cache of every label held 1.1 MB
+    # more at the peak on (-200, 3) at B = 10^4 (tracemalloc).
     label = lambda L: ray_label(ctx, L, N, bases)
     for norm, _, lab in labelled_ideals(ctx, bound, N, label, coprime_to=N):
         norms.setdefault(lab, []).append(norm)
     for ns in norms.values():
         ns.sort()
     prec = working_bits(digits)
-    with mp.workprec(prec):
-        s_ = s.to_mpc()
-        totals = [mpmath.mpc(0)] * len(norms)
-        # ascending norms over all classes: one exp-log per distinct norm,
-        # added times its ideal count to each class with ideals of that norm
-        sweep = heapq.merge(*(zip(ns, itertools.repeat(i)) for i, ns in enumerate(norms.values())))
-        last = None
-        for (n, i), run in itertools.groupby(sweep):
-            if n != last:
-                last, power = n, mpmath.exp(-s_ * mpmath.log(n))
-            totals[i] += sum(1 for _ in run) * power
+    width = bound.bit_length()
+    terms = sum(len(ns) for ns in norms.values())
+    frac = prec + math.ceil(float(s.re) * width) + 1 + (terms * (2 * width - 1)).bit_length()  # F
+    # bits for p^-s: mpmath's error in exp(-s log p) scales with |s log p|
+    eval_bits = frac + 10 + math.ceil(abs(complex(s.re, s.im)) * width).bit_length()
+    half = 1 << (frac - 1)
+    spf = _factor_table(bound)
+    s_ = s.to_mpc()
+    primes: Dict[int, Tuple[int, int]] = {}  # p -> p^-s, for the p that divide a norm
+    totals = [[0, 0] for _ in norms]
+    # ascending norms over all classes: one power per distinct norm, added
+    # times its ideal count to each class with ideals of that norm
+    sweep = heapq.merge(*(zip(ns, itertools.repeat(i)) for i, ns in enumerate(norms.values())))
+    last = None
+    for (n, i), run in itertools.groupby(sweep):
+        if n != last:
+            last, x, y, m = n, 1 << frac, 0, n
+            while m > 1:
+                p = spf[m] or m
+                m //= p
+                if p not in primes:
+                    with mp.workprec(eval_bits):
+                        z = mpmath.exp(-s_ * mpmath.log(p))
+                        primes[p] = (int(mpmath.nint(mpmath.ldexp(z.real, frac))),
+                                     int(mpmath.nint(mpmath.ldexp(z.imag, frac))))
+                a, b = primes[p]
+                x, y = (x * a - y * b + half) >> frac, (x * b + y * a + half) >> frac
+        count = sum(1 for _ in run)
+        totals[i][0] += count * x
+        totals[i][1] += count * y
     out = {}
-    for (lab, ns), total in zip(norms.items(), totals):
+    for (lab, ns), (x, y) in zip(norms.items(), totals):
         # near-linear ideal count growth: sum_{n > B} count'(n)/n^Re(s)
         kappa = len(ns) / bound
         tail = float(2 * kappa * bound ** (1 - float(s.re)) / (float(s.re) - 1))
-        out[lab] = ZetaPartial(BigComplex.from_mpc(total, prec), len(ns), tail)
+        value = BigComplex(Fraction(x, 1 << frac), Fraction(y, 1 << frac), prec)
+        out[lab] = ZetaPartial(value, len(ns), tail)
     return out
 
 

@@ -132,20 +132,37 @@ def _sqrt_mod_prime(n: int, p: int) -> Optional[int]:
     return r
 
 
+@functools.lru_cache(maxsize=1)
 def _factor_table(bound: int) -> memoryview:
     """spf[n] = the least prime factor of n for composite n <= bound, else 0.
 
     Each d from sqrt(bound) down to 2 is written over its multiples from d^2
     on.  The last write to a composite n is then its least divisor d > 1,
-    which is prime and has d^2 <= n.  The table is a bytearray cast to
-    unsigned 32-bit ints, 4 bytes a number: the array module would do the
-    same, but loading it adds about 0.13 MB to every process's RSS.
+    which is prime and has d^2 <= n.  The table is a read-only view of a
+    bytearray cast to unsigned 32-bit ints, 4 bytes a number: the array
+    module would do the same, but loading it adds about 0.13 MB to every
+    process's RSS.  The last table is kept, so integral_ideals, the label
+    split of labelled_ideals and the zeta route's power product share one
+    table per bound.
     """
     spf = memoryview(bytearray(4 * (bound + 1))).cast("I")
     for d in range(isqrt(bound), 1, -1):
         run = d.to_bytes(4, sys.byteorder) * len(range(d * d, bound + 1, d))
         spf[d * d :: d] = memoryview(run).cast("I")
-    return spf
+    return spf.toreadonly()
+
+
+def _prime_power_parts(a: int, spf: memoryview) -> List[int]:
+    """The coprime prime powers q with a = prod q, by ascending prime, read
+    off the least-prime-factor table spf (0 marks a prime)."""
+    parts = []
+    while a > 1:
+        p = spf[a] or a
+        q, a = p, a // p
+        while a % p == 0:
+            q, a = q * p, a // p
+        parts.append(q)
+    return parts
 
 
 def _disc_roots(D: int, a: int, spf: memoryview, sqrts: Dict[int, Optional[int]]) -> List[int]:
@@ -187,9 +204,10 @@ def integral_ideals(
     Ideals come in order of a, then b ascending in [0, 2a), then m, so every
     multiple m*L comes right after its primitive ideal L (m = 1), which
     labelled_ideals relies on; the oracle's representatives are the first
-    ideal of each class in this order.  The roots b come from one
-    least-prime-factor table up to the bound (4 bytes a number) and one
-    square root of D per prime, both built once per call.
+    ideal of each class in this order.  The roots b come from the
+    least-prime-factor table up to the bound (4 bytes a number, shared
+    through _factor_table's cache) and one square root of D per prime,
+    built once per call.
     """
     spf = _factor_table(bound)
     sqrts: Dict[int, Optional[int]] = {}
@@ -214,19 +232,56 @@ def labelled_ideals(
     """(norm, ideal, ray label mod N) for the ideals of
     integral_ideals(ctx, bound, coprime_to), in its order.
 
-    Only primitive ideals (g = 1) go through `label`, which gives the ray
-    label mod N of a primitive ideal: ray_label itself for the zeta route,
-    a cache of it for the oracle, whose norm-bound tries see the same
-    primitive ideals again.  A multiple m*L comes right after L and has L's
-    reduced form, and its generator residue is m times L's, so its label is
-    (R, least of the unit orbit of m*w) for L's label (R, w): the orbit of
-    m*w is m times the orbit of w.
+    Labels are multiplicative, so only O and the primitive ideals (g = 1) of
+    prime-power norm go through `label`, which gives the ray label mod N of
+    such an ideal: ray_label itself for the zeta route, a cache of it for the
+    oracle, whose norm-bound tries see the same ideals again.
+
+    A primitive ideal L = Z(tau + t) + Z*a of composite norm a = prod q, the
+    q coprime prime powers read off the stream's least-prime-factor table,
+    is the product of its parts Z(tau + t mod q) + Z*q: the parts meet in L
+    and their product, of norm a, lies in L.  Each part is proper, since
+    with L's form (a, b, c) its form (q, b, c*a/q) has
+    gcd(q, b, c*a/q) = gcd(q, b, c), a divisor of gcd(a, b, c) = 1; it is
+    prime to coprime_to and of norm q <= a/2, so it came earlier in the
+    stream.  The label is the
+    label-law product (_label_product) of the parts' labels, kept in the
+    memo over label pairs of _class_bases(ctx, N) (at most n^2 entries for n
+    classes), which the oracle's tries share.  Only the labels of parts
+    that can still come, q <= bound/2, are kept, interned so that each is
+    one of the n label objects.
+
+    A multiple m*L comes right after L and has L's reduced form, and its
+    generator residue is m times L's, so its label is (R, least of the unit
+    orbit of m*w) for L's label (R, w): the orbit of m*w is m times the
+    orbit of w.
     """
+    spf = _factor_table(bound)
+    bases = _class_bases(ctx, N)
+    interned: Dict[Tuple, Tuple] = {}
+    part_labels: Dict[Tuple[int, int], Tuple] = {}  # (q, t) -> label of Z(tau + t) + Z*q
+    products = bases.label_products
+    a, parts = 0, []
     for norm, L in integral_ideals(ctx, bound, coprime_to):
-        if L.g == 1:
-            R, w = lab = label(L)
-        else:
+        if L.g > 1:
             lab = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
+        else:
+            if L.m != a:
+                a, parts = L.m, _prime_power_parts(L.m, spf)
+            if len(parts) < 2:  # O or a prime power
+                lab = label(L)
+                lab = interned.setdefault(lab, lab)
+                if parts and 2 * a <= bound:
+                    part_labels[a, L.t] = lab
+            else:
+                lab = part_labels[parts[0], L.t % parts[0]]
+                for q in parts[1:]:
+                    key = (lab, part_labels[q, L.t % q])
+                    if key not in products:
+                        product = _label_product(ctx, N, bases, *key)
+                        products[key] = interned.setdefault(product, product)
+                    lab = products[key]
+            R, w = lab
         yield norm, L, lab
 
 
@@ -273,13 +328,23 @@ class IdealClassOracle:
 class ClassBases(NamedTuple):
     """One base ideal B_R per reduced form R, prime to l_O*N so generator
     residues of quotients land in (O/NO)*, and the generator c_R = (x, y),
-    meaning x + y*tau, of the principal ideal form_to_lattice(R)*conj(B_R)."""
+    meaning x + y*tau, of the principal ideal form_to_lattice(R)*conj(B_R).
+
+    Two memos ride along: base_products, _label_product's labelled base
+    products by pair of reduced forms, and label_products, labelled_ideals'
+    label-law products by pair of labels."""
 
     lattice: Dict[Form, Ideal]
     gen: Dict[Form, Tuple[int, int]]
+    base_products: Dict[Tuple, Tuple]
+    label_products: Dict[Tuple, Tuple]
 
 
+@functools.lru_cache(maxsize=1)
 def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
+    """The bases of (ctx, N).  The last one is kept, so that the oracle, its
+    fill and every try's stream, and the zeta route and its stream, share
+    one ClassBases and its memos."""
     lattice, gen = {}, {}
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
@@ -289,7 +354,7 @@ def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
         if R_B != R:
             raise InvariantViolation("a reduced form and its base ideal are not in one class")
         lattice[R], gen[R] = B, (x - ctx.b0 * y, -y)
-    return ClassBases(lattice, gen)
+    return ClassBases(lattice, gen, {}, {})
 
 
 def _elem_mul(ctx: OrderContext, u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
@@ -347,24 +412,22 @@ def ray_label(ctx: OrderContext, L: Ideal, N: int, bases: ClassBases) -> Tuple:
     return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
 
 
-def _label_product(
-    ctx: OrderContext, N: int, bases: ClassBases, base_products: Dict, lab1: Tuple, lab2: Tuple
-) -> Tuple:
+def _label_product(ctx: OrderContext, N: int, bases: ClassBases, lab1: Tuple, lab2: Tuple) -> Tuple:
     """Ray label of L1*L2 from the labels (R1, w1), (R2, w2) of L1, L2.
 
     If w1, w2 generate L1*conj(B1), L2*conj(B2) and c12 generates
     B1*B2*conj(B3), then w1*w2*c12/(N(B1)*N(B2)) generates L1*L2*conj(B3).
     So only the base product B1*B2 is labelled, once per pair of reduced
-    forms, and kept in base_products.
+    forms, and kept in bases.base_products.
     """
     (R1, w1), (R2, w2) = lab1, lab2
     key = (R1, R2) if R1 <= R2 else (R2, R1)
-    if key not in base_products:
+    if key not in bases.base_products:
         B1, B2 = bases.lattice[R1], bases.lattice[R2]
         R3, c12 = ray_label(ctx, ideal_mul(ctx, B1, B2), N, bases)
         n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
-        base_products[key] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
-    R3, c = base_products[key]
+        bases.base_products[key] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
+    R3, c = bases.base_products[key]
     return R3, _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
 
 
@@ -372,12 +435,13 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     """Representatives and group table of C_N(O) by exhaustive bucketing.
 
     Ideals prime to l_O*N are enumerated up to a norm bound and grouped by
-    ray label, from labelled_ideals: one ray_label per primitive ideal, and
-    each multiple labelled from its primitive ideal.  The bound starts at
-    max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2) and is doubled until the
-    independently known class count is reached, over at most nine tries;
-    ray_label goes through a cache, so a try labels only the primitive
-    ideals no earlier try saw.
+    ray label, from labelled_ideals: one ray_label for O and for each
+    primitive ideal of prime-power norm, every other ideal labelled from
+    those.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
+    and is doubled until the independently known class count is reached,
+    over at most nine tries; ray_label goes through a cache, so a try labels
+    only the ideals no earlier try saw, and the tries share the label-law
+    products, and with the fill the base products, that _class_bases keeps.
     ResourceError names the last bound searched, and the result's norm_bound
     is the bound that reached the count.
 
@@ -416,7 +480,6 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     idx = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     e = idx[next(iter(buckets))]  # O = Ideal(1, 0, 1) is the first ideal of the stream
-    base_products: Dict[Tuple, Tuple] = {}
     table: List[Optional[List[int]]] = [None] * n
     table[e] = list(range(n))
     walk = [e]  # the subgroup built so far, in breadth-first order
@@ -424,7 +487,7 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
         s = table.index(None)
         cay = []  # cay[y] = index of the class of L_y*L_s
         for y, lab in enumerate(labels):
-            k = idx.get(_label_product(ctx, N, bases, base_products, lab, labels[s]))
+            k = idx.get(_label_product(ctx, N, bases, lab, labels[s]))
             if k is None:
                 raise InvariantViolation(f"product of ray classes {y} and {s} has no known label")
             cay.append(k)

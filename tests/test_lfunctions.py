@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from random import Random
 
 import mpmath
@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import fourier_reference
-from classfield import modfun
+from classfield import lfunctions, modfun, orderideals
 from kronecker_reference import kronecker_xi
 from classfield.lfunctions import (
     ZetaPartial,
@@ -32,6 +32,7 @@ from classfield.quadforms import (
     group_structure_from_table,
     make_coprime,
 )
+from test_orderideals import counting_ray_label, is_prime_power_or_one
 from test_quadforms import RNG_SEED, shuffled_product_tables
 
 DIGITS = 50
@@ -82,20 +83,63 @@ def reference_ideal_sums(ctx, N, s, bound, digits):
 
 
 @pytest.mark.parametrize(
-    "D, N, s", [(-200, 3, (2, 0)), (-71, 5, (3, 0)), (-56, 2, (Fraction(3, 2), 2))]
+    "D, N, s",
+    [
+        (-200, 3, (2, 0)),
+        (-71, 5, (3, 0)),
+        (-56, 2, (Fraction(3, 2), 2)),
+        (-200, 3, (Fraction(5, 2), 0)),
+        (-116, 5, (2, Fraction(1, 2))),
+    ],
 )
 def test_zeta_ideal_grouped_by_norm_matches_per_ideal_sum(D, N, s):
-    # one exp-log per distinct norm, times its count, against one per ideal
-    digits = 30
+    # n^-s as a fixed-point product of cached p^-s, once per distinct norm
+    # and times its count, against one exp-log per ideal
+    digits, bound = 30, 1000
     ctx = OrderContext.from_disc(D)
     s = BigComplex(*s, working_bits(digits))
-    got = zeta_ideal_partial_all(ctx, N, s, 1000, digits)
-    ref = reference_ideal_sums(ctx, N, s, 1000, digits)
+    got = zeta_ideal_partial_all(ctx, N, s, bound, digits)
+    ref = reference_ideal_sums(ctx, N, s, bound, digits)
     assert got.keys() == ref.keys()
     with mp.workprec(s.prec):
         for lab, (total, terms) in ref.items():
             assert got[lab].terms == terms
             assert abs(got[lab].value.to_mpc() - total) <= abs(total) * mpmath.mpf(10) ** -(digits + 20)
+    # the docstring's bound |value - S| <= 2^-prec (|S| + 2 B^-Re(s)), against
+    # S summed 66 bits finer; each of its terms has modulus < 1
+    prec = working_bits(digits)
+    fine = reference_ideal_sums(ctx, N, s, bound, digits + 20)
+    with mp.workprec(2 * prec):
+        for lab, (total, terms) in fine.items():
+            allowed = (abs(total) + 2 * mpmath.mpf(bound) ** -s.re) / 2**prec
+            allowed += terms * mpmath.mpf(2) ** -(prec + 60)
+            assert abs(got[lab].value.to_mpc() - total) <= allowed
+
+
+def test_zeta_ideal_route_counts(monkeypatch):
+    # on (-200, 3) up to norm 2000: ray_label labels O and each primitive
+    # ideal of prime-power norm once, plus at most one base product per pair
+    # of reduced forms; mpmath.log runs once per prime dividing a norm; one
+    # least-prime-factor table serves the stream and the power product
+    ctx, N, bound = OrderContext.from_disc(-200), 3, 2000
+    stream = list(integral_ideals(ctx, bound, coprime_to=N))
+    prime_power = [L for _, L in stream if L.g == 1 and is_prime_power_or_one(L.m)]
+    divisors = {p for n in {n for n, _ in stream} for p in range(2, n + 1) if n % p == 0}
+    primes = {p for p in divisors if all(p % q for q in range(2, isqrt(p) + 1))}
+    orderideals._class_bases.cache_clear()
+    orderideals._factor_table.cache_clear()
+    stream_calls, product_calls, logs = [], [], []
+    counting_ray_label(monkeypatch, stream_calls, product_calls, lfunctions)
+    log = mpmath.log
+    monkeypatch.setattr(mpmath, "log", lambda x: logs.append(x) or log(x))
+    out = zeta_ideal_partial_all(ctx, N, BigComplex(2, 0, PREC), bound)
+    monkeypatch.undo()
+    h = len(enumerate_reduced(ctx.disc))
+    assert sum(z.terms for z in out.values()) == len(stream)
+    assert sorted(stream_calls) == sorted(prime_power) and len(prime_power) < len(stream) / 3
+    assert len(product_calls) <= h * (h + 1) // 2
+    assert sorted(logs) == sorted(primes)
+    assert orderideals._factor_table.cache_info().misses == 1
 
 
 def test_zeta_monotone_in_bound(ctx200):

@@ -461,65 +461,138 @@ def test_oracle_cayley_table_matches_pairwise_label_law(D, N):
     assert oracle.table[oracle.index_of(Ideal(1, 0, 1))] == list(range(oracle.order))
 
 
+def flagging_stream(flag):
+    """A labelled_ideals that sets flag[0] while the stream computes an item,
+    so that counters can tell the stream's calls from the fill's."""
+
+    def stream(*args):
+        inner = labelled_ideals(*args)
+        while True:
+            flag[0] = True
+            item = next(inner, None)
+            flag[0] = False
+            if item is None:
+                return
+            yield item
+
+    return stream
+
+
 @pytest.mark.parametrize("D, N", [(-95, 5), (-200, 3)])
 def test_oracle_label_product_count(D, N, monkeypatch):
     # one Cayley row of n label-law products per generator, at most log2(n)
-    # generators
-    calls = []
+    # generators; the products the stream takes for ideals of composite
+    # norm are counted apart
+    calls, in_stream = [], [False]
+    _class_bases.cache_clear()
 
     def counting(*args):
-        calls.append(1)
+        calls.append(in_stream[0])
         return _label_product(*args)
 
     monkeypatch.setattr(orderideals, "_label_product", counting)
+    monkeypatch.setattr(orderideals, "labelled_ideals", flagging_stream(in_stream))
     n = oracle_class_group(OrderContext.from_disc(D), N).order
-    assert calls and len(calls) <= n * (n.bit_length() - 1)
+    fill = calls.count(False)
+    assert fill and fill <= n * (n.bit_length() - 1)
+    assert calls.count(True)
 
 
 def test_oracle_rejects_label_law_without_identity(monkeypatch):
     # a law under which the class of O is no identity stops the fill instead
     # of picking the same generator forever
-    monkeypatch.setattr(orderideals, "_label_product", lambda ctx, N, bases, cache, lab1, lab2: lab1)
+    monkeypatch.setattr(orderideals, "_label_product", lambda ctx, N, bases, lab1, lab2: lab1)
     with pytest.raises(InvariantViolation, match="the class of O times class"):
         oracle_class_group(OrderContext.from_disc(-200), 3)
+    _class_bases.cache_clear()  # its memo of label products holds the false law's
+
+
+def is_prime_power_or_one(m):
+    """Whether m is 1 or a prime power, by trial division."""
+    p = next((p for p in range(2, isqrt(m) + 1) if m % p == 0), m)
+    while m > 1 and m % p == 0:
+        m //= p
+    return m == 1
+
+
+def counting_ray_label(monkeypatch, stream_calls, product_calls, *modules):
+    """Patch ray_label in `modules` to record each ideal it labels, in
+    product_calls when _label_product asked for it (a base product), else
+    in stream_calls."""
+    in_product = [False]
+
+    def counting_product(*args):
+        in_product[0] = True
+        try:
+            return _label_product(*args)
+        finally:
+            in_product[0] = False
+
+    def counting_label(ctx, L, N, bases):
+        (product_calls if in_product[0] else stream_calls).append(L)
+        return ray_label(ctx, L, N, bases)
+
+    monkeypatch.setattr(orderideals, "_label_product", counting_product)
+    for module in (orderideals, *modules):
+        monkeypatch.setattr(module, "ray_label", counting_label)
 
 
 def test_oracle_labels_each_primitive_ideal_once_across_tries(monkeypatch):
-    # (-4000, 7) reaches its 360 classes on the third try.  Each primitive
-    # ideal of the stream is labelled once over all tries; besides those,
-    # ray_label sees at most one base product per pair of reduced forms.
-    # Every label the stream gave, many of them from the cache, is the one
-    # ray_label gives afresh.
+    # (-4000, 7) reaches its 360 classes on the third try.  ray_label sees
+    # only O and the primitive ideals of prime-power norm, each once over
+    # all tries, and at most one base product per pair of reduced forms,
+    # shared by the tries and the fill.  Every label the stream gave, most
+    # of them label-law products or from the cache, is the one ray_label
+    # gives afresh.
     ctx = OrderContext.from_disc(-4000)
-    primitive, calls, seen = set(), [], []
+    _class_bases.cache_clear()
+    prime_power, stream_calls, product_calls, seen = set(), [], [], []
 
-    def counting_stream(*args):
+    def recording_ideals(*args):
         for norm, L in integral_ideals(*args):
-            if L.g == 1:
-                primitive.add(L)
+            if L.g == 1 and is_prime_power_or_one(L.m):
+                prime_power.add(L)
             yield norm, L
-
-    def counting_label(ctx, L, N, bases):
-        calls.append(L)
-        return ray_label(ctx, L, N, bases)
 
     def recording_stream(*args):
         for item in labelled_ideals(*args):
             seen.append(item)
             yield item
 
-    monkeypatch.setattr(orderideals, "integral_ideals", counting_stream)
-    monkeypatch.setattr(orderideals, "ray_label", counting_label)
+    counting_ray_label(monkeypatch, stream_calls, product_calls)
+    monkeypatch.setattr(orderideals, "integral_ideals", recording_ideals)
     monkeypatch.setattr(orderideals, "labelled_ideals", recording_stream)
     oracle = oracle_class_group(ctx, 7)
     h = len(enumerate_reduced(ctx.disc))
     start = 2 * (isqrt(-ctx.disc // 3 - 1) + 1) * 7 * 7
     assert oracle.order == 360 and oracle.norm_bound == 4 * start
-    assert primitive <= set(calls)
-    assert len(calls) <= len(primitive) + h * (h + 1) // 2
+    assert Ideal(1, 0, 1) in prime_power
+    assert sorted(stream_calls) == sorted(prime_power)
+    assert len(product_calls) <= h * (h + 1) // 2
     monkeypatch.undo()
-    assert len(seen) > len(primitive)
+    assert len(seen) > 2 * len(prime_power)
     assert all(lab == ray_label(ctx, L, 7, oracle.bases) for _, L, lab in seen)
+
+
+LAW_DISCS = [-12, -27, -200, -4000, -3, -4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(D=st.sampled_from(LAW_DISCS), N=st.integers(1, 12), keep_conductor=st.booleans())
+def test_labelled_stream_label_law_matches_ray_label(D, N, keep_conductor):
+    # fast path against slow: the stream labels only O and the primitive
+    # ideals of prime-power norm, every other primitive ideal by the label
+    # law over its prime-power parts.  Orders of conductor 2, 3, 5 and 10
+    # and the fields with 6 and 4 units; coprime_to = N keeps the ideals not
+    # prime to the conductor, l_O * N drops them.
+    ctx = OrderContext.from_disc(D)
+    _class_bases.cache_clear()  # every product is taken afresh, under the law in force
+    bases = _class_bases(ctx, N)
+    coprime_to = N if keep_conductor else ctx.conductor * N
+    stream = list(labelled_ideals(ctx, 600, N, lambda L: ray_label(ctx, L, N, bases), coprime_to))
+    assert any(L.g == 1 and not is_prime_power_or_one(L.m) for _, L, _ in stream)
+    for _, L, lab in stream:
+        assert lab == ray_label(ctx, L, N, bases), L
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 7, 12])
