@@ -33,7 +33,7 @@ from mpmath import mp
 
 from .invariants import _conjugate_pairs, g_ON
 from .numerics import BigComplex, DomainError, working_bits
-from .orderideals import _class_bases, _factor_table, labelled_ideals, ray_label
+from .orderideals import _class_bases, _factor_table, labelled_ideals
 from .quadforms import ClassGroup, Form, OrderContext, Walk, _unit_coords, reduce_form
 
 __all__ = [
@@ -111,13 +111,9 @@ def zeta_ideal_partial_all(
     at B = 100).
     """
     _require_res_gt1(s)
-    bases = _class_bases(ctx, N)
     norms: Dict[Tuple, List[int]] = {}
-    # ideals not prime to the conductor stay in.  One pass sees each ideal
-    # once, so ray_label goes uncached: a cache of every label held 1.1 MB
-    # more at the peak on (-200, 3) at B = 10^4 (tracemalloc).
-    label = lambda L: ray_label(ctx, L, N, bases)
-    for norm, _, lab in labelled_ideals(ctx, bound, N, label, coprime_to=N):
+    # ideals not prime to the conductor stay in
+    for norm, _, lab in labelled_ideals(ctx, bound, N, _class_bases(ctx, N), coprime_to=N):
         norms.setdefault(lab, []).append(norm)
     for ns in norms.values():
         ns.sort()

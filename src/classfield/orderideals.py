@@ -23,7 +23,7 @@ import functools
 import sys
 from dataclasses import dataclass, field
 from math import gcd, isqrt
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import DomainError, InvariantViolation, ResourceError
 from .quadforms import (
@@ -198,8 +198,8 @@ def integral_ideals(
     ctx: OrderContext, bound: int, coprime_to: int = 1
 ) -> Iterator[Tuple[int, Ideal]]:
     """(norm, ideal) for proper integral ideals of norm <= bound prime to
-    `coprime_to`; primitive ideals come from forms (a, b mod 2a), and integer
-    multiples m*ideal account for the imprimitive ones.
+    `coprime_to`: m*a*[omega, 1] = Ideal(m, m*h mod m*a, m*a), h = (b0 - b)/2,
+    for each root b of b^2 = D mod 4a with (a, b, c) primitive and each m.
 
     Ideals come in order of a, then b ascending in [0, 2a), then m, so every
     multiple m*L comes right after its primitive ideal L (m = 1), which
@@ -218,24 +218,25 @@ def integral_ideals(
             c = (b * b - ctx.disc) // (4 * a)
             if gcd(gcd(a, b), c) != 1:
                 continue  # not a proper O-ideal
-            Q = Form(a, b, c)
+            h = (ctx.b0 - b) // 2
             m = 1
             while m * m * a <= bound:
                 if gcd(m, coprime_to) == 1:
-                    yield m * m * a, form_to_lattice(ctx, Q, scale=m)
+                    yield m * m * a, Ideal(m, m * h % (m * a), m * a)
                 m += 1
 
 
 def labelled_ideals(
-    ctx: OrderContext, bound: int, N: int, label: Callable[[Ideal], Tuple], coprime_to: int
+    ctx: OrderContext, bound: int, N: int, bases: ClassBases, coprime_to: int
 ) -> Iterator[Tuple[int, Ideal, Tuple]]:
     """(norm, ideal, ray label mod N) for the ideals of
     integral_ideals(ctx, bound, coprime_to), in its order.
 
     Labels are multiplicative, so only O and the primitive ideals (g = 1) of
-    prime-power norm go through `label`, which gives the ray label mod N of
-    such an ideal: ray_label itself for the zeta route, a cache of it for the
-    oracle, whose norm-bound tries see the same ideals again.
+    prime-power norm are labelled by ray_label, once per ClassBases: their
+    labels are kept in bases.labels, keyed (q, t) for Z(tau + t) + Z*q (O is
+    (1, 0)), so the oracle's norm-bound tries, which share its bases, label
+    no ideal twice.
 
     A primitive ideal L = Z(tau + t) + Z*a of composite norm a = prod q, the
     q coprime prime powers read off the stream's least-prime-factor table,
@@ -244,12 +245,9 @@ def labelled_ideals(
     with L's form (a, b, c) its form (q, b, c*a/q) has
     gcd(q, b, c*a/q) = gcd(q, b, c), a divisor of gcd(a, b, c) = 1; it is
     prime to coprime_to and of norm q <= a/2, so it came earlier in the
-    stream.  The label is the
-    label-law product (_label_product) of the parts' labels, kept in the
-    memo over label pairs of _class_bases(ctx, N) (at most n^2 entries for n
-    classes), which the oracle's tries share.  Only the labels of parts
-    that can still come, q <= bound/2, are kept, interned so that each is
-    one of the n label objects.
+    stream.  The label is the label-law product (_label_product) of the
+    parts' labels, kept in bases.label_products (at most n^2 entries for n
+    classes).  Every stored label is one of the n interned in bases.labels.
 
     A multiple m*L comes right after L and has L's reduced form, and its
     generator residue is m times L's, so its label is (R, least of the unit
@@ -257,10 +255,7 @@ def labelled_ideals(
     orbit of w.
     """
     spf = _factor_table(bound)
-    bases = _class_bases(ctx, N)
-    interned: Dict[Tuple, Tuple] = {}
-    part_labels: Dict[Tuple[int, int], Tuple] = {}  # (q, t) -> label of Z(tau + t) + Z*q
-    products = bases.label_products
+    labels, products = bases.labels, bases.label_products
     a, parts = 0, []
     for norm, L in integral_ideals(ctx, bound, coprime_to):
         if L.g > 1:
@@ -269,17 +264,17 @@ def labelled_ideals(
             if L.m != a:
                 a, parts = L.m, _prime_power_parts(L.m, spf)
             if len(parts) < 2:  # O or a prime power
-                lab = label(L)
-                lab = interned.setdefault(lab, lab)
-                if parts and 2 * a <= bound:
-                    part_labels[a, L.t] = lab
+                lab = labels.get((a, L.t))
+                if lab is None:
+                    lab = ray_label(ctx, L, N, bases)
+                    lab = labels[a, L.t] = labels.setdefault(lab, lab)
             else:
-                lab = part_labels[parts[0], L.t % parts[0]]
+                lab = labels[parts[0], L.t % parts[0]]
                 for q in parts[1:]:
-                    key = (lab, part_labels[q, L.t % q])
+                    key = (lab, labels[q, L.t % q])
                     if key not in products:
                         product = _label_product(ctx, N, bases, *key)
-                        products[key] = interned.setdefault(product, product)
+                        products[key] = labels.setdefault(product, product)
                     lab = products[key]
             R, w = lab
         yield norm, L, lab
@@ -326,25 +321,25 @@ class IdealClassOracle:
 
 
 class ClassBases(NamedTuple):
-    """One base ideal B_R per reduced form R, prime to l_O*N so generator
-    residues of quotients land in (O/NO)*, and the generator c_R = (x, y),
-    meaning x + y*tau, of the principal ideal form_to_lattice(R)*conj(B_R).
-
-    Two memos ride along: base_products, _label_product's labelled base
-    products by pair of reduced forms, and label_products, labelled_ideals'
-    label-law products by pair of labels."""
+    """The label state of one (ctx, N): one base ideal B_R per reduced form
+    R, prime to l_O*N so generator residues of quotients land in (O/NO)*,
+    and the generator c_R = (x, y), meaning x + y*tau, of the principal
+    ideal form_to_lattice(R)*conj(B_R), with the memos of the calls handed
+    it: base_products, _label_product's by pair of reduced forms;
+    label_products, labelled_ideals' by pair of labels; and labels, which
+    maps (q, t) to the label of Z(tau + t) + Z*q, and each label (a pair of
+    tuples, never a key (q, t)) to itself, its one interned object."""
 
     lattice: Dict[Form, Ideal]
     gen: Dict[Form, Tuple[int, int]]
     base_products: Dict[Tuple, Tuple]
     label_products: Dict[Tuple, Tuple]
+    labels: Dict[Tuple, Tuple]
 
 
-@functools.lru_cache(maxsize=1)
 def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
-    """The bases of (ctx, N).  The last one is kept, so that the oracle, its
-    fill and every try's stream, and the zeta route and its stream, share
-    one ClassBases and its memos."""
+    """Fresh bases of (ctx, N), with empty memos: the oracle hands its own to
+    its tries and fill, the zeta route its own to its stream."""
     lattice, gen = {}, {}
     for R in enumerate_reduced(ctx.disc):
         _, lifted = make_coprime(R, ctx.conductor * N)
@@ -354,7 +349,7 @@ def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
         if R_B != R:
             raise InvariantViolation("a reduced form and its base ideal are not in one class")
         lattice[R], gen[R] = B, (x - ctx.b0 * y, -y)
-    return ClassBases(lattice, gen, {}, {})
+    return ClassBases(lattice, gen, {}, {}, {})
 
 
 def _elem_mul(ctx: OrderContext, u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
@@ -439,9 +434,9 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     primitive ideal of prime-power norm, every other ideal labelled from
     those.  The bound starts at max(2 (isqrt(-D // 3 - 1) + 1) N^2, 10 N^2)
     and is doubled until the independently known class count is reached,
-    over at most nine tries; ray_label goes through a cache, so a try labels
-    only the ideals no earlier try saw, and the tries share the label-law
-    products, and with the fill the base products, that _class_bases keeps.
+    over at most nine tries.  One ClassBases serves every try and the fill,
+    so a try calls ray_label only on the ideals no earlier try saw, and
+    they share its memos.
     ResourceError names the last bound searched, and the result's norm_bound
     is the bound that reached the count.
 
@@ -462,10 +457,9 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     bases = _class_bases(ctx, N)
     lN = ctx.conductor * N
     start = max(2 * (isqrt(-ctx.disc // 3 - 1) + 1) * N * N, 10 * N * N)
-    label = functools.cache(lambda L: ray_label(ctx, L, N, bases))
     for bound in (start * 2**k for k in range(9)):
         buckets: Dict[Tuple, Ideal] = {}
-        for _, L, lab in labelled_ideals(ctx, bound, N, label, lN):
+        for _, L, lab in labelled_ideals(ctx, bound, N, bases, lN):
             buckets.setdefault(lab, L)
             if len(buckets) == target:
                 break

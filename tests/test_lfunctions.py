@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import fourier_reference
-from classfield import lfunctions, modfun, orderideals
+from classfield import modfun, orderideals
 from kronecker_reference import kronecker_xi
 from classfield.lfunctions import (
     ZetaPartial,
@@ -49,15 +49,16 @@ def test_gamma_on(ctx200):
     assert gamma_ON(ctx200, 2) == 2
 
 
-def ray_label_of(ctx, Q, N):
-    """The ray label of [[omega_Q, 1]], the key of zeta_ideal_partial_all."""
-    return ray_label(ctx, omega_ideal(ctx, Q, N), N, _class_bases(ctx, N))
+def ray_label_of(ctx, Q, N, bases):
+    """The ray label of [[omega_Q, 1]], the key of zeta_ideal_partial_all;
+    bases is _class_bases(ctx, N), built once by the caller."""
+    return ray_label(ctx, omega_ideal(ctx, Q, N), N, bases)
 
 
 def test_zeta_partial_agreement_single_class(ctx200):
     s = BigComplex(2, 0, PREC)
     Q = Form(2, 0, 25)
-    zi = zeta_ideal_partial_all(ctx200, 3, s, 2000)[ray_label_of(ctx200, Q, 3)]
+    zi = zeta_ideal_partial_all(ctx200, 3, s, 2000)[ray_label_of(ctx200, Q, 3, _class_bases(ctx200, 3))]
     zl = zeta_lattice_partial(Q, ctx200, 3, s, 120)
     with mp.workprec(PREC):
         diff = abs(zi.value.to_mpc() - zl.value.to_mpc())
@@ -126,10 +127,9 @@ def test_zeta_ideal_route_counts(monkeypatch):
     prime_power = [L for _, L in stream if L.g == 1 and is_prime_power_or_one(L.m)]
     divisors = {p for n in {n for n, _ in stream} for p in range(2, n + 1) if n % p == 0}
     primes = {p for p in divisors if all(p % q for q in range(2, isqrt(p) + 1))}
-    orderideals._class_bases.cache_clear()
     orderideals._factor_table.cache_clear()
     stream_calls, product_calls, logs = [], [], []
-    counting_ray_label(monkeypatch, stream_calls, product_calls, lfunctions)
+    counting_ray_label(monkeypatch, stream_calls, product_calls)
     log = mpmath.log
     monkeypatch.setattr(mpmath, "log", lambda x: logs.append(x) or log(x))
     out = zeta_ideal_partial_all(ctx, N, BigComplex(2, 0, PREC), bound)
@@ -144,7 +144,7 @@ def test_zeta_ideal_route_counts(monkeypatch):
 
 def test_zeta_monotone_in_bound(ctx200):
     s = BigComplex(2, 0, PREC)
-    lab = ray_label_of(ctx200, Form(2, 0, 25), 3)
+    lab = ray_label_of(ctx200, Form(2, 0, 25), 3, _class_bases(ctx200, 3))
     vals = [zeta_ideal_partial_all(ctx200, 3, s, B)[lab].value.re for B in (50, 200, 800)]
     assert vals[0] < vals[1] < vals[2]
 
@@ -278,8 +278,9 @@ def test_zeta_ideal_tail_against_closed_form():
         for N in (1, 2, 3, 5):
             # at B = 2000 the worst ratio was 0.60
             table = zeta_ideal_partial_all(ctx, N, s, 2000)
+            bases = _class_bases(ctx, N)
             for Q in class_enumerate(ctx, N).reps:
-                zi = table[ray_label_of(ctx, Q, N)]
+                zi = table[ray_label_of(ctx, Q, N, bases)]
                 zl = zeta_lattice_partial(Q, ctx, N, s, 80)
                 with mp.workprec(PREC):
                     assert abs(zi.value.to_mpc() - zl.value.to_mpc()) <= zi.tail_bound, (D, N, Q)

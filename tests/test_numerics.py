@@ -104,3 +104,49 @@ def test_guard_digits_named_only_in_numerics():
             if "GUARD_DIGITS" in names:
                 naming.add(path.name)
     assert naming == {"numerics.py"}
+
+
+def _immutable(value):
+    """Whether value is built of tuples, numbers and mpmath values only."""
+    if isinstance(value, tuple):
+        return all(_immutable(v) for v in value)
+    return isinstance(value, (int, float, mpmath.mpf, mpmath.mpc))
+
+
+def test_cached_functions_are_few_and_return_immutable_values():
+    # a cache hands its result to every later caller in the process, so only
+    # these four functions cache, and none returns state a caller could
+    # change: a cached memo would make a call's result depend on earlier ones
+    cached = set()
+    for path in Path(classfield.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        decorators = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                for dec in node.decorator_list:
+                    decorators[id(getattr(dec, "func", dec))] = node.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                cached.update(f"{path.stem}:{node.lineno}" for alias in node.names if "cache" in alias.name)
+            if (
+                isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "functools"
+                and node.attr in ("cache", "lru_cache")
+            ):
+                where = decorators.get(id(node))
+                cached.add(f"{path.stem}.{where}" if where else f"{path.stem}:{node.lineno}")
+    assert cached == {
+        "orderideals._factor_table",
+        "modfun._point",
+        "lfunctions._roots_of_unity",
+        "lfunctions._hurwitz_pair",
+    }
+    from classfield import lfunctions, modfun, orderideals
+
+    spf = orderideals._factor_table(100)
+    assert isinstance(spf, memoryview) and spf.readonly
+    point = modfun._point(mpmath.mpf(0), mpmath.mpf(1), 64)
+    assert isinstance(point, tuple) and _immutable(point)
+    roots = lfunctions._roots_of_unity(6, 64)
+    assert isinstance(roots, tuple) and _immutable(roots)
+    assert _immutable(lfunctions._hurwitz_pair(mpmath.mpc(2, 1), Fraction(1, 3), 64))

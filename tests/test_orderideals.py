@@ -1,7 +1,7 @@
 import ast
 import random
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt
 from pathlib import Path
 
@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from classfield import orderideals
-from classfield.numerics import DomainError, InvariantViolation, ResourceError
+from classfield.lfunctions import zeta_ideal_partial_all
+from classfield.numerics import BigComplex, DomainError, InvariantViolation, ResourceError
 from classfield.orderideals import (
     Ideal,
     _class_bases,
@@ -330,17 +331,15 @@ STREAM_DISCS = [-3, -4, -12, -27, -71, -180, -200]
 @pytest.mark.parametrize("D", STREAM_DISCS)
 def test_labelled_ideals_match_ray_label_on_every_ideal(D):
     # coprime_to = N keeps ideals not prime to the conductor (the zeta route,
-    # labelling with ray_label itself), l_O * N drops them (the oracle,
-    # labelling through a cache that an earlier try at a smaller bound filled)
+    # on fresh bases), l_O * N drops them (the oracle, on bases whose memos
+    # an earlier try at a smaller bound filled)
     ctx = OrderContext.from_disc(D)
     for N in range(1, 13):
-        bases = _class_bases(ctx, N)
-        fresh = lambda L: ray_label(ctx, L, N, bases)
-        cached = cache(fresh)
         lN = ctx.conductor * N
-        list(labelled_ideals(ctx, 300, N, cached, lN))  # the earlier try
-        for coprime_to, label in ((N, fresh), (lN, cached)):
-            got = list(labelled_ideals(ctx, 1000, N, label, coprime_to))
+        tried = _class_bases(ctx, N)
+        list(labelled_ideals(ctx, 300, N, tried, lN))  # the earlier try
+        for coprime_to, bases in ((N, _class_bases(ctx, N)), (lN, tried)):
+            got = list(labelled_ideals(ctx, 1000, N, bases, coprime_to))
             want = [(n, L, ray_label(ctx, L, N, bases)) for n, L in integral_ideals(ctx, 1000, coprime_to)]
             assert got == want and any(L.g > 1 for _, L, _ in got)
 
@@ -484,7 +483,6 @@ def test_oracle_label_product_count(D, N, monkeypatch):
     # generators; the products the stream takes for ideals of composite
     # norm are counted apart
     calls, in_stream = [], [False]
-    _class_bases.cache_clear()
 
     def counting(*args):
         calls.append(in_stream[0])
@@ -504,7 +502,24 @@ def test_oracle_rejects_label_law_without_identity(monkeypatch):
     monkeypatch.setattr(orderideals, "_label_product", lambda ctx, N, bases, lab1, lab2: lab1)
     with pytest.raises(InvariantViolation, match="the class of O times class"):
         oracle_class_group(OrderContext.from_disc(-200), 3)
-    _class_bases.cache_clear()  # its memo of label products holds the false law's
+
+
+def test_no_label_state_outlives_a_call(monkeypatch):
+    # every call labels on bases of its own: an oracle that ran under a
+    # false label law leaves nothing behind for a later stream, and a zeta
+    # route before an oracle does not change it; no cache is reset here
+    ctx = OrderContext.from_disc(-200)
+    alone = oracle_class_group(ctx, 3)
+    monkeypatch.setattr(orderideals, "_label_product", lambda ctx, N, bases, lab1, lab2: lab1)
+    with pytest.raises(InvariantViolation):
+        oracle_class_group(ctx, 3)
+    monkeypatch.undo()
+    bases = _class_bases(ctx, 3)
+    stream = list(labelled_ideals(ctx, 1000, 3, bases, 3))
+    assert any(L.g == 1 and not is_prime_power_or_one(L.m) for _, L, _ in stream)
+    assert all(lab == ray_label(ctx, L, 3, bases) for _, L, lab in stream)
+    zeta_ideal_partial_all(ctx, 3, BigComplex(2, 0, 64), 2000)
+    assert oracle_class_group(ctx, 3) == alone
 
 
 def is_prime_power_or_one(m):
@@ -542,10 +557,9 @@ def test_oracle_labels_each_primitive_ideal_once_across_tries(monkeypatch):
     # only O and the primitive ideals of prime-power norm, each once over
     # all tries, and at most one base product per pair of reduced forms,
     # shared by the tries and the fill.  Every label the stream gave, most
-    # of them label-law products or from the cache, is the one ray_label
+    # of them label-law products or from the memo, is the one ray_label
     # gives afresh.
     ctx = OrderContext.from_disc(-4000)
-    _class_bases.cache_clear()
     prime_power, stream_calls, product_calls, seen = set(), [], [], []
 
     def recording_ideals(*args):
@@ -586,10 +600,9 @@ def test_labelled_stream_label_law_matches_ray_label(D, N, keep_conductor):
     # and the fields with 6 and 4 units; coprime_to = N keeps the ideals not
     # prime to the conductor, l_O * N drops them.
     ctx = OrderContext.from_disc(D)
-    _class_bases.cache_clear()  # every product is taken afresh, under the law in force
     bases = _class_bases(ctx, N)
     coprime_to = N if keep_conductor else ctx.conductor * N
-    stream = list(labelled_ideals(ctx, 600, N, lambda L: ray_label(ctx, L, N, bases), coprime_to))
+    stream = list(labelled_ideals(ctx, 600, N, bases, coprime_to))
     assert any(L.g == 1 and not is_prime_power_or_one(L.m) for _, L, _ in stream)
     for _, L, lab in stream:
         assert lab == ray_label(ctx, L, N, bases), L
