@@ -251,12 +251,17 @@ def _conjugate_pairs(
 def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
     """One g_ON per self-conjugate class and per conjugate pair, as the real
     factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of prod_C (x - g(C)),
-    with log2 M, M = prod_C max(1, |g(C)|) over all classes."""
+    with log2 M, M = prod_C max(1, |g(C)|) over all classes, and the
+    fixed-point bits of the Siegel series at each distinct evaluation point
+    (the reduced form of (a, -b, c), as in class_invariant; index level N)."""
     prec = working_bits(digits)
     linear: List[mpmath.mpf] = []
     quadratic: List[Tuple[mpmath.mpf, mpmath.mpf]] = []
     log2_m = 0.0
+    points = set()
     for i, j, g in _conjugate_pairs(G, N, lambda Q: g_ON(Q, ctx, N, digits)):
+        Q = G.reps[i]
+        points.add(reduce_form(Form(Q.a, -Q.b, Q.c))[0])
         z = g.to_mpc()
         with mp.workprec(prec):
             size = abs(z)
@@ -269,7 +274,8 @@ def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
         if size > 1:
             with mp.workprec(53):
                 log2_m += (1 if j == i else 2) * float(mpmath.log(size, 2))
-    return linear, quadratic, log2_m
+    bits = sorted(modfun.fixed_bits(float(R.omega(digits).im), prec, N) for R in points)
+    return linear, quadratic, log2_m, bits
 
 
 def _expand_real(linear, quadratic, prec: int) -> List[mpmath.mpf]:
@@ -287,7 +293,9 @@ def _expand_real(linear, quadratic, prec: int) -> List[mpmath.mpf]:
 
 # bits of the working precision that the Siegel value inside g_ON may lose to
 # rounding, before the 12N-th power multiplies its relative error by 12N; the
-# worst measured is 3.1 bits, and tests/test_invariants.py checks the allowance
+# worst measured was 3.1 bits with the mpmath series and is 1.2 bits with the
+# fixed-point kernel (six groups at 10-60 digits), and tests/test_invariants.py
+# checks the allowance
 G_ON_LOSS_BITS = 8
 # with no target digits, a probe evaluates the real factors at PROBE_DIGITS for
 # log2 M, and the first pass works PROBE_MARGIN_BITS above what the gate needs
@@ -321,7 +329,7 @@ def probe_digits(G: ClassGroup, ctx: OrderContext, N: int, tol) -> int:
     log2 M needs each |g(C)| to a few bits only, so the probe is cheap; the
     pass it sizes recomputes log2 M from its own values and gates on those.
     """
-    _, _, log2_m = _real_factors(G, ctx, N, PROBE_DIGITS, tol)
+    _, _, log2_m, _ = _real_factors(G, ctx, N, PROBE_DIGITS, tol)
     need = gate_bits(G.order, N, log2_m, tol)
     digits = 1
     while working_bits(digits) <= need + PROBE_MARGIN_BITS:
@@ -366,7 +374,7 @@ def minimal_polynomial(
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits
         prec = working_bits(digits)
-        linear, quadratic, log2_m = _real_factors(G, ctx, N, digits, tol)
+        linear, quadratic, log2_m, bits = _real_factors(G, ctx, N, digits, tol)
         need = gate_bits(n, N, log2_m, tol)
         last = attempt == policy.max_escalations
         ok, worst = False, "-"
@@ -381,9 +389,9 @@ def minimal_polynomial(
                 ints = [recognize_integer(BigComplex(c, 0, prec), tol) for c in coeffs]
                 ok = None not in ints
         log.info(
-            "minpoly pass %d: %d digits, %d of %d classes evaluated, "
-            "gate needs %.1f of %d bits, %s, worst residual %s",
-            attempt, digits, len(linear) + len(quadratic), n, need, prec,
+            "minpoly pass %d: %d digits, %d of %d classes evaluated at %d points "
+            "(fixed point %d to %d bits), gate needs %.1f of %d bits, %s, worst residual %s",
+            attempt, digits, len(linear) + len(quadratic), n, len(bits), bits[0], bits[-1], need, prec,
             "ok" if ok else "failed" if last else "escalating", worst,
         )
         if ok:

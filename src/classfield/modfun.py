@@ -4,9 +4,13 @@ functions by q-series.
 All evaluators take a target decimal-digit count; work happens at
 `working_bits(digits)`, and results carry that precision.  Eta and Siegel
 use theta series with q^(n^2/2) decay: the Jacobi triple product and
-Euler's pentagonal series, whose q-powers are built once per point (`_point`)
-and cut by a stated remainder bound.  The Eisenstein and Weierstrass q-series
-are truncated once their geometric tail bound drops below 2^-working_bits.
+Euler's pentagonal series, cut by a stated remainder bound.  They run in
+fixed-point Gaussian integers: each point keeps one root of q, its powers and
+the series coefficients as ints scaled by 2^F (`_point`), so the classes at a
+point share two exponentials and every Siegel value is integer arithmetic
+with a stated error bound.  The Eisenstein and Weierstrass q-series work in
+mpmath and are truncated once their geometric tail bound drops below
+2^-working_bits.
 """
 
 from __future__ import annotations
@@ -103,18 +107,70 @@ def _frac(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-class _Point(NamedTuple):
-    """Series data that depend only on (tau, prec), shared by every value at tau."""
+# Fixed point: a pair (x, y) of ints stands for (x + iy) 2^-F at a point's
+# F bits.  Products are floored, so each is within 2^(1/2 - F) of exact.
 
-    q: mpmath.mpc
-    coef: Tuple[mpmath.mpc, ...]  # (-1)^k q^(k(k-1)/2) for k = 0, 1, ...
-    euler: mpmath.mpc  # prod_{n>=1} (1 - q^n)
+
+def _fixed(z: mpmath.mpc, F: int) -> Tuple[int, int]:
+    """z 2^F with each part truncated to an int."""
+    return int(mpmath.ldexp(z.real, F)), int(mpmath.ldexp(z.imag, F))
+
+
+def _mul(a, b, F: int) -> Tuple[int, int]:
+    (x1, y1), (x2, y2) = a, b
+    return (x1 * x2 - y1 * y2) >> F, (x1 * y2 + x2 * y1) >> F
+
+
+def _pow(a, k: int, F: int) -> Tuple[int, int]:
+    """a^k for k >= 0 by squaring."""
+    z = (1 << F, 0)
+    for bit in bin(k)[2:]:
+        z = _mul(z, z, F)
+        if bit == "1":
+            z = _mul(z, a, F)
+    return z
+
+
+def _inv(a, F: int) -> Tuple[int, int]:
+    x, y = a
+    n = x * x + y * y
+    return (x << 2 * F) // n, (-y << 2 * F) // n
+
+
+# bits of 1/|q|^(1/12) per unit of Im tau: what the least Siegel lead
+# |q|^(B2(a1)/2) >= |q|^(1/12) takes from a value's relative precision
+_LEAD_BITS = 2 * math.pi / (12 * math.log(2))
+
+
+def fixed_bits(im: float, prec: int, d: int) -> int:
+    """Fixed-point bits F of the series at a point of imaginary part im for
+    index level d: prec plus the guard bits of `siegel`'s error bound."""
+    return prec + math.ceil(_LEAD_BITS * im) + (12 * d * d).bit_length() + 8
+
+
+class _Point(NamedTuple):
+    """Series data that depend only on (tau, prec, d), shared by every value at
+    tau of index level d: fixed-point pairs at `bits`, built from the root
+    rho = e(tau/(12 d^2)) and sigma = rho^(12 d) = e(tau/d), so q = sigma^d."""
+
+    bits: int
+    coef: Tuple[Tuple[int, int], ...]  # (-1)^k q^(k(k-1)/2) for k = 0, 1, ...
+    inv_euler: Tuple[int, int]  # 1/prod_{n>=1} (1 - q^n)
     euler_terms: int
     cut: float  # c of the remainder bound, in units of -ln|q|
+    powers: Tuple[Tuple[int, int], ...]  # sigma^j, j = 0..d
+    leads: Tuple[Tuple[int, int], ...]  # rho^(6r^2 - 6rd + d^2) = e(B2(r/d)/2 tau), r < d
+    units: Tuple[Tuple[int, int], ...]  # e(j/d), j < d
+    fine: Tuple[Tuple[int, int], ...]  # e(j/(2d^2)), j < 2d
 
     def terms(self, b: float) -> int:
         """Number of terms of sum_k coef[k] x^k taken when |x| = |q|^b, 0 <= b <= 1."""
         return _least_n(self.cut, b)
+
+    def root(self, u: int) -> Tuple[int, int]:
+        """e(u/(2d^2)) for 0 <= u < 2d^2, as e(k/d) e(j/(2d^2)) with u = 2dk + j."""
+        k, j = divmod(u, 2 * len(self.units))
+        return _mul(self.units[k], self.fine[j], self.bits)
 
 
 def _least_n(c: float, b: float) -> int:
@@ -125,12 +181,15 @@ def _least_n(c: float, b: float) -> int:
     return n
 
 
-# one entry per point and precision: minpoly's probe and pass fill two per
-# reduced form (12 on (-104, 5)), and an entry holds 7 KB at 283 digits
+# one entry per point, precision and index level: minpoly's probe and pass
+# fill one per evaluation point each (8 on (-104, 5)); an entry holds 11-14 KB
+# at 283 digits and d = 5, and 170-280 KB at 5621 digits and d = 7, most of
+# it the tables of powers, leads and roots of unity
 @functools.lru_cache(maxsize=16)
-def _point(re, im, prec: int) -> _Point:
-    """q = e(tau), the coefficients (-1)^k q^(k(k-1)/2) and prod(1 - q^n) at
-    tau = re + i*im, every q-power built by multiplication.
+def _point(re, im, prec: int, d: int) -> _Point:
+    """The series data at tau = re + i*im for index level d, from two
+    exponentials, rho = e(tau/(12 d^2)) and e(1/(2 d^2)); every power of q and
+    every table entry is a fixed-point product at F = fixed_bits(im, prec, d).
 
     Remainder bound, with r = |q| and c = ((prec + 1) ln 2 - ln(1 - r))/(-ln r):
     a term of modulus r^f(k), where f(k + 1) - f(k) >= 1 from k = n >= 1 on,
@@ -143,55 +202,72 @@ def _point(re, im, prec: int) -> _Point:
     """
     L = 2 * math.pi * float(im)
     cut = ((prec + 1) * math.log(2) - math.log1p(-math.exp(-L))) / L
-    with mp.workprec(prec):
-        q = _qexp(mpmath.mpc(re, im))
-        coef = [mpmath.mpc(1), mpmath.mpc(-1)]
-        qk = mpmath.mpc(1)
-        for _ in range(_least_n(cut, 0) - 2):
-            qk *= q
-            coef.append(-coef[-1] * qk)
-        euler_terms = _least_n(cut / 3, 1 / 3) - 1
-        q3 = q * q * q
-        step = q  # q^(3k-2)
-        pent = mpmath.mpc(1)  # q^(k(3k-1)/2)
-        qk = mpmath.mpc(1)
-        euler = mpmath.mpc(1)
-        for k in range(1, euler_terms + 1):
-            pent *= step
-            step *= q3
-            qk *= q
-            pair = pent + pent * qk
-            euler = euler - pair if k % 2 else euler + pair
-    return _Point(q, tuple(coef), euler, euler_terms, cut)
+    F = fixed_bits(float(im), prec, d)
+    one = (1 << F, 0)
+    with mp.workprec(F + 8):
+        rho = _fixed(_qexp(mpmath.mpc(re, im) / (12 * d * d)), F)
+        zeta = _fixed(_qexp(mpmath.mpf(1) / (2 * d * d)), F)
+    sigma = _pow(rho, 12 * d, F)
+    powers = [one]
+    for _ in range(d):
+        powers.append(_mul(powers[-1], sigma, F))
+    q = powers[d]
+    coef = [one, (-one[0], 0)]
+    qk = one
+    for _ in range(_least_n(cut, 0) - 2):
+        qk = _mul(qk, q, F)
+        x, y = _mul(coef[-1], qk, F)
+        coef.append((-x, -y))
+    euler_terms = _least_n(cut / 3, 1 / 3) - 1
+    q3 = _mul(_mul(q, q, F), q, F)
+    step = q  # q^(3k-2)
+    pent = one  # q^(k(3k-1)/2)
+    qk = one
+    ex, ey = one
+    for k in range(1, euler_terms + 1):
+        pent = _mul(pent, step, F)
+        step = _mul(step, q3, F)
+        qk = _mul(qk, q, F)
+        x, y = _mul(pent, qk, F)
+        sign = -1 if k % 2 else 1
+        ex, ey = ex + sign * (pent[0] + x), ey + sign * (pent[1] + y)
+    rho_inv = _inv(rho, F)
+    leads = []
+    for r in range(d):
+        e = 6 * r * r - 6 * r * d + d * d
+        leads.append(_pow(rho if e >= 0 else rho_inv, abs(e), F))
+    fine = [one]
+    for _ in range(2 * d):
+        fine.append(_mul(fine[-1], zeta, F))
+    unit = fine.pop()  # e(1/d)
+    units = [one]
+    for _ in range(d - 1):
+        units.append(_mul(units[-1], unit, F))
+    return _Point(
+        F, tuple(coef), _inv((ex, ey), F), euler_terms, cut,
+        tuple(powers), tuple(leads), tuple(units), tuple(fine),
+    )
 
 
-def _power_sum(coef, x, n: int) -> mpmath.mpc:
-    """sum_{k<n} coef[k] x^k by Horner's rule."""
-    acc = coef[n - 1]
-    for k in range(n - 2, -1, -1):
-        acc = acc * x + coef[k]
-    return acc
-
-
-def _triple(pt: _Point, x, b: float) -> mpmath.mpc:
-    """sum over all k in Z of (-1)^k q^(k(k-1)/2) x^k, for |x| = |q|^b with
-    0 <= b <= 1; the k <= 0 half is the k >= 0 series at q/x, |q/x| = |q|^(1-b).
-
-    By the Jacobi triple product this is
-    (1 - x) prod_{n>=1} (1 - q^n x)(1 - q^n/x) * prod_{n>=1} (1 - q^n).
-    """
-    return _power_sum(pt.coef, x, pt.terms(b)) + _power_sum(pt.coef, pt.q / x, pt.terms(1 - b)) - 1
+def _power_sum(coef, x, n: int, F: int) -> Tuple[int, int]:
+    """sum_{k<n} coef[k] x^k by Horner's rule, in fixed point."""
+    xr, xi = x
+    ar, ai = coef[n - 1]
+    for cr, ci in reversed(coef[: n - 1]):
+        ar, ai = ((ar * xr - ai * xi) >> F) + cr, ((ar * xi + ai * xr) >> F) + ci
+    return ar, ai
 
 
 def eta(tau: BigComplex, digits: int) -> BigComplex:
     """Dedekind eta q^(1/24) prod(1 - q^n), the product by Euler's pentagonal
-    series (see `_point` for the remainder bound)."""
+    series (see `_point` for the remainder bound).  q^(1/24) is the inverse of
+    the Siegel lead e(B2(1/2)/2 tau) = e(-tau/24), so eta is read off the
+    point's data at index level 2, which delta_j's Siegel value shares."""
     _require_upper(tau)
     prec = working_bits(digits)
-    pt = _point(tau.re, tau.im, prec)
-    with mp.workprec(prec):
-        val = mpmath.exp(1j * mpmath.pi * tau.to_mpc() / 12) * pt.euler
-    return BigComplex.from_mpc(val, prec)
+    pt = _point(tau.re, tau.im, prec, 2)
+    x, y = _inv(_mul(pt.leads[1], pt.inv_euler, pt.bits), pt.bits)
+    return BigComplex.from_ints(x, y, -pt.bits, prec)
 
 
 def _sigma_table(k: int, nmax: int):
@@ -265,25 +341,53 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
 
         g_v = -q^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n/w)
 
-    with q = e(tau), w = e(a1 tau + a2).  The product is `_triple` over
-    prod(1 - q^n).  a1 is first moved into [0, 1) exactly, by
-    g_{v + (m, 0)} = (-1)^m e^(-pi i m a2) g_v, so every series term is at
-    most 1 in modulus.
+    with q = e(tau), w = e(a1 tau + a2).  a1 is first moved into [0, 1)
+    exactly, by g_{v + (m, 0)} = (-1)^m e^(-pi i m a2) g_v, so every series term
+    is at most 1 in modulus.  The product is the Jacobi triple sum
+    T = sum_{k>=0} coef[k] w^k + sum_{k>=0} coef[k] (q/w)^k - 1 over
+    prod(1 - q^n), from `_point` at d, the index's level.
+
+    Everything runs in fixed point at F = fixed_bits(Im tau, prec, d) bits.
+    With a1 = r/d and a2 = s/d, w = sigma^r e(s/d), q/w = sigma^(d-r) e(-s/d),
+    and the lead e(B2(a1)/2 tau + turn) is rho^(6r^2 - 6rd + d^2) times the
+    2d^2-th root of unity e(turn): table entries times roots of unity, with
+    no exponential.  The value is converted to BigComplex once.
+
+    Error bound, in ulps of 2^-F.  rho and e(1/(2d^2)) are within 2 ulps.
+    Every operand has modulus at most |q|^(-1/24) and every product is
+    floored, so a power a^k is within 4k ulps, and w, q/w and q within
+    60 d^2.  The Horner sums move by at most twice the error of their
+    argument, so with the coefficients' and the steps' roundings T is
+    within 400 d^2 + 12n <= 800 d^2 ulps for a cut of n <= 33 d^2 terms (n
+    passes 132 only beyond about 20000 digits).  The lead has modulus at
+    least |q|^(1/12) = 2^(-0.755 Im tau) and is within 8 d^2 ulps, and the
+    closing products add 2 ulps each.  So the fixed-point value is within
+    relative 2^(log2(800 d^2) + 0.755 Im tau - F) (1 + 1/|T|) of the cut
+    series, and F = prec + ceil(0.755 Im tau) + bitlen(12 d^2) + 8 makes
+    that at most 2^-(prec+1) (1 + 1/|T|), whatever |g| is.  The cut adds
+    2^-(prec+1)/|T| and the conversion 2^-prec, so g_v is within relative
+    2^-prec (2 + 1/|T|); `invariants.G_ON_LOSS_BITS` allows for |T| down to
+    2^-7.
     """
     _require_upper(tau)
     prec = working_bits(digits)
-    pt = _point(tau.re, tau.im, prec)
+    d = v.level
+    pt = _point(tau.re, tau.im, prec, d)
+    F = pt.bits
     m = math.floor(v.v1)
     a1 = v.v1 - m
-    b2 = a1 * a1 - a1 + Fraction(1, 6)  # second Bernoulli polynomial
+    r, s = int(a1 * d), int(v.v2 % 1 * d)
     # the sign, the phase and the translation factor as one exact turn
     turn = ((v.v2 * (a1 - 1 - m) + m + 1) / 2) % 1
-    with mp.workprec(prec):
-        t_ = tau.to_mpc()
-        w = _qexp(_frac(a1) * t_ + _frac(v.v2 % 1))
-        lead = _qexp(_frac(b2 / 2) * t_ + _frac(turn))
-        val = lead * _triple(pt, w, float(a1)) / pt.euler
-    return BigComplex.from_mpc(val, prec)
+    w = _mul(pt.powers[r], pt.units[s], F)
+    qw = _mul(pt.powers[d - r], pt.units[-s % d], F)
+    b = float(a1)
+    sx, sy = _power_sum(pt.coef, w, pt.terms(b), F)
+    tx, ty = _power_sum(pt.coef, qw, pt.terms(1 - b), F)
+    triple = (sx + tx - (1 << F), sy + ty)
+    lead = _mul(pt.leads[r], pt.root(int(turn * 2 * d * d)), F)
+    x, y = _mul(_mul(lead, triple, F), pt.inv_euler, F)
+    return BigComplex.from_ints(x, y, -F, prec)
 
 
 def _reduce_mod_lattice(z_, tau_):

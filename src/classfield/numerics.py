@@ -3,9 +3,12 @@ guard-digit rule, and integer recognition.
 
 Every analytic value that passes between modules is a :class:`BigComplex`: an
 immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
-happens on mpmath numbers inside ``mp.workprec``; the precision travels with
-the value rather than living in the global context, so the ambient precision
-never rounds it.  Every evaluator that targets `digits` decimal digits works at
+happens on mpmath numbers inside ``mp.workprec``, or on Python ints where that
+is cheaper: the integer power squares an integer mantissa pair under one
+binary exponent, and `modfun`'s Siegel kernel hands over fixed-point ints
+through `BigComplex.from_ints`.  The precision travels with the value rather
+than living in the global context, so the ambient precision never rounds it.
+Every evaluator that targets `digits` decimal digits works at
 `working_bits(digits)`, that is `GUARD_DIGITS` more, and its evaluation point
 (`Form.omega`, `OrderContext.tau`) is built at the same precision.  Error
 control is by guard digits plus a doubled-precision re-run, not interval
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Tuple, Union
 
 import mpmath
 from mpmath import mp
@@ -148,20 +151,43 @@ class BigComplex:
         with mp.workprec(self.prec):
             return mpmath.mpc(self.re, self.im)
 
+    @classmethod
+    def from_ints(cls, x: int, y: int, exp: int, prec: int) -> "BigComplex":
+        """(x + iy) 2^exp rounded to prec bits."""
+        with mp.workprec(prec):
+            return cls(mpmath.mpf((x, exp)), mpmath.mpf((y, exp)), prec)
+
     def __pow__(self, n: int):
-        # repeated squaring: mpmath's integer power takes a log and an exp
-        # once n times the operand's bit size passes 10000
+        """self^n by squaring an integer mantissa pair under one binary
+        exponent, at P = prec + bitlen(n) + 4 bits.
+
+        Each product is cut back to P bits, so the modulus may lie far below
+        2^-prec or above 2^prec without losing relative precision, and each cut
+        is within relative 2^(1.5 - P).  A squaring doubles the relative error
+        before it, so the at most 2 bitlen(n) products leave below
+        2^(bitlen(n) + 2.5 - P), and with the inverse for n < 0 the power is
+        within relative 2^-(prec+1) of self^n exactly, before the final
+        rounding to prec bits.
+        """
         if not isinstance(n, int):
             return NotImplemented
-        with mp.workprec(self.prec):
-            base, z = self.to_mpc(), mpmath.mpc(1)
-            for bit in bin(abs(n))[2:]:
-                z *= z
-                if bit == "1":
-                    z *= base
+        parts = (_man_exp(self.re), _man_exp(self.im))
+        if not any(man for man, _ in parts):
             if n < 0:
-                z = 1 / z
-        return BigComplex.from_mpc(z, self.prec)
+                raise ZeroDivisionError("zero to a negative power")
+            return BigComplex(int(n == 0), 0, self.prec)
+        P = self.prec + n.bit_length() + 4
+        e = max(exp + man.bit_length() for man, exp in parts if man) - P
+        bx, by = (man << exp - e if exp >= e else man >> e - exp for man, exp in parts)
+        x, y, ex = 1, 0, 0
+        for bit in bin(abs(n))[2:]:
+            x, y, ex = _cut(x * x - y * y, 2 * x * y, 2 * ex, P)
+            if bit == "1":
+                x, y, ex = _cut(x * bx - y * by, x * by + y * bx, ex + e, P)
+        if n < 0:
+            den = x * x + y * y
+            x, y, ex = (x << 2 * P) // den, (-y << 2 * P) // den, -ex - 2 * P
+        return BigComplex.from_ints(x, y, ex, self.prec)
 
     def __repr__(self):
         with mp.workprec(self.prec):
@@ -174,6 +200,18 @@ class BigComplex:
             r = mpmath.nstr(self.re, digits, strip_zeros=False)
             i = mpmath.nstr(self.im, digits, strip_zeros=False)
         return f"{r}{'+' if not i.startswith('-') else ''}{i}j"
+
+
+def _man_exp(x: mpmath.mpf) -> Tuple[int, int]:
+    """(m, e) with x = m 2^e and m signed."""
+    man, exp = x.man_exp
+    return (-man if x < 0 else man), exp
+
+
+def _cut(x: int, y: int, e: int, P: int):
+    """(x + iy) 2^e with both parts floored to at most P bits."""
+    s = max(abs(x).bit_length(), abs(y).bit_length()) - P
+    return (x >> s, y >> s, e + s) if s > 0 else (x, y, e)
 
 
 def recognize_integer(x: BigComplex, tol) -> Optional[int]:

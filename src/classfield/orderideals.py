@@ -259,7 +259,7 @@ def labelled_ideals(
     a, parts = 0, []
     for norm, L in integral_ideals(ctx, bound, coprime_to):
         if L.g > 1:
-            lab = (R, _unit_orbit_min(ctx, (L.g * w[0], L.g * w[1]), N))
+            lab = (R, _unit_orbit_min(bases.units, (L.g * w[0], L.g * w[1]), N))
         else:
             if L.m != a:
                 a, parts = L.m, _prime_power_parts(L.m, spf)
@@ -324,14 +324,16 @@ class ClassBases(NamedTuple):
     """The label state of one (ctx, N): one base ideal B_R per reduced form
     R, prime to l_O*N so generator residues of quotients land in (O/NO)*,
     and the generator c_R = (x, y), meaning x + y*tau, of the principal
-    ideal form_to_lattice(R)*conj(B_R), with the memos of the calls handed
-    it: base_products, _label_product's by pair of reduced forms;
+    ideal form_to_lattice(R)*conj(B_R), the units of O as multiplication
+    matrices (built once, for _unit_orbit_min), and the memos of the calls
+    handed it: base_products, _label_product's by pair of reduced forms;
     label_products, labelled_ideals' by pair of labels; and labels, which
     maps (q, t) to the label of Z(tau + t) + Z*q, and each label (a pair of
     tuples, never a key (q, t)) to itself, its one interned object."""
 
     lattice: Dict[Form, Ideal]
     gen: Dict[Form, Tuple[int, int]]
+    units: Tuple[Tuple[int, int, int, int], ...]
     base_products: Dict[Tuple, Tuple]
     label_products: Dict[Tuple, Tuple]
     labels: Dict[Tuple, Tuple]
@@ -349,7 +351,9 @@ def _class_bases(ctx: OrderContext, N: int) -> ClassBases:
         if R_B != R:
             raise InvariantViolation("a reduced form and its base ideal are not in one class")
         lattice[R], gen[R] = B, (x - ctx.b0 * y, -y)
-    return ClassBases(lattice, gen, {}, {}, {})
+    # z = a + b*tau maps x + y*tau to (ax - c0*by) + (bx + ay - b0*by)*tau
+    units = tuple((a, -ctx.c0 * b, b, a - ctx.b0 * b) for a, b in _unit_coords(ctx))
+    return ClassBases(lattice, gen, units, {}, {}, {})
 
 
 def _elem_mul(ctx: OrderContext, u: Tuple[int, int], v: Tuple[int, int]) -> Tuple[int, int]:
@@ -358,11 +362,16 @@ def _elem_mul(ctx: OrderContext, u: Tuple[int, int], v: Tuple[int, int]) -> Tupl
     return x1 * x2 - ctx.c0 * y1 * y2, x1 * y2 + x2 * y1 - ctx.b0 * y1 * y2
 
 
-def _unit_orbit_min(ctx: OrderContext, w: Tuple[int, int], N: int) -> Tuple[int, int]:
-    # least residue mod N*O of z*w over the units z of O
-    return min(
-        (x % N, y % N) for (x, y) in (_elem_mul(ctx, z, w) for z in _unit_coords(ctx))
-    )
+def _unit_orbit_min(units, w: Tuple[int, int], N: int) -> Tuple[int, int]:
+    # least residue mod N*O of z*w over the units z of O, each given by its
+    # multiplication matrix (p, q, r, s): z*(x + y*tau) = px + qy + (rx + sy)*tau
+    x, y = w
+    least = (N, N)
+    for p, q, r, s in units:
+        z = ((p * x + q * y) % N, (r * x + s * y) % N)
+        if z < least:
+            least = z
+    return least
 
 
 def _ideal_form(ctx: OrderContext, L: Ideal) -> Tuple[int, int, Form]:
@@ -404,7 +413,7 @@ def ray_label(ctx: OrderContext, L: Ideal, N: int, bases: ClassBases) -> Tuple:
     x, y = _elem_mul(ctx, beta, bases.gen[R])
     if x % R.a or y % R.a:
         raise InvariantViolation("ideal and its reduction base are not in one class")
-    return (tuple(R), _unit_orbit_min(ctx, (x // R.a, y // R.a), N))
+    return (tuple(R), _unit_orbit_min(bases.units, (x // R.a, y // R.a), N))
 
 
 def _label_product(ctx: OrderContext, N: int, bases: ClassBases, lab1: Tuple, lab2: Tuple) -> Tuple:
@@ -423,7 +432,7 @@ def _label_product(ctx: OrderContext, N: int, bases: ClassBases, lab1: Tuple, la
         n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
         bases.base_products[key] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
     R3, c = bases.base_products[key]
-    return R3, _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
+    return R3, _unit_orbit_min(bases.units, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
 
 
 def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
@@ -436,7 +445,8 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
     and is doubled until the independently known class count is reached,
     over at most nine tries.  One ClassBases serves every try and the fill,
     so a try calls ray_label only on the ideals no earlier try saw, and
-    they share its memos.
+    they share its memos.  The result keeps the bases without the memos,
+    since index_of needs only the lattices, generators and units.
     ResourceError names the last bound searched, and the result's norm_bound
     is the bound that reached the count.
 
@@ -493,6 +503,8 @@ def oracle_class_group(ctx: OrderContext, N: int) -> IdealClassOracle:
             if table[z] is None:
                 table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
                 walk.append(z)
+    # index_of needs only the lattices, generators and units: the memos go
+    bases = bases._replace(base_products={}, label_products={}, labels={})
     return IdealClassOracle(ctx, N, reps, labels, table, bound, bases)
 
 

@@ -3,8 +3,9 @@ formula, kept as test references.
 
 Nothing in classfield calls them: the L-derivatives take ln|g(C)| from the
 Siegel functions (`invariants.g_ON`), and the tests compare those logarithms
-against `kronecker_xi`.  theta1 shares `modfun._triple` with `modfun.siegel`,
-so that comparison checks the closed form, not the theta series.
+against `kronecker_xi`.  theta1 sums the triple product by the mpmath series
+of `series_reference`, not by `modfun`'s fixed-point kernel, so that
+comparison shares no series code with `modfun.siegel`.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.numerics import BigComplex, DomainError, working_bits
+from series_reference import point, triple
 
 
 def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
@@ -23,12 +25,12 @@ def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
     q = e(z), x = e(omega).
 
     As 2 sin(pi omega) = i e(-omega/2) (1 - x), this is i q^(1/8) e(-omega/2)
-    times `_triple`.  omega is first moved into 0 <= Im omega < Im z by
+    times the triple sum.  omega is first moved into 0 <= Im omega < Im z by
     theta1(omega + m z) = (-1)^m e(-m^2 z/2 - m omega) theta1(omega).
     """
     modfun._require_upper(z)
     prec = working_bits(digits)
-    pt = modfun._point(z.re, z.im, prec)
+    pt = point(z.re, z.im, prec)
     with mp.workprec(prec):
         z_ = z.to_mpc()
         w = omega.to_mpc()
@@ -36,7 +38,7 @@ def theta1(omega: BigComplex, z: BigComplex, digits: int) -> BigComplex:
         w -= m * z_
         b = min(max(float(w.imag / z_.imag), 0.0), 1.0)
         lead = modfun._qexp(z_ / 8 - w / 2 - m * m * z_ / 2 - m * w)
-        val = (-1) ** m * 1j * lead * modfun._triple(pt, modfun._qexp(w), b)
+        val = (-1) ** m * 1j * lead * triple(pt, modfun._qexp(w), b)
     return BigComplex.from_mpc(val, prec)
 
 

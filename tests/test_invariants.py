@@ -316,7 +316,7 @@ def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
     tol = policy.recognition_tol()
     prec = working_bits(45)
     truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
-    linear, quadratic, _ = _real_factors(G, ctx, 5, 45, tol)
+    linear, quadratic, _, _ = _real_factors(G, ctx, 5, 45, tol)
     with mp.workprec(prec):
         coeffs = _expand_real(linear, quadratic, prec)[::-1]
         assert all(abs(c - mpmath.nint(c)) < tol for c in coeffs)
@@ -358,7 +358,7 @@ def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200, G200):
         res = minimal_polynomial(ctx200, 3, policy, class_group=G200)
     lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
     assert res.ok and len(lines) == res.escalations + 1
-    assert all("8 of 12 classes evaluated" in line for line in lines)
+    assert all("8 of 12 classes evaluated at 4 points (fixed point " in line for line in lines)
     assert "40 digits" in lines[0] and "escalating" in lines[0] and "worst residual -" in lines[0]
     assert f"{res.precision_used} digits" in lines[-1] and ", ok," in lines[-1]
     assert re.search(r"gate needs [0-9.]+ of [0-9]+ bits", lines[-1])

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import isqrt
@@ -8,10 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from classfield import modfun
+from classfield.invariants import G_ON_LOSS_BITS, PROBE_DIGITS, _real_factors, g_ON
 from classfield.modfun import FrickeIndex
-from classfield.numerics import GUARD_DIGITS, BigComplex, DomainError, bits_for_digits, working_bits
-from classfield.quadforms import OrderContext, enumerate_reduced
+from classfield.numerics import GUARD_DIGITS, BigComplex, DomainError, PrecisionPolicy, bits_for_digits, working_bits
+from classfield.quadforms import Form, OrderContext, class_enumerate, enumerate_reduced
 from kronecker_reference import theta1
+import series_reference
 
 DIGITS = 60
 PREC = working_bits(DIGITS)
@@ -145,7 +148,7 @@ def test_series_truncation_rule(monkeypatch):
     taus = [R.omega(digits) for R in enumerate_reduced(-104)]
     values = []
     for tau in taus:
-        pt = modfun._point(tau.re, tau.im, prec)
+        pt = modfun._point(tau.re, tau.im, prec, 5)
         assert 2 * pt.euler_terms + 1 <= 60
         for v in indices:
             b = float(v.v1)
@@ -162,6 +165,80 @@ def test_series_truncation_rule(monkeypatch):
                     assert abs(a.to_mpc() - b.to_mpc()) <= mpmath.mpf(2) ** -prec * abs(b.to_mpc())
     finally:
         modfun._point.cache_clear()
+
+
+def _relative_error_bits(got, ref, prec):
+    """log2 of |got - ref|/|ref| plus prec: at most L when got is within
+    2^(L - prec) relative of ref."""
+    with mp.workprec(prec + 200):
+        err = abs(got.to_mpc() - ref.to_mpc())
+        return float(mpmath.log(err / abs(ref.to_mpc()), 2)) + prec if err else -math.inf
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_points(), raw_indices(), st.sampled_from([10, 20, 60, 300]))
+def test_fixed_point_siegel_matches_the_mpmath_series(xy, v, digits):
+    # the fixed-point kernel against the mpmath series, which is taken 20
+    # digits higher so that the bound measures the kernel's own error
+    prec = working_bits(digits)
+    tau = BigComplex(*xy, prec)
+    got = modfun.siegel(v, tau, digits)
+    assert got.prec == prec
+    assert _relative_error_bits(got, series_reference.siegel(v, tau, digits + 20), prec) <= G_ON_LOSS_BITS
+
+
+@pytest.mark.parametrize("digits", [10, 60])
+def test_fixed_point_siegel_keeps_values_below_two_to_the_minus_prec(digits):
+    # with a1 integral, |g| is about 2|q|^(1/12) = 2^(1 - 0.755 Im tau), which
+    # Im tau = 4 prec/3 + 8 puts below 2^-prec; the guard bits keep its
+    # relative precision
+    prec = working_bits(digits)
+    tau = BigComplex(Fraction(-3, 10), Fraction(4 * prec, 3) + 8, prec)
+    for v in [FrickeIndex.of(0, Fraction(1, 5)), FrickeIndex.of(-1, Fraction(1, 3)), FrickeIndex.of(2, Fraction(5, 12))]:
+        got = modfun.siegel(v, tau, digits)
+        ref = series_reference.siegel(v, tau, digits + 20)
+        assert abs(ref.to_mpc()) < mpmath.mpf(2) ** -prec
+        assert _relative_error_bits(got, ref, prec) <= G_ON_LOSS_BITS
+
+
+@pytest.mark.parametrize("D, N", [(-104, 5), (-4000, 7)])
+def test_g_on_below_two_to_the_minus_prec_keeps_its_relative_precision(monkeypatch, D, N):
+    # the principal class at the 10-digit probe: |g_ON| is about 2^-231 on
+    # (-104, 5) and 2^-2007 on (-4000, 7), against 140 working bits; it must
+    # stay within the gate's allowance 12N 2^(L - p) of the 12N-th power of
+    # the mpmath series' Siegel value
+    ctx = OrderContext.from_disc(D)
+    Q = Form(1, ctx.b0, ctx.c0)
+    prec = working_bits(PROBE_DIGITS)
+    seen = []
+    siegel = modfun.siegel
+    monkeypatch.setattr(modfun, "siegel", lambda v, tau, d: seen.append((v, tau)) or siegel(v, tau, d))
+    got = g_ON(Q, ctx, N, PROBE_DIGITS)
+    [(v, tau)] = seen
+    base = series_reference.siegel(v, tau, PROBE_DIGITS + 20)
+    with mp.workprec(4 * prec):
+        ref = BigComplex.from_mpc(base.to_mpc() ** (12 * N), 4 * prec)
+        assert abs(ref.to_mpc()) < mpmath.mpf(2) ** -prec
+    assert _relative_error_bits(got, ref, prec) <= G_ON_LOSS_BITS + math.log2(12 * N)
+
+
+def test_one_pass_takes_two_exponentials_per_evaluation_point(monkeypatch):
+    # the classes at one point share its root: a pass on (-104, 5) at 272
+    # digits evaluates 28 classes at 4 points, where the mpmath series took
+    # two exponentials per class
+    ctx = OrderContext.from_disc(-104)
+    G = class_enumerate(ctx, 5)
+    exp, siegel = mpmath.exp, modfun.siegel
+    exps, points = [], set()
+    monkeypatch.setattr(mpmath, "exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
+    monkeypatch.setattr(modfun, "siegel", lambda v, tau, d: points.add((tau.re, tau.im)) or siegel(v, tau, d))
+    modfun._point.cache_clear()
+    try:
+        linear, quadratic, _, bits = _real_factors(G, ctx, 5, 272, PrecisionPolicy().recognition_tol())
+    finally:
+        modfun._point.cache_clear()
+    assert len(linear) + len(quadratic) == 28 and len(points) == len(bits) == 4
+    assert len(exps) <= 2 * len(points)
 
 
 def _eisenstein_and_wp_values(D, N, digits):

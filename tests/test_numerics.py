@@ -4,6 +4,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import classfield
@@ -51,6 +52,34 @@ def test_bigcomplex_pow_matches_mpmath(digits, n):
     with mp.workprec(prec + 64):
         ref = z.to_mpc() ** n
         assert abs(got.to_mpc() - ref) <= abs(ref) * mpmath.mpf(2) ** (12 - prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 144),
+    sign=st.sampled_from([1, -1]),
+    scale=st.integers(-3000, 3000),
+    parts=st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)).filter(any),
+    prec=st.sampled_from([64, 140, 1011]),
+)
+def test_bigcomplex_pow_keeps_relative_precision_at_any_modulus(n, sign, scale, parts, prec):
+    # the integer mantissa and its binary exponent keep every power within
+    # 2^(1 - prec) relative, for moduli from 2^-3000 to 2^3000 and exponents
+    # to +-144, far outside what a fixed point at 2^-prec could hold
+    with mp.workprec(prec):
+        z = BigComplex(mpmath.ldexp(parts[0], scale - 40), mpmath.ldexp(parts[1], scale - 40), prec)
+    got = z ** (sign * n)
+    assert got.prec == prec
+    with mp.workprec(4 * prec):
+        ref = z.to_mpc() ** (sign * n)
+        assert abs(got.to_mpc() - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec)
+
+
+def test_bigcomplex_pow_of_zero():
+    zero = BigComplex(0, 0, 64)
+    assert (zero**3).to_mpc() == 0 and (zero**0).to_mpc() == 1
+    with pytest.raises(ZeroDivisionError):
+        zero**-1
 
 
 def test_bigcomplex_immutable():
@@ -145,7 +174,7 @@ def test_cached_functions_are_few_and_return_immutable_values():
 
     spf = orderideals._factor_table(100)
     assert isinstance(spf, memoryview) and spf.readonly
-    point = modfun._point(mpmath.mpf(0), mpmath.mpf(1), 64)
+    point = modfun._point(mpmath.mpf(0), mpmath.mpf(1), 64, 5)
     assert isinstance(point, tuple) and _immutable(point)
     roots = lfunctions._roots_of_unity(6, 64)
     assert isinstance(roots, tuple) and _immutable(roots)

@@ -186,6 +186,16 @@ def test_oracle_index_of_rejects_ideal_not_prime_to_level(ctx200):
     assert oracle.index_of(omega_ideal(ctx200, Form(50, 0, 1), 3)) in range(12)
 
 
+@pytest.mark.parametrize("D, N", [(-200, 3), (-180, 8), (-3, 7), (-4, 5)])
+def test_oracle_index_of_finds_each_rep_without_the_fill_memos(D, N):
+    # the returned oracle keeps its bases without the stream's and the fill's
+    # memos; index_of needs only the lattices, generators and units, and
+    # still gives every representative its own index
+    oracle = oracle_class_group(OrderContext.from_disc(D), N)
+    assert not (oracle.bases.base_products or oracle.bases.label_products or oracle.bases.labels)
+    assert [oracle.index_of(L) for L in oracle.reps] == list(range(oracle.order))
+
+
 def test_oracle_table_rejects_unseen_product_label(ctx200, monkeypatch):
     # stop the bucketing one class short: some product lands on the missing label
     monkeypatch.setattr(orderideals, "_expected_order", lambda ctx, N: 11)
@@ -403,7 +413,7 @@ def pairwise_label_law_table(oracle):
                 n12_inv = pow(B1.g * B1.m * B2.g * B2.m, -1, N)
                 base_products[R1, R2] = (R3, (c12[0] * n12_inv, c12[1] * n12_inv))
             R3, c = base_products[R1, R2]
-            w3 = _unit_orbit_min(ctx, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
+            w3 = _unit_orbit_min(bases.units, _elem_mul(ctx, _elem_mul(ctx, w1, w2), c), N)
             table[i][j] = table[j][i] = idx[R3, w3]
     return table
 
