@@ -9,12 +9,15 @@ well defined.  Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .numerics import BigComplex, DomainError, InvariantViolation, working_bits
+
+log = logging.getLogger(__name__)
 
 __all__ = [
     "xgcd",
@@ -490,7 +493,8 @@ class ClassGroup:
     Classes are numbered by sorted class_label and reps[i] is the label_form
     of the i-th label, so index 0 is the class of the principal form.
     `table[i][j]` is the index of [reps[i]][reps[j]]; class_enumerate fills
-    it from one Cayley row per generator, not by composing every pair.
+    it from a coset walk that names each class with one composition, and
+    derives each generator's Cayley row from the walk's coordinates.
     invariant_factors and characters come from group_structure_from_table's
     greedy walk over the table.  Characters are stored as integers over the
     group exponent e: characters[k][i] = v in [0, e) means chi_k(reps[i]) =
@@ -595,13 +599,19 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
     label_form gives R^(sigma^-1), whose leading coefficient is R(v, -u) mod N.
     Classes are numbered by sorted label, so index 0 is the principal class.
 
-    The table is filled from Cayley rows.  Each step takes as generator s the
-    least class outside the subgroup H built so far, composes every class
-    with s once (n compositions, each identified by class_label) and closes
-    H under s by breadth-first search.  A class z = y*s first reached from y
-    gets row z = (cay_s[v] for v in row y), since z*j = (y*j)*s, with no
-    further composition.  H at least doubles at each step, so there are at
-    most log2(n) generators and n*log2(n) compositions.
+    The table is filled by a coset walk.  Each stage takes as generator s
+    the least class outside the subgroup H built so far and composes each
+    class of the coset H*s^(i-1) with s, for i = 1, 2, ..., each product
+    identified by class_label, until s^m = s^(m-1)*s lands in H.  So every
+    class is named by one composition, and each stage composes one more
+    coset, its last, to check the wrap-around: at most 2n compositions in
+    all, as H at least doubles at each stage.  The walk checks the law as
+    it goes: the principal class times s must be s, every class it reaches
+    must be new, and each class h*s^(m-1) of the last coset times s must be
+    h*s^m, the class of H that the walk's coordinates predict.  Each Cayley
+    row cay_s then comes from those coordinates with no composition, and a
+    class z = y*s of the stage gets row z = (cay_s[v] for v in row y),
+    since z*j = (y*j)*s.
     """
     if N < 1:
         raise DomainError("level must be positive")
@@ -619,24 +629,59 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
         raise InvariantViolation(f"found {n} class labels, expected {target}")
     reps = [label_form(label, N) for label in labels]
     index = {label: i for i, label in enumerate(labels)}
-    table: List[Optional[List[int]]] = [list(range(n))] + [None] * (n - 1)
-    walk = [0]  # the subgroup built so far, in breadth-first order
+
+    def product(y: int, s: int) -> int:
+        k = index.get(class_label(compose_level(reps[y], reps[s], ctx, N), N))
+        if k is None:
+            raise InvariantViolation(f"product of classes {y} and {s} has no known label")
+        return k
+
+    # walk[p + h*i] = walk[p]*s^i for p < h = |H| and i < m, one stage per s
+    walk = [0]
+    pos = [0] + [n] * (n - 1)  # class -> its place in walk, n while unreached
+    stages = []  # (s, h, m, carry s^m, products of the last coset with s)
     while len(walk) < n:
-        s = table.index(None)
-        cay = []  # cay[y] = index of [reps[y]][reps[s]]
-        for y in range(n):
-            k = index.get(class_label(compose_level(reps[y], reps[s], ctx, N), N))
-            if k is None:
-                raise InvariantViolation(f"product of classes {y} and {s} has no known label")
-            cay.append(k)
-        if cay[0] != s:
-            raise InvariantViolation(f"the principal class times class {s} is class {cay[0]}")
-        # walk grows while it is read, so this closes the subgroup under s
-        for y in walk:
-            z = cay[y]
-            if table[z] is None:
-                table[z] = [cay[v] for v in table[y]]  # z*j = (y*j)*s
+        s = pos.index(n)
+        h = len(walk)
+        while True:
+            coset = [product(y, s) for y in walk[-h:]]
+            if len(walk) == h and coset[0] != s:
+                raise InvariantViolation(f"the principal class times class {s} is class {coset[0]}")
+            if pos[coset[0]] < h:
+                break  # s^m lies in H
+            for z in coset:
+                if pos[z] < n:
+                    raise InvariantViolation(f"the walk on class {s} reached class {z} twice")
+                pos[z] = len(walk)
                 walk.append(z)
+        stages.append((s, h, len(walk) // h, coset[0], coset))
+
+    table: List[Optional[List[int]]] = [list(range(n))] + [None] * (n - 1)
+    for s, h, m, carry, wrap in stages:
+        # walk[base + r] = walk[r]*walk[base] for base a multiple of the block
+        # h*m, so walk[base + r]*s is walk[base + r + h] off the block's last
+        # coset, and walk[base + top[p]] on it, where walk[top[p]] = walk[p]*carry
+        block, last = h * m, h * (m - 1)
+        top = [pos[table[y][carry]] for y in walk[:h]]
+        cay = [0] * n  # cay[y] = index of [reps[y]][reps[s]]
+        for base in range(0, n, block):
+            for q in range(base, base + last):
+                cay[walk[q]] = walk[q + h]
+            for p in range(h):
+                cay[walk[base + last + p]] = walk[base + top[p]]
+        for p in range(h):
+            if wrap[p] != cay[walk[last + p]]:
+                raise InvariantViolation(
+                    f"class {walk[last + p]} times class {s} is class {wrap[p]}, "
+                    f"not class {cay[walk[last + p]]} as the walk predicts"
+                )
+        for q in range(h, block):
+            table[walk[q]] = [cay[v] for v in table[walk[q - h]]]  # z*j = (y*j)*s
+    log.info(
+        "class_enumerate D=%d N=%d: %d classes, %d generators, %d coset steps, %d compositions",
+        ctx.disc, N, n, len(stages), sum(m for _, _, m, _, _ in stages),
+        sum(h * m for _, h, m, _, _ in stages),
+    )
 
     factors, characters, greedy_walk = group_structure_from_table(table)
     G = ClassGroup(ctx.disc, N, reps, table, factors, characters)
@@ -656,9 +701,9 @@ def _validate_group_table(table: Sequence[Sequence[int]]) -> None:
             raise InvariantViolation("identity row/column malformed")
         if 0 not in table[i]:
             raise InvariantViolation(f"element {i} has no inverse")
-        for j in range(n):
-            if table[i][j] != table[j][i]:
-                raise InvariantViolation("table is not commutative")
+    for row, column in zip(table, zip(*table)):
+        if tuple(row) != column:
+            raise InvariantViolation("table is not commutative")
     if n <= 24:
         for i in range(n):
             for j in range(n):
@@ -710,6 +755,10 @@ def group_structure_from_table(
             if x not in pos:
                 y, k = x, 1
                 while y not in pos:
+                    if k == n:
+                        raise InvariantViolation(
+                            f"element {x} has no power in the subgroup after {n} steps"
+                        )
                     y, k = table[y][x], k + 1
                 if k > m:
                     g, gm, m = x, y, k

@@ -1,4 +1,7 @@
+import logging
 import random
+import re
+import signal
 from math import gcd, prod
 
 import pytest
@@ -499,7 +502,78 @@ def test_class_enumerate_composition_count(D, N, monkeypatch):
 
     monkeypatch.setattr(quadforms, "compose_level", counting)
     n = class_enumerate(OrderContext.from_disc(D), N).order
-    assert len(calls) <= n * (n.bit_length() - 1)
+    # the coset walk names each class once, and each generator s composes
+    # one more coset, its last, to check the wrap-around to s^m: at most 2n
+    assert len(calls) <= 2 * n
+
+
+def test_class_enumerate_logs_its_walk(caplog, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return compose_level(*args)
+
+    monkeypatch.setattr(quadforms, "compose_level", counting)
+    with caplog.at_level(logging.INFO, logger="classfield"):
+        G = class_enumerate(OrderContext.from_disc(-200), 5)
+    lines = [r.getMessage() for r in caplog.records if r.name == "classfield.quadforms"]
+    assert len(lines) == 1
+    match = re.fullmatch(
+        r"class_enumerate D=-200 N=5: 60 classes, (\d+) generators, (\d+) coset steps, (\d+) compositions",
+        lines[0],
+    )
+    assert match
+    generators, steps, compositions = map(int, match.groups())
+    # each generator at least doubles the subgroup and takes m >= 2 coset steps
+    assert 2 * generators <= steps and generators <= G.order.bit_length() - 1
+    assert compositions == len(calls) <= 2 * G.order
+
+
+@pytest.fixture
+def alarm():
+    """signal.alarm, with a handler that raises TimeoutError when it fires."""
+
+    def give_up(signum, frame):
+        raise TimeoutError("the call did not return before the alarm")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("D, N", [(-200, 3), (-56, 4), (-3, 7), (-20, 12)])
+def test_class_enumerate_catches_one_wrong_product(D, N, monkeypatch, alarm):
+    # compose_level wrong on one unordered pair of classes: the fill raises or
+    # still returns the true table, and never loops.  A loop in the fill is
+    # caught by the composition budget, and one in the structure step, which
+    # composes nothing, by the alarm
+    ctx = OrderContext.from_disc(D)
+    G = class_enumerate(ctx, N)
+    n = G.order
+    where = {Q: i for i, Q in enumerate(G.reps)}
+    for a in range(n):
+        for b in range(a, n):
+            calls = []
+
+            def mutated(Q, Q2, ctx, N):
+                calls.append(1)
+                assert len(calls) <= n * n, "composition budget exceeded"
+                i, j = where[Q], where[Q2]
+                if {i, j} == {a, b}:
+                    return G.reps[(G.table[i][j] + 1) % n]
+                return compose_level(Q, Q2, ctx, N)
+
+            monkeypatch.setattr(quadforms, "compose_level", mutated)
+            alarm(20)
+            try:
+                H = class_enumerate(ctx, N)
+            except InvariantViolation:
+                continue
+            finally:
+                alarm(0)
+            assert H.table == G.table, (a, b)
 
 
 def test_class_enumerate_rejects_composition_without_identity(monkeypatch):
@@ -642,6 +716,18 @@ def invariant_factors_of(dims):
         for i, q in enumerate(sorted(qs, reverse=True)):
             factors[i] *= q
     return sorted(factors)
+
+
+def test_group_structure_rejects_a_power_cycle_outside_the_identity():
+    # commutative, with identity 0 and an inverse in every row, but 1*1 = 2,
+    # 2*1 = 3 and 3*1 = 1: the powers of 1 never reach 0.  At 26 elements
+    # the validation skips its associativity check, so the order loop must
+    # stop by itself
+    n = 26
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    table[1][3] = table[3][1] = 1
+    with pytest.raises(InvariantViolation, match="element 1 has no power in the subgroup"):
+        group_structure_from_table(table)
 
 
 @settings(max_examples=100, deadline=None)
