@@ -7,6 +7,13 @@ M = [[1, -a'(b+b0)/2], [0, a']] and a*a' = 1 mod N.  The general ideal route
 is kept alongside as the independence check: it reads a basis of the inverse
 ideal and the change-of-basis matrix off any integral ideal's form, in exact
 integers (orderideals._ideal_form).
+
+The 12N-th Siegel power g_ON runs in integers from the index to the minimal
+polynomial: its index is the integer row (0, 1) M gamma mod N, the Siegel
+value the fixed-point pair of `modfun.siegel_fixed`, its power
+`numerics.int_power` on that pair, and `minimal_polynomial` multiplies the
+real factors as fixed-point ints (`_expand_real`).  Fricke values and j keep
+the FrickeIndex route.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .numerics import (
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
+    int_power,
     recognize_integer,
     working_bits,
 )
@@ -87,30 +95,64 @@ def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: 
     which keeps the evaluation point high in the upper half-plane regardless
     of the representative's size.
     """
+    if family.kind == "siegel_12N":
+        v2 = family.index.v2
+        if family.index.v1 or (v2.numerator, v2.denominator) != (1, N):
+            raise DomainError("the 12N-th Siegel power needs the base index (0, 1/N)")
+        return _siegel_value(index_matrix, Qxi, N, digits)
     R, gam = reduce_form(Qxi)
     point = R.omega(digits)
     if family.kind == "j_rational":
         return modfun.delta_j(point, digits)[1]
     idx = family.index.act(index_matrix).act(tuple(gam)).normalized()
-    if family.kind == "fricke_f":
-        return modfun.fricke(idx, point, digits)
-    # 12N-th Siegel power: the family axiom moves the index, the power is fixed
-    return modfun.siegel(idx, point, digits) ** (12 * N)
+    return modfun.fricke(idx, point, digits)
 
 
-def class_invariant(
-    family: FamilyId, Q: Form, ctx: OrderContext, N: int, digits: int
-) -> BigComplex:
-    """Invariant of the class [Q] via the explicit matrix route."""
+def _siegel_power(index_matrix, Qxi: Form, N: int, digits: int):
+    """g_{(0, 1/N) M}(xi)^(12N) at the root xi of Qxi, in integers: (x, y, e,
+    R, F) with the power (x + iy) 2^e before its rounding to p =
+    working_bits(digits) bits, R the reduced form of Qxi whose root is the
+    evaluation point, and F the fixed-point bits of the Siegel series there.
+
+    With the reduction witness gamma (as in _family_value_at), the index
+    (0, 1/N) M gamma is the row (0, 1) M gamma over N.  For the matrices of
+    class_invariant and general_invariant the row is a unit times gamma's
+    bottom row, so it is primitive mod N and the index has level N.
+    g_{-v} = -g_v and the power is even, so of +-row mod N the lesser is
+    taken, as FrickeIndex.normalized would.  int_power keeps the power within
+    relative 2^-(p+1) of the 12N-th power of the kernel's value.
+    """
+    R, (p, q, r, s) = reduce_form(Qxi)
+    _, _, m0, m1 = index_matrix
+    u, v = (m0 * p + m1 * r) % N, (m0 * q + m1 * s) % N
+    u, v = min((u, v), (-u % N, -v % N))
+    prec = working_bits(digits)
+    x, y, F = modfun.siegel_fixed(u, v, N, R.omega(digits), prec)
+    return (*int_power(x, y, -F, 12 * N, prec), R, F)
+
+
+def _siegel_value(index_matrix, Qxi: Form, N: int, digits: int) -> BigComplex:
+    x, y, e, _, _ = _siegel_power(index_matrix, Qxi, N, digits)
+    return BigComplex.from_ints(x, y, e, working_bits(digits))
+
+
+def _class_matrix(Q: Form, ctx: OrderContext, N: int):
+    """The index matrix M = (1, -a'(b + b0)/2, 0, a') of the class [Q], a a' = 1 mod N."""
     _check_ctx(ctx)
     if Q.disc != ctx.disc:
         raise DomainError("form does not belong to the order")
     if gcd(Q.a, N) != 1:
         raise DomainError("leading coefficient must be coprime to the level")
     a_inv = pow(Q.a, -1, N) if N > 1 else 1
-    M = (1, -a_inv * (Q.b + ctx.b0) // 2, 0, a_inv)
+    return (1, -a_inv * (Q.b + ctx.b0) // 2, 0, a_inv)
+
+
+def class_invariant(
+    family: FamilyId, Q: Form, ctx: OrderContext, N: int, digits: int
+) -> BigComplex:
+    """Invariant of the class [Q] via the explicit matrix route."""
     # the evaluation point -conj(omega_Q) = (b + sqrt(D))/(2a) is the root of (a, -b, c)
-    return _family_value_at(family, M, Form(Q.a, -Q.b, Q.c), N, digits)
+    return _family_value_at(family, _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
 
 
 def general_invariant(
@@ -135,11 +177,13 @@ def general_invariant(
 def g_ON(Q: Form, ctx: OrderContext, N: int, digits: int) -> BigComplex:
     """The class invariant used in the L-derivative formula.
 
-    N >= 2: the 12N-th Siegel power at index [0, 1/N].  N = 1: the positive
-    real (2 pi)^12 N([xi,1])^6 |eta(xi)|^24 from any ideal representative.
+    N >= 2: the 12N-th Siegel power at index [0, 1/N], as
+    class_invariant(FamilyId.siegel_power(N), ...) gives it.  N = 1: the
+    positive real (2 pi)^12 N([xi,1])^6 |eta(xi)|^24 from any ideal
+    representative.
     """
     if N >= 2:
-        return class_invariant(FamilyId.siegel_power(N), Q, ctx, N, digits)
+        return _siegel_value(_class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
     return g_ON_from_ideal(form_to_lattice(ctx, Q), ctx, 1, digits)
 
 
@@ -249,46 +293,97 @@ def _conjugate_pairs(
 
 
 def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
-    """One g_ON per self-conjugate class and per conjugate pair, as the real
-    factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of prod_C (x - g(C)),
-    with log2 M, M = prod_C max(1, |g(C)|) over all classes, and the
-    fixed-point bits of the Siegel series at each distinct evaluation point
-    (the reduced form of (a, -b, c), as in class_invariant; index level N)."""
-    prec = working_bits(digits)
-    linear: List[mpmath.mpf] = []
-    quadratic: List[Tuple[mpmath.mpf, mpmath.mpf]] = []
+    """One g_ON per self-conjugate class and per conjugate pair, the roots of
+    the real factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of
+    prod_C (x - g(C)).
+
+    Returns (linear, quadratic, log2 M, bits): the real roots as (x, e) and
+    the pairs' roots as (x, y, e), each (x + iy) 2^e the 12N-th power before
+    its rounding to working_bits(digits); M = prod_C max(1, |g(C)|) over all
+    classes; and the fixed-point bits of the Siegel series at each distinct
+    evaluation point, as the evaluations report them.
+    """
+    log2_tol = float(mpmath.log(tol, 2))
+    linear: List[Tuple[int, int]] = []
+    quadratic: List[Tuple[int, int, int]] = []
     log2_m = 0.0
-    points = set()
-    for i, j, g in _conjugate_pairs(G, N, lambda Q: g_ON(Q, ctx, N, digits)):
-        Q = G.reps[i]
-        points.add(reduce_form(Form(Q.a, -Q.b, Q.c))[0])
-        z = g.to_mpc()
-        with mp.workprec(prec):
-            size = abs(z)
-            if j == i:
-                if not abs(z.imag) < tol * max(1, size):
-                    raise InvariantViolation(f"g of the self-conjugate class {i} is not real")
-                linear.append(+z.real)
-            else:
-                quadratic.append((2 * z.real, z.real**2 + z.imag**2))
-        if size > 1:
-            with mp.workprec(53):
-                log2_m += (1 if j == i else 2) * float(mpmath.log(size, 2))
-    bits = sorted(modfun.fixed_bits(float(R.omega(digits).im), prec, N) for R in points)
-    return linear, quadratic, log2_m, bits
+    points = {}
+
+    def value(Q: Form):
+        return _siegel_power(_class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
+
+    for i, j, (x, y, e, R, bits) in _conjugate_pairs(G, N, value):
+        points[R] = bits
+        log2_g = math.log2(x * x + y * y) / 2 + e
+        if j == i:
+            if y and math.log2(abs(y)) + e >= log2_tol + max(0.0, log2_g):
+                raise InvariantViolation(f"g of the self-conjugate class {i} is not real")
+            linear.append((x, e))
+        else:
+            quadratic.append((x, y, e))
+        if log2_g > 0:
+            log2_m += (1 if j == i else 2) * log2_g
+    return linear, quadratic, log2_m, sorted(points.values())
 
 
-def _expand_real(linear, quadratic, prec: int) -> List[mpmath.mpf]:
-    """Coefficients (ascending) of prod (x - r) * prod (x^2 - s x + q)."""
-    with mp.workprec(prec):
-        c = [mpmath.mpf(1)]
-        for r in linear:
-            p = [0, *c, 0]
-            c = [p[k] - r * p[k + 1] for k in range(len(c) + 1)]
-        for s, q in quadratic:
-            p = [0, 0, *c, 0, 0]
-            c = [q * p[k + 2] - s * p[k + 1] + p[k] for k in range(len(c) + 2)]
-    return c
+def _cut_poly(c: List[int], e: int, P: int) -> Tuple[List[int], int]:
+    """The polynomial with ascending coefficients c 2^e, every coefficient
+    floored so that the largest keeps at most P bits."""
+    s = max(abs(v).bit_length() for v in c) - P
+    return ([v >> s for v in c], e + s) if s > 0 else (c, e)
+
+
+def _poly_mul(a: Tuple[List[int], int], b: Tuple[List[int], int], P: int) -> Tuple[List[int], int]:
+    """Schoolbook product of two polynomials given as ascending integer
+    coefficients under one binary exponent, cut to P bits."""
+    (ca, ea), (cb, eb) = a, b
+    c = [0] * (len(ca) + len(cb) - 1)
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            c[i + j] += x * y
+    return _cut_poly(c, ea + eb, P)
+
+
+def _expand_real(linear, quadratic, prec: int) -> Tuple[List[int], int]:
+    """Coefficients (ascending) of prod (x - r) * prod (x^2 - 2 Re g x + |g|^2)
+    for roots r = x 2^e and g = (x + iy) 2^e, as ints c under one binary
+    exponent e (c 2^e): a product tree of schoolbook products, every factor
+    and product cut to P = prec + n + bitlen(n) bits for degree n (gate_bits
+    bounds the truncation)."""
+    n = len(linear) + 2 * len(quadratic)
+    P = prec + n + n.bit_length()
+    polys = []
+    # each factor exactly, at the exponent -k <= 0 that keeps its leading 1 an int
+    for x, e in linear:
+        k = max(-e, 0)
+        polys.append(_cut_poly([-x << e + k, 1 << k], -k, P))
+    for x, y, e in quadratic:
+        k = max(-2 * e, 0)
+        polys.append(_cut_poly([(x * x + y * y) << 2 * e + k, -x << e + k + 1, 1 << k], -k, P))
+    polys = polys or [([1], 0)]
+    while len(polys) > 1:
+        odd = polys[-1:] if len(polys) % 2 else []
+        polys = [_poly_mul(a, b, P) for a, b in zip(polys[::2], polys[1::2])] + odd
+    return polys[0]
+
+
+# the largest float: a residual past it reads as this, so the JSON stays finite
+_FLOAT_MAX = float.fromhex("0x1.fffffffffffffp+1023")
+
+
+def _residual(c: int, e: int, prec: int) -> float:
+    """max(|x - nint(x)|, |x| 2^-prec, 2^e) for the expanded coefficient
+    x = c 2^e: its distance from the nearest integer, or its rounding unit
+    (at prec bits, or the expansion's 2^e) when that is larger; as a float,
+    at most the largest float."""
+    f = max(-e, 0)
+    c <<= e + f
+    one = 1 << f
+    frac = (c + (one >> 1)) % one - (one >> 1)
+    try:
+        return max(abs(frac) << prec, abs(c), 1 << e + f + prec) / (one << prec)
+    except OverflowError:
+        return _FLOAT_MAX
 
 
 # bits of the working precision that the Siegel value inside g_ON may lose to
@@ -308,13 +403,34 @@ def gate_bits(n: int, N: int, log2_m: float, tol) -> float:
 
     g_ON at p bits is within relative eta = 12N 2^(L - p) of g(C), L =
     G_ON_LOSS_BITS: the Siegel value loses at most L bits, the 12N-th power
-    multiplies its relative error by 12N, and L also covers the power's and
-    the expansion's roundings (a few ulps per root).  The coefficient of
-    x^(n-m) is a sum of C(n, m) products of m roots, each of modulus at most
+    multiplies its relative error by 12N, and L also covers the power's
+    rounding; the real factors are taken from the power before its rounding
+    to p bits, which is as close.  The coefficient of x^(n-m) is a sum of
+    C(n, m) products of m roots, each of modulus at most
     M = prod_C max(1, |g(C)|) (Enge 2009); a product of m roots off by
     relative eta each is off by at most ((1 + eta)^m - 1) times its modulus.
-    With n*eta <= 1/4, ((1 + eta)^m - 1) * (1 - eta)^-n <= 2 m eta, the second
-    factor for M taken from the computed values, so the error is at most
+    With n*eta <= 1/4, ((1 + eta)^m - 1) * (1 - eta)^-n <= e^(1/4 + 1/3) m eta
+    < 1.8 m eta, the second factor for M taken from the computed values.
+
+    The expansion adds its truncation.  `_expand_real` multiplies the real
+    factors in a product tree, and cuts every factor and every product to
+    P = p + n + bitlen(n) bits: it floors the coefficients under one binary
+    exponent so that the largest keeps P bits.  Measure a polynomial by the
+    sum of its coefficients' moduli: the exact product of the factors of a
+    set S of roots has at most W_S = prod_S (1 + |g|), and let its computed
+    coefficients be off by eps_S W_S in all.  A cut of a polynomial C of
+    degree d, computed within eps_C W_C, floors d + 1 coefficients at a unit
+    of at most 2^(1-P) (1 + eps_C) W_C.  So a factor has 1 + eps <= 1 +
+    (d + 1) 2^(1-P), and a product A B has 1 + eps_AB <= (1 + eps_A)
+    (1 + eps_B)(1 + (deg(A B) + 1) 2^(1-P)).  The factors' degrees plus one
+    sum to at most 2n, and at each of at most bitlen(n) levels of the tree
+    so do the products', so 1 + eps <= exp(n (bitlen(n) + 3) 2^(1-P)) and
+    every coefficient is off by at most T = 2^(2-P) n (bitlen(n) + 3) W,
+    W = prod_C (1 + |g(C)|) <= 2^n M.  As n < 2^bitlen(n),
+    T < 2^(2 - p) (bitlen(n) + 3) M; for N >= 2 and L = 8,
+    0.2 eta M >= 2^(10 - p) M, so T <= 0.2 eta M while bitlen(n) < 250.
+
+    So a coefficient is off by at most (1.8 m C(n, m) + 0.2) eta M <=
     2 m eta C(n, m) M.  This is below tol at every m iff p exceeds the
     returned value; m = n then gives n*eta < tol/2 < 1/4.
     """
@@ -329,14 +445,19 @@ def probe_digits(G: ClassGroup, ctx: OrderContext, N: int, tol) -> int:
     log2 M needs each |g(C)| to a few bits only, so the probe is cheap; the
     pass it sizes recomputes log2 M from its own values and gates on those.
     """
+    from time import perf_counter
+
+    start = perf_counter()
     _, _, log2_m, _ = _real_factors(G, ctx, N, PROBE_DIGITS, tol)
+    seconds = perf_counter() - start
     need = gate_bits(G.order, N, log2_m, tol)
     digits = 1
     while working_bits(digits) <= need + PROBE_MARGIN_BITS:
         digits += 1
     log.info(
-        "minpoly probe: %d digits give log2 M %.1f, gate needs %.1f bits, chose %d digits",
-        PROBE_DIGITS, log2_m, need, digits,
+        "minpoly probe: %d digits give log2 M %.1f, gate needs %.1f bits, chose %d digits, "
+        "%.3f s evaluating",
+        PROBE_DIGITS, log2_m, need, digits, seconds,
     )
     return digits
 
@@ -352,9 +473,10 @@ def minimal_polynomial(
 
     g(conj C) = conj g(C), so each self-conjugate class gives a real linear
     factor and each conjugate pair {C, conj C} one real quadratic; a pass
-    evaluates g_ON once per factor, then expands and rounds at the same
-    working_bits(digits), and is trusted only when gate_bits, the precision
-    its error bound needs, is below that.  A residual is the distance of a
+    evaluates g_ON once per factor at working_bits(digits), expands the
+    factors in integers a little above that and rounds, and is trusted only
+    when gate_bits, the precision its error bound needs, is below
+    working_bits(digits).  A residual is the distance of a
     coefficient c from the nearest integer, or |c| 2^-prec when larger, so
     only a coefficient with residual below tol is recognized.  On a failed
     gate or recognition the target precision doubles, up to the policy's
@@ -362,6 +484,8 @@ def minimal_polynomial(
     its coefficients and residuals instead of rounding anything silently.
     A policy without target digits starts at probe_digits.
     """
+    from time import perf_counter
+
     _check_ctx(ctx)
     if N < 2:
         raise DomainError("minimal polynomial needs level >= 2")
@@ -374,31 +498,35 @@ def minimal_polynomial(
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits
         prec = working_bits(digits)
+        start = perf_counter()
         linear, quadratic, log2_m, bits = _real_factors(G, ctx, N, digits, tol)
+        evaluated = expanded = recognized = perf_counter()
         need = gate_bits(n, N, log2_m, tol)
         last = attempt == policy.max_escalations
         ok, worst = False, "-"
         if need < prec or last:
-            coeffs = _expand_real(linear, quadratic, prec)[::-1]
-            with mp.workprec(prec):
-                residuals = [
-                    float(max(abs(c - mpmath.nint(c)), mpmath.ldexp(abs(c), -prec))) for c in coeffs
-                ]
+            coeffs, e = _expand_real(linear, quadratic, prec)
+            coeffs.reverse()
+            expanded = perf_counter()
+            residuals = [_residual(c, e, prec) for c in coeffs]
             worst = f"{max(residuals):.3e}"
             if need < prec:
-                ints = [recognize_integer(BigComplex(c, 0, prec), tol) for c in coeffs]
+                ints = [recognize_integer(BigComplex.from_ints(c, 0, e, prec), tol) for c in coeffs]
                 ok = None not in ints
+            recognized = perf_counter()
         log.info(
             "minpoly pass %d: %d digits, %d of %d classes evaluated at %d points "
-            "(fixed point %d to %d bits), gate needs %.1f of %d bits, %s, worst residual %s",
+            "(fixed point %d to %d bits), gate needs %.1f of %d bits, %s, worst residual %s, "
+            "%.3f s evaluating, %.3f s expanding, %.3f s recognizing",
             attempt, digits, len(linear) + len(quadratic), n, len(bits), bits[0], bits[-1], need, prec,
             "ok" if ok else "failed" if last else "escalating", worst,
+            evaluated - start, expanded - evaluated, recognized - expanded,
         )
         if ok:
             return MinimalPolynomialResult(ctx.disc, N, n, True, ints, residuals, digits, attempt)
         pol = pol.escalate()
     with mp.workprec(prec):
-        raw = [mpmath.nstr(c, working, strip_zeros=False) for c in coeffs]
+        raw = [mpmath.nstr(mpmath.mpf((c, e)), working, strip_zeros=False) for c in coeffs]
     return MinimalPolynomialResult(
         ctx.disc, N, n, False, None, residuals, digits, policy.max_escalations, raw
     )

@@ -8,8 +8,9 @@ Euler's pentagonal series, cut by a stated remainder bound.  They run in
 fixed-point Gaussian integers: each point keeps one root of q, its powers and
 the series coefficients as ints scaled by 2^F (`_point`), so the classes at a
 point share two exponentials and every Siegel value is integer arithmetic
-with a stated error bound.  The Eisenstein and Weierstrass q-series work in
-mpmath and are truncated once their geometric tail bound drops below
+with a stated error bound (`siegel_fixed`, which hands the fixed-point pair
+to callers that go on in integers).  The Eisenstein and Weierstrass q-series
+work in mpmath and are truncated once their geometric tail bound drops below
 2^-working_bits.
 """
 
@@ -34,6 +35,7 @@ __all__ = [
     "delta_j",
     "j_eisenstein",
     "siegel",
+    "siegel_fixed",
     "wp",
     "fricke",
     "g2_g3_delta",
@@ -337,21 +339,36 @@ def j_eisenstein(tau: BigComplex, digits: int) -> BigComplex:
 
 
 def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
-    """Siegel function at the raw index v = (a1, a2):
+    """Siegel function at the raw index v = (a1, a2), by `siegel_fixed` at the
+    index's level d:
 
         g_v = -q^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n/w)
 
-    with q = e(tau), w = e(a1 tau + a2).  a1 is first moved into [0, 1)
-    exactly, by g_{v + (m, 0)} = (-1)^m e^(-pi i m a2) g_v, so every series term
-    is at most 1 in modulus.  The product is the Jacobi triple sum
-    T = sum_{k>=0} coef[k] w^k + sum_{k>=0} coef[k] (q/w)^k - 1 over
-    prod(1 - q^n), from `_point` at d, the index's level.
+    with q = e(tau), w = e(a1 tau + a2).  The fixed-point value is converted to
+    BigComplex once, within relative 2^-prec (2 + 1/|T|) of g_v (see
+    `siegel_fixed`)."""
+    _require_upper(tau)
+    prec = working_bits(digits)
+    d = v.level
+    x, y, F = siegel_fixed(int(v.v1 * d), int(v.v2 * d), d, tau, prec)
+    return BigComplex.from_ints(x, y, -F, prec)
 
-    Everything runs in fixed point at F = fixed_bits(Im tau, prec, d) bits.
-    With a1 = r/d and a2 = s/d, w = sigma^r e(s/d), q/w = sigma^(d-r) e(-s/d),
-    and the lead e(B2(a1)/2 tau + turn) is rho^(6r^2 - 6rd + d^2) times the
-    2d^2-th root of unity e(turn): table entries times roots of unity, with
-    no exponential.  The value is converted to BigComplex once.
+
+def siegel_fixed(u1: int, u2: int, d: int, tau: BigComplex, prec: int) -> Tuple[int, int, int]:
+    """(x, y, F) with (x + iy) 2^-F the Siegel function at the raw index
+    (a1, a2) = (u1/d, u2/d) and tau, at prec bits; the integer kernel of
+    `siegel` and of `invariants`' 12N-th Siegel powers.
+
+    a1 is first moved into [0, 1) exactly, by g_{v + (m, 0)} =
+    (-1)^m e^(-pi i m a2) g_v, so every series term is at most 1 in modulus.
+    The product is the Jacobi triple sum
+    T = sum_{k>=0} coef[k] w^k + sum_{k>=0} coef[k] (q/w)^k - 1 over
+    prod(1 - q^n), from `_point` at d.  Everything runs in fixed point at
+    F = fixed_bits(Im tau, prec, d) bits.  With a1 = r/d and a2 = s/d mod 1,
+    w = sigma^r e(s/d), q/w = sigma^(d-r) e(-s/d), and the lead
+    e(B2(a1)/2 tau + turn) is rho^(6r^2 - 6rd + d^2) times the 2d^2-th root of
+    unity e(turn): the sign, the phase and the translation factor make one
+    turn (u2 (r - d(m + 1)) + (m + 1) d^2)/(2d^2), taken mod 2d^2 in ints.
 
     Error bound, in ulps of 2^-F.  rho and e(1/(2d^2)) are within 2 ulps.
     Every operand has modulus at most |q|^(-1/24) and every product is
@@ -365,29 +382,24 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     relative 2^(log2(800 d^2) + 0.755 Im tau - F) (1 + 1/|T|) of the cut
     series, and F = prec + ceil(0.755 Im tau) + bitlen(12 d^2) + 8 makes
     that at most 2^-(prec+1) (1 + 1/|T|), whatever |g| is.  The cut adds
-    2^-(prec+1)/|T| and the conversion 2^-prec, so g_v is within relative
-    2^-prec (2 + 1/|T|); `invariants.G_ON_LOSS_BITS` allows for |T| down to
-    2^-7.
+    2^-(prec+1)/|T|, so (x + iy) 2^-F is within relative
+    2^-prec (1 + 1/|T|) of g_v; `invariants.G_ON_LOSS_BITS` allows for |T|
+    down to 2^-7.
     """
-    _require_upper(tau)
-    prec = working_bits(digits)
-    d = v.level
     pt = _point(tau.re, tau.im, prec, d)
     F = pt.bits
-    m = math.floor(v.v1)
-    a1 = v.v1 - m
-    r, s = int(a1 * d), int(v.v2 % 1 * d)
-    # the sign, the phase and the translation factor as one exact turn
-    turn = ((v.v2 * (a1 - 1 - m) + m + 1) / 2) % 1
+    m, r = divmod(u1, d)
+    s = u2 % d
+    turn = (u2 * (r - d * (m + 1)) + (m + 1) * d * d) % (2 * d * d)
     w = _mul(pt.powers[r], pt.units[s], F)
     qw = _mul(pt.powers[d - r], pt.units[-s % d], F)
-    b = float(a1)
+    b = r / d
     sx, sy = _power_sum(pt.coef, w, pt.terms(b), F)
     tx, ty = _power_sum(pt.coef, qw, pt.terms(1 - b), F)
     triple = (sx + tx - (1 << F), sy + ty)
-    lead = _mul(pt.leads[r], pt.root(int(turn * 2 * d * d)), F)
+    lead = _mul(pt.leads[r], pt.root(turn), F)
     x, y = _mul(_mul(lead, triple, F), pt.inv_euler, F)
-    return BigComplex.from_ints(x, y, -F, prec)
+    return x, y, F
 
 
 def _reduce_mod_lattice(z_, tau_):

@@ -4,10 +4,11 @@ guard-digit rule, and integer recognition.
 Every analytic value that passes between modules is a :class:`BigComplex`: an
 immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
 happens on mpmath numbers inside ``mp.workprec``, or on Python ints where that
-is cheaper: the integer power squares an integer mantissa pair under one
-binary exponent, and `modfun`'s Siegel kernel hands over fixed-point ints
-through `BigComplex.from_ints`.  The precision travels with the value rather
-than living in the global context, so the ambient precision never rounds it.
+is cheaper: `int_power` squares an integer mantissa pair under one binary
+exponent, for `BigComplex.__pow__` and for the 12N-th Siegel powers that
+`invariants` takes on `modfun`'s fixed-point kernel values.  The precision
+travels with the value rather than living in the global context, so the
+ambient precision never rounds it.
 Every evaluator that targets `digits` decimal digits works at
 `working_bits(digits)`, that is `GUARD_DIGITS` more, and its evaluation point
 (`Form.omega`, `OrderContext.tau`) is built at the same precision.  Error
@@ -34,6 +35,7 @@ __all__ = [
     "PrecisionPolicy",
     "GUARD_DIGITS",
     "recognize_integer",
+    "int_power",
     "bits_for_digits",
     "working_bits",
 ]
@@ -158,17 +160,10 @@ class BigComplex:
             return cls(mpmath.mpf((x, exp)), mpmath.mpf((y, exp)), prec)
 
     def __pow__(self, n: int):
-        """self^n by squaring an integer mantissa pair under one binary
-        exponent, at P = prec + bitlen(n) + 4 bits.
-
-        Each product is cut back to P bits, so the modulus may lie far below
-        2^-prec or above 2^prec without losing relative precision, and each cut
-        is within relative 2^(1.5 - P).  A squaring doubles the relative error
-        before it, so the at most 2 bitlen(n) products leave below
-        2^(bitlen(n) + 2.5 - P), and with the inverse for n < 0 the power is
-        within relative 2^-(prec+1) of self^n exactly, before the final
-        rounding to prec bits.
-        """
+        """self^n by `int_power` on the integer mantissa pair under one binary
+        exponent, the parts aligned at its P bits; for n < 0 the inverse is
+        taken at P bits, so the power is within relative 2^-(prec+1) of
+        self^n exactly, before the final rounding to prec bits."""
         if not isinstance(n, int):
             return NotImplemented
         parts = (_man_exp(self.re), _man_exp(self.im))
@@ -176,14 +171,10 @@ class BigComplex:
             if n < 0:
                 raise ZeroDivisionError("zero to a negative power")
             return BigComplex(int(n == 0), 0, self.prec)
-        P = self.prec + n.bit_length() + 4
+        P = _power_bits(self.prec, abs(n))
         e = max(exp + man.bit_length() for man, exp in parts if man) - P
         bx, by = (man << exp - e if exp >= e else man >> e - exp for man, exp in parts)
-        x, y, ex = 1, 0, 0
-        for bit in bin(abs(n))[2:]:
-            x, y, ex = _cut(x * x - y * y, 2 * x * y, 2 * ex, P)
-            if bit == "1":
-                x, y, ex = _cut(x * bx - y * by, x * by + y * bx, ex + e, P)
+        x, y, ex = int_power(bx, by, e, abs(n), self.prec)
         if n < 0:
             den = x * x + y * y
             x, y, ex = (x << 2 * P) // den, (-y << 2 * P) // den, -ex - 2 * P
@@ -212,6 +203,31 @@ def _cut(x: int, y: int, e: int, P: int):
     """(x + iy) 2^e with both parts floored to at most P bits."""
     s = max(abs(x).bit_length(), abs(y).bit_length()) - P
     return (x >> s, y >> s, e + s) if s > 0 else (x, y, e)
+
+
+def _power_bits(prec: int, n: int) -> int:
+    return prec + n.bit_length() + 4
+
+
+def int_power(x: int, y: int, e: int, n: int, prec: int) -> Tuple[int, int, int]:
+    """((x + iy) 2^e)^n for n >= 0 as (u, v, f), the power (u + iv) 2^f, by
+    squaring at P = prec + bitlen(n) + 4 bits.
+
+    The base and each product are cut back to P bits, so the modulus may lie
+    far below 2^-prec or above 2^prec without losing relative precision, and
+    each cut is within relative 2^(1.5 - P).  A squaring doubles the relative
+    error before it, so the cut base and the at most 2 bitlen(n) - 1 later
+    products leave below 2^(bitlen(n) + 2.5 - P) = 2^-(prec+1.5): the power is
+    within relative 2^-(prec+1) of ((x + iy) 2^e)^n exactly.
+    """
+    P = _power_bits(prec, n)
+    bx, by, be = _cut(x, y, e, P)
+    x, y, ex = 1, 0, 0
+    for bit in bin(n)[2:]:
+        x, y, ex = _cut(x * x - y * y, 2 * x * y, 2 * ex, P)
+        if bit == "1":
+            x, y, ex = _cut(x * bx - y * by, x * by + y * bx, ex + be, P)
+    return x, y, ex
 
 
 def recognize_integer(x: BigComplex, tol) -> Optional[int]:

@@ -167,6 +167,24 @@ def test_minpoly_honest_failure_exit_3(capsys, schema):
     assert len(payload["unrecognized"]) == 13
 
 
+def test_minpoly_failure_prints_strict_json(capsys, schema):
+    # at 1 digit nearly every coefficient of (-4000, 7) is far past the pass's
+    # precision; its residual must still be a finite JSON number, not the
+    # Infinity that json.dumps prints for a float overflow
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out = run_cli(
+        capsys, "minpoly", "--disc", "-4000", "--level", "7",
+        "--digits", "1", "--max-escalations", "0", "--format", "json",
+    )
+    payload = json.loads(out, parse_constant=reject)
+    assert code == cli.EXIT_UNRECOGNIZED
+    jsonschema.validate(payload, schema)
+    assert len(payload["residuals"]) == 361
+    assert max(payload["residuals"]) == sys.float_info.max
+
+
 def test_minpoly_and_verify_paper_without_digits_use_the_probe(capsys, schema):
     code, payload = run_json(capsys, "minpoly", "--disc", "-200", "--level", "3", "--format", "json")
     assert code == 0

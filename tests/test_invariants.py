@@ -17,6 +17,7 @@ from classfield import invariants, modfun
 from classfield.invariants import (
     G_ON_LOSS_BITS,
     FamilyId,
+    _class_matrix,
     _expand_real,
     _family_value_at,
     _real_factors,
@@ -37,9 +38,11 @@ from classfield.numerics import (
     recognize_integer,
     working_bits,
 )
-from classfield.orderideals import form_to_lattice, integral_ideals
+from classfield.modfun import FrickeIndex
+from classfield.orderideals import _ideal_form, form_to_lattice, integral_ideals
 from classfield.quadforms import Form, OrderContext, class_enumerate, reduce_form
 from classfield.refdata import D200_MINPOLY
+from expansion_reference import expand_real
 from ideal_reference import QuadElem, scaled, to_lattice
 
 DIGITS = 50
@@ -317,12 +320,73 @@ def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
     prec = working_bits(45)
     truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
     linear, quadratic, _, _ = _real_factors(G, ctx, 5, 45, tol)
+    coeffs, e = _expand_real(linear, quadratic, prec)
     with mp.workprec(prec):
-        coeffs = _expand_real(linear, quadratic, prec)[::-1]
+        coeffs = [mpmath.mpf((c, e)) for c in coeffs[::-1]]
         assert all(abs(c - mpmath.nint(c)) < tol for c in coeffs)
         assert sum(int(mpmath.nint(c)) != t for c, t in zip(coeffs, truth)) > 0
     res = minimal_polynomial(ctx, 5, policy, class_group=G)
     assert res.ok and res.escalations >= 1 and res.coefficients == truth
+
+
+@pytest.mark.parametrize("D, N, digits", [(-104, 5, 272), (-88, 5, 211)])
+def test_integer_expansion_within_its_truncation_bound(D, N, digits):
+    # the product tree against the mpmath expansion at twice the precision, on
+    # the same roots, at the probe's digits: every coefficient within
+    # gate_bits' T = 2^(2-P) n (bitlen(n) + 3) W, P = p + n + bitlen(n) and
+    # W = prod_C (1 + |g(C)|)
+    ctx, G = _halving_group(D, N)
+    n, prec = G.order, working_bits(digits)
+    linear, quadratic, _, _ = _real_factors(G, ctx, N, digits, PrecisionPolicy().recognition_tol())
+    got, e = _expand_real(linear, quadratic, prec)
+    assert len(got) == n + 1 == len(linear) + 2 * len(quadratic) + 1
+    with mp.workprec(2 * prec):
+        lin = [mpmath.mpf((x, k)) for x, k in linear]
+        quad = [(2 * mpmath.mpf((x, k)), mpmath.mpf((x * x + y * y, 2 * k))) for x, y, k in quadratic]
+        ref = expand_real(lin, quad, 2 * prec)
+        W = mpmath.fprod([1 + abs(r) for r in lin] + [(1 + mpmath.sqrt(q)) ** 2 for _, q in quad])
+        b = n.bit_length()
+        T = mpmath.ldexp(n * (b + 3) * W, 2 - (prec + n + b))
+        assert max(abs(mpmath.mpf((c, e)) - r) for c, r in zip(got, ref)) <= T
+
+
+def reference_siegel_power(index_matrix, Qxi, N, digits):
+    """The 12N-th Siegel power by the FrickeIndex route: the index (0, 1/N)
+    moved by the index matrix and the reduction witness in Fractions and
+    normalized, then modfun.siegel and BigComplex ** 12N."""
+    R, gam = reduce_form(Qxi)
+    idx = FrickeIndex.of(0, Fraction(1, N)).act(index_matrix).act(tuple(gam)).normalized()
+    return modfun.siegel(idx, R.omega(digits), digits) ** (12 * N)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    D=st.sampled_from([-15, -20, -23, -24, -31, -40, -47, -56]),
+    N=st.integers(2, 12),
+    digits=st.sampled_from([10, 20, 60, 300]),
+    pick=st.integers(0, 10**6),
+)
+def test_siegel_power_matches_the_fraction_route(D, N, digits, pick):
+    # the integer row, kernel and power against the FrickeIndex route, at every
+    # class and at one ideal, within the gate's allowance 12N 2^(L - p)
+    ctx, G = _halving_group(D, N)
+    fam = FamilyId.siegel_power(N)
+    cases = [
+        (class_invariant(fam, Q, ctx, N, digits), _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c))
+        for Q in G.reps
+    ]
+    _, pool = _general_pool(D, N)
+    L = pool[pick % len(pool)]
+    g, h, Q = _ideal_form(ctx, L)
+    A = (g * Q.a, g * (h - ctx.b0), 0, g)
+    cases.append((general_invariant(fam, L, ctx, N, digits), A, Form(Q.a, -Q.b, Q.c)))
+    prec = working_bits(digits)
+    allowance = mpmath.mpf(12 * N) * mpmath.mpf(2) ** (G_ON_LOSS_BITS - prec)
+    for got, M, Qxi in cases:
+        ref = reference_siegel_power(M, Qxi, N, digits)
+        assert got.prec == prec
+        with mp.workprec(prec + 64):
+            assert abs(got.to_mpc() - ref.to_mpc()) <= allowance * abs(ref.to_mpc())
 
 
 @pytest.mark.parametrize("D, N", [(-200, 3), (-71, 5), (-15, 8)])
@@ -362,6 +426,9 @@ def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200, G200):
     assert "40 digits" in lines[0] and "escalating" in lines[0] and "worst residual -" in lines[0]
     assert f"{res.precision_used} digits" in lines[-1] and ", ok," in lines[-1]
     assert re.search(r"gate needs [0-9.]+ of [0-9]+ bits", lines[-1])
+    timings = r", [0-9.]+ s evaluating, [0-9.]+ s expanding, [0-9.]+ s recognizing$"
+    assert all(re.search(timings, line) for line in lines)
+    assert ", 0.000 s expanding, 0.000 s recognizing" in lines[0]
 
 
 # the benchmark's frozen minimal polynomials, computed at 1400 digits
@@ -401,7 +468,8 @@ def test_probe_logs_its_choice_before_the_pass(caplog, ctx200, G200):
     lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
     assert res.ok and len(lines) == 2
     assert re.fullmatch(
-        rf"minpoly probe: 10 digits give log2 M [0-9.]+, gate needs [0-9.]+ bits, chose {res.precision_used} digits",
+        rf"minpoly probe: 10 digits give log2 M [0-9.]+, gate needs [0-9.]+ bits, chose {res.precision_used} digits, "
+        r"[0-9.]+ s evaluating",
         lines[0],
     )
     assert lines[1].startswith(f"minpoly pass 0: {res.precision_used} digits")

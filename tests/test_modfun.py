@@ -211,8 +211,13 @@ def test_g_on_below_two_to_the_minus_prec_keeps_its_relative_precision(monkeypat
     Q = Form(1, ctx.b0, ctx.c0)
     prec = working_bits(PROBE_DIGITS)
     seen = []
-    siegel = modfun.siegel
-    monkeypatch.setattr(modfun, "siegel", lambda v, tau, d: seen.append((v, tau)) or siegel(v, tau, d))
+    kernel = modfun.siegel_fixed
+
+    def spy(u1, u2, d, tau, prec):
+        seen.append((FrickeIndex.of(Fraction(u1, d), Fraction(u2, d)), tau))
+        return kernel(u1, u2, d, tau, prec)
+
+    monkeypatch.setattr(modfun, "siegel_fixed", spy)
     got = g_ON(Q, ctx, N, PROBE_DIGITS)
     [(v, tau)] = seen
     base = series_reference.siegel(v, tau, PROBE_DIGITS + 20)
@@ -228,10 +233,10 @@ def test_one_pass_takes_two_exponentials_per_evaluation_point(monkeypatch):
     # two exponentials per class
     ctx = OrderContext.from_disc(-104)
     G = class_enumerate(ctx, 5)
-    exp, siegel = mpmath.exp, modfun.siegel
+    exp, kernel = mpmath.exp, modfun.siegel_fixed
     exps, points = [], set()
     monkeypatch.setattr(mpmath, "exp", lambda *a, **k: exps.append(1) or exp(*a, **k))
-    monkeypatch.setattr(modfun, "siegel", lambda v, tau, d: points.add((tau.re, tau.im)) or siegel(v, tau, d))
+    monkeypatch.setattr(modfun, "siegel_fixed", lambda u1, u2, d, tau, p: points.add((tau.re, tau.im)) or kernel(u1, u2, d, tau, p))
     modfun._point.cache_clear()
     try:
         linear, quadratic, _, bits = _real_factors(G, ctx, 5, 272, PrecisionPolicy().recognition_tol())
