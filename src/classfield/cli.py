@@ -13,7 +13,6 @@ import json
 import logging
 import os
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 import mpmath
@@ -187,9 +186,9 @@ def cmd_invariants(args) -> int:
         raise DomainError("invariant orbits need level >= 2")
     G = class_enumerate(ctx, args.level)
     if args.family == "siegel":
-        fam = invariants.FamilyId.siegel_power(args.level)
+        fam = invariants.FamilyId.siegel_power()
     elif args.family == "fricke":
-        fam = invariants.FamilyId.fricke(0, Fraction(1, args.level))
+        fam = invariants.FamilyId.fricke()
     else:
         fam = invariants.FamilyId.j()
     orbit = invariants.conjugate_orbit(fam, G, ctx, args.digits)

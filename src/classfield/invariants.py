@@ -8,12 +8,14 @@ is kept alongside as the independence check: it reads a basis of the inverse
 ideal and the change-of-basis matrix off any integral ideal's form, in exact
 integers (orderideals._ideal_form).
 
-The 12N-th Siegel power g_ON runs in integers from the index to the minimal
-polynomial: its index is the integer row (0, 1) M gamma mod N, the Siegel
-value the fixed-point pair of `modfun.siegel_fixed`, its power
-`numerics.int_power` on that pair, and `minimal_polynomial` multiplies the
-real factors as fixed-point ints (`_expand_real`).  Fricke values and j keep
-the FrickeIndex route.
+A family's index is an integer row over the class level N, v = row/N, and
+every evaluation moves it the same way: `_index_row` takes row M gamma mod N
+for the index matrix M and the reduction witness gamma, and keeps the lesser
+of +-row.  The 12N-th Siegel power g_ON runs in integers from there to the
+minimal polynomial: the Siegel value is the fixed-point pair of
+`modfun.siegel_fixed`, its power `numerics.int_power` on that pair, and
+`minimal_polynomial` multiplies the real factors as fixed-point ints
+(`_expand_real`).  Fricke values take the same row to `modfun.fricke`.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator, List, Literal, Optional, Tuple
 
@@ -29,7 +30,6 @@ import mpmath
 from mpmath import mp
 
 from . import modfun
-from .modfun import FrickeIndex
 from .numerics import (
     BigComplex,
     DomainError,
@@ -60,22 +60,20 @@ FamilyKind = Literal["fricke_f", "siegel_12N", "j_rational"]
 
 @dataclass(frozen=True)
 class FamilyId:
-    """A Fricke family (or a rational function of j) used as invariant source."""
+    """A Fricke family (or a rational function of j) used as invariant source,
+    with the integer row of its base index v = row/N over the class level N
+    (j has no index and ignores it)."""
 
     kind: FamilyKind
-    index: Optional[FrickeIndex] = None
-
-    def __post_init__(self):
-        if self.kind in ("fricke_f", "siegel_12N") and self.index is None:
-            raise DomainError(f"{self.kind} needs a base index vector")
+    row: Tuple[int, int] = (0, 1)
 
     @classmethod
-    def siegel_power(cls, N: int) -> "FamilyId":
-        return cls("siegel_12N", FrickeIndex.of(0, Fraction(1, N)))
+    def siegel_power(cls, u1: int = 0, u2: int = 1) -> "FamilyId":
+        return cls("siegel_12N", (u1, u2))
 
     @classmethod
-    def fricke(cls, v1, v2) -> "FamilyId":
-        return cls("fricke_f", FrickeIndex.of(v1, v2))
+    def fricke(cls, u1: int = 0, u2: int = 1) -> "FamilyId":
+        return cls("fricke_f", (u1, u2))
 
     @classmethod
     def j(cls) -> "FamilyId":
@@ -96,44 +94,48 @@ def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: 
     of the representative's size.
     """
     if family.kind == "siegel_12N":
-        v2 = family.index.v2
-        if family.index.v1 or (v2.numerator, v2.denominator) != (1, N):
-            raise DomainError("the 12N-th Siegel power needs the base index (0, 1/N)")
-        return _siegel_value(index_matrix, Qxi, N, digits)
+        x, y, e, _, _ = _siegel_power(family.row, index_matrix, Qxi, N, digits)
+        return BigComplex.from_ints(x, y, e, working_bits(digits))
     R, gam = reduce_form(Qxi)
     point = R.omega(digits)
     if family.kind == "j_rational":
         return modfun.delta_j(point, digits)[1]
-    idx = family.index.act(index_matrix).act(tuple(gam)).normalized()
-    return modfun.fricke(idx, point, digits)
+    return modfun.fricke((*_index_row(family.row, index_matrix, gam, N), N), point, digits)
 
 
-def _siegel_power(index_matrix, Qxi: Form, N: int, digits: int):
-    """g_{(0, 1/N) M}(xi)^(12N) at the root xi of Qxi, in integers: (x, y, e,
-    R, F) with the power (x + iy) 2^e before its rounding to p =
+def _index_row(row, M, gam, N: int) -> Tuple[int, int]:
+    """row M gam mod N, of it and its negative the lesser: the index
+    v M gam of v = row/N as a row over N, normalized for even functions of v
+    (every Fricke function, and the Siegel function's even powers, since
+    g_{-v} = -g_v).  A row that moves to 0 mod N raises DomainError; for the
+    index matrices here M gam is invertible mod N, so only a row = 0 does."""
+    u1, u2 = row
+    for p, q, r, s in (M, gam):
+        u1, u2 = u1 * p + u2 * r, u1 * q + u2 * s
+    u1, u2 = u1 % N, u2 % N
+    if u1 == u2 == 0:
+        raise DomainError(f"the index row {tuple(row)} is 0 mod {N}")
+    return min((u1, u2), (-u1 % N, -u2 % N))
+
+
+def _siegel_power(row, index_matrix, Qxi: Form, N: int, digits: int):
+    """g_{v M}(xi)^(12N), v = row/N, at the root xi of Qxi, in integers: (x, y,
+    e, R, F) with the power (x + iy) 2^e before its rounding to p =
     working_bits(digits) bits, R the reduced form of Qxi whose root is the
     evaluation point, and F the fixed-point bits of the Siegel series there.
 
     With the reduction witness gamma (as in _family_value_at), the index
-    (0, 1/N) M gamma is the row (0, 1) M gamma over N.  For the matrices of
-    class_invariant and general_invariant the row is a unit times gamma's
-    bottom row, so it is primitive mod N and the index has level N.
-    g_{-v} = -g_v and the power is even, so of +-row mod N the lesser is
-    taken, as FrickeIndex.normalized would.  int_power keeps the power within
-    relative 2^-(p+1) of the 12N-th power of the kernel's value.
+    v M gamma is the row `_index_row` gives, over N.  For g_ON's row (0, 1)
+    and the matrices of class_invariant and general_invariant it is a unit
+    times gamma's bottom row, so it is primitive mod N and the index has
+    level N.  int_power keeps the power within relative 2^-(p+1) of the
+    12N-th power of the kernel's value.
     """
-    R, (p, q, r, s) = reduce_form(Qxi)
-    _, _, m0, m1 = index_matrix
-    u, v = (m0 * p + m1 * r) % N, (m0 * q + m1 * s) % N
-    u, v = min((u, v), (-u % N, -v % N))
+    R, gam = reduce_form(Qxi)
+    u, v = _index_row(row, index_matrix, gam, N)
     prec = working_bits(digits)
     x, y, F = modfun.siegel_fixed(u, v, N, R.omega(digits), prec)
     return (*int_power(x, y, -F, 12 * N, prec), R, F)
-
-
-def _siegel_value(index_matrix, Qxi: Form, N: int, digits: int) -> BigComplex:
-    x, y, e, _, _ = _siegel_power(index_matrix, Qxi, N, digits)
-    return BigComplex.from_ints(x, y, e, working_bits(digits))
 
 
 def _class_matrix(Q: Form, ctx: OrderContext, N: int):
@@ -177,19 +179,20 @@ def general_invariant(
 def g_ON(Q: Form, ctx: OrderContext, N: int, digits: int) -> BigComplex:
     """The class invariant used in the L-derivative formula.
 
-    N >= 2: the 12N-th Siegel power at index [0, 1/N], as
-    class_invariant(FamilyId.siegel_power(N), ...) gives it.  N = 1: the
+    N >= 2: the 12N-th Siegel power at index [0, 1/N], the class invariant
+    of FamilyId.siegel_power().  N = 1: the
     positive real (2 pi)^12 N([xi,1])^6 |eta(xi)|^24 from any ideal
-    representative.
+    representative (g_ON_from_ideal).
     """
     if N >= 2:
-        return _siegel_value(_class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
-    return g_ON_from_ideal(form_to_lattice(ctx, Q), ctx, 1, digits)
+        return class_invariant(FamilyId.siegel_power(), Q, ctx, N, digits)
+    return g_ON_from_ideal(form_to_lattice(ctx, Q), ctx, digits)
 
 
-def g_ON_from_ideal(L: Ideal, ctx: OrderContext, N: int, digits: int) -> BigComplex:
-    if N >= 2:
-        return general_invariant(FamilyId.siegel_power(N), L, ctx, N, digits)
+def g_ON_from_ideal(L: Ideal, ctx: OrderContext, digits: int) -> BigComplex:
+    """g_ON at level 1 from the integral ideal L: (2 pi)^12 N([xi,1])^6
+    |eta(xi)|^24 for the inverse ideal [xi, 1] up to scale.  At N >= 2,
+    general_invariant(FamilyId.siegel_power(), L, ...) is the ideal route."""
     # (2 pi)^12 N([xi,1])^6 |Delta([xi,1])| is basis- and scale-free, so it may
     # be read off the reduced form of the inverse ideal's class, (a, -b, c)
     _, _, Q = _ideal_form(ctx, L)
@@ -310,7 +313,7 @@ def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
     points = {}
 
     def value(Q: Form):
-        return _siegel_power(_class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
+        return _siegel_power((0, 1), _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
 
     for i, j, (x, y, e, R, bits) in _conjugate_pairs(G, N, value):
         points[R] = bits

@@ -12,6 +12,11 @@ with a stated error bound (`siegel_fixed`, which hands the fixed-point pair
 to callers that go on in integers).  The Eisenstein and Weierstrass q-series
 work in mpmath and are truncated once their geometric tail bound drops below
 2^-working_bits.
+
+A Siegel, Fricke or torsion index v in (1/d)Z^2 \\ Z^2 is the integer triple
+(u1, u2, d) with v = (u1/d, u2/d); `_row` divides it by gcd(u1, u2, d), so
+(2, 4, 6) and (1, 2, 3) name the same index, and rejects a row with d | u1
+and d | u2.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple, Tuple
 
 import mpmath
@@ -29,7 +33,6 @@ from .numerics import BigComplex, DomainError, working_bits
 from .quadforms import OrderContext
 
 __all__ = [
-    "FrickeIndex",
     "EllipticModel",
     "eta",
     "delta_j",
@@ -42,44 +45,6 @@ __all__ = [
     "elliptic_model",
     "torsion_xy",
 ]
-
-@dataclass(frozen=True)
-class FrickeIndex:
-    """Row vector (v1, v2) of rationals, not both integral."""
-
-    v1: Fraction
-    v2: Fraction
-
-    def __post_init__(self):
-        if self.v1.denominator == 1 and self.v2.denominator == 1:
-            raise DomainError("index vector must be nonintegral")
-
-    @classmethod
-    def of(cls, v1, v2) -> "FrickeIndex":
-        return cls(Fraction(v1), Fraction(v2))
-
-    @property
-    def level(self) -> int:
-        """Smallest N with N*v integral."""
-        d1 = self.v1.denominator
-        d2 = self.v2.denominator
-        return d1 * d2 // math.gcd(d1, d2)
-
-    def normalized(self) -> "FrickeIndex":
-        """Canonical representative of {v, -v} mod Z^2, entries in [0, 1).
-
-        Valid for even-weight family members only; the raw Siegel product is
-        evaluated at the index as given.
-        """
-        a = (self.v1 % 1, self.v2 % 1)
-        b = ((-self.v1) % 1, (-self.v2) % 1)
-        return FrickeIndex(*min(a, b))
-
-    def act(self, M) -> "FrickeIndex":
-        """Index action v -> v*M for an integer 2x2 matrix (p, q, r, s)."""
-        p, q, r, s = M
-        return FrickeIndex(self.v1 * p + self.v2 * r, self.v1 * q + self.v2 * s)
-
 
 @dataclass(frozen=True)
 class EllipticModel:
@@ -105,8 +70,23 @@ def _qexp(w) -> mpmath.mpc:
     return mpmath.exp(2j * mpmath.pi * w)
 
 
-def _frac(x: Fraction):
-    return mpmath.mpf(x.numerator) / x.denominator
+def _row(index) -> Tuple[int, int, int]:
+    """The index v = (u1/d, u2/d) of index = (u1, u2, d) as the row over its
+    level: (u1, u2, d) divided by gcd(u1, u2, d)."""
+    u1, u2, d = index
+    if d < 1:
+        raise DomainError("index level must be positive")
+    g = math.gcd(u1, u2, d)
+    if g == d:
+        raise DomainError("index vector must be nonintegral")
+    return u1 // g, u2 // g, d // g
+
+
+def _lattice_point(u1: int, u2: int, d: int, tau: BigComplex, prec: int) -> BigComplex:
+    """(u1 tau + u2)/d at prec bits, the point of wp for the index (u1/d, u2/d)."""
+    with mp.workprec(prec):
+        z = mpmath.mpf(u1) / d * tau.to_mpc() + mpmath.mpf(u2) / d
+    return BigComplex.from_mpc(z, prec)
 
 
 # Fixed point: a pair (x, y) of ints stands for (x + iy) 2^-F at a point's
@@ -323,7 +303,7 @@ def delta_j(tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComplex]:
     e = eta(tau, digits)
     with mp.workprec(prec):
         delta = (2 * mpmath.pi) ** 12 * e.to_mpc() ** 24
-        x = siegel(FrickeIndex.of(0, Fraction(1, 2)), tau, digits).to_mpc() ** 12
+        x = siegel((0, 1, 2), tau, digits).to_mpc() ** 12
         j = (x + 16) ** 3 / x
     return BigComplex.from_mpc(delta, prec), BigComplex.from_mpc(j, prec)
 
@@ -338,9 +318,10 @@ def j_eisenstein(tau: BigComplex, digits: int) -> BigComplex:
     return BigComplex.from_mpc(val, prec)
 
 
-def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
-    """Siegel function at the raw index v = (a1, a2), by `siegel_fixed` at the
-    index's level d:
+def siegel(index, tau: BigComplex, digits: int) -> BigComplex:
+    """Siegel function at the raw index v = (a1, a2) = (u1/d, u2/d) of
+    index = (u1, u2, d), by `siegel_fixed` at the index's level, the row
+    divided by gcd(u1, u2, d):
 
         g_v = -q^(B2(a1)/2) e^(pi i a2 (a1 - 1)) (1 - w) prod_{n>=1} (1 - q^n w)(1 - q^n/w)
 
@@ -349,8 +330,7 @@ def siegel(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
     `siegel_fixed`)."""
     _require_upper(tau)
     prec = working_bits(digits)
-    d = v.level
-    x, y, F = siegel_fixed(int(v.v1 * d), int(v.v2 * d), d, tau, prec)
+    x, y, F = siegel_fixed(*_row(index), tau, prec)
     return BigComplex.from_ints(x, y, -F, prec)
 
 
@@ -440,15 +420,16 @@ def wp(z: BigComplex, tau: BigComplex, digits: int) -> Tuple[BigComplex, BigComp
     return BigComplex.from_mpc(val_p, prec), BigComplex.from_mpc(val_dp, prec)
 
 
-def fricke(v: FrickeIndex, tau: BigComplex, digits: int) -> BigComplex:
-    """Fricke function: -2^7 3^3 (g2 g3 / Delta) wp(v1*tau + v2)."""
+def fricke(index, tau: BigComplex, digits: int) -> BigComplex:
+    """Fricke function -2^7 3^3 (g2 g3 / Delta) wp((u1 tau + u2)/d) at
+    index = (u1, u2, d).  wp is even, so the row is first taken mod d and
+    the lesser of +-row kept."""
     _require_upper(tau)
     prec = working_bits(digits)
-    vn = v.normalized()
+    u1, u2, d = _row(index)
+    u1, u2 = min((u1 % d, u2 % d), (-u1 % d, -u2 % d))
     g2, g3, delta = g2_g3_delta(tau, digits)
-    with mp.workprec(prec):
-        z = BigComplex.from_mpc(_frac(vn.v1) * tau.to_mpc() + _frac(vn.v2), prec)
-    p, _ = wp(z, tau, digits)
+    p, _ = wp(_lattice_point(u1, u2, d, tau, prec), tau, digits)
     with mp.workprec(prec):
         val = -(2**7) * 3**3 * g2.to_mpc() * g3.to_mpc() / delta.to_mpc() * p.to_mpc()
     return BigComplex.from_mpc(val, prec)
@@ -468,20 +449,20 @@ def elliptic_model(ctx: OrderContext, digits: int) -> EllipticModel:
     return EllipticModel(BigComplex.from_mpc(A, prec), BigComplex.from_mpc(B, prec))
 
 
-def torsion_xy(ctx: OrderContext, v: FrickeIndex, digits: int) -> Tuple[BigComplex, BigComplex]:
-    """Coordinates (X_v, Y_v) of the torsion point indexed by v on the model.
+def torsion_xy(ctx: OrderContext, index, digits: int) -> Tuple[BigComplex, BigComplex]:
+    """Coordinates (X_v, Y_v) of the torsion point indexed by v = (u1/d, u2/d),
+    index = (u1, u2, d), on the model.
 
     Y uses the principal branch of sqrt((g2 g3/Delta)^3); only Y ratios and
     Y^2 are convention-free.
     """
     if ctx.disc in (-3, -4):
         raise DomainError("model undefined when g2*g3 = 0")
+    row = _row(index)
     prec = working_bits(digits)
     tau = ctx.tau(digits)
     g2, g3, delta = g2_g3_delta(tau, digits)
-    with mp.workprec(prec):
-        z = BigComplex.from_mpc(_frac(v.v1) * tau.to_mpc() + _frac(v.v2), prec)
-    p, dp = wp(z, tau, digits)
+    p, dp = wp(_lattice_point(*row, tau, prec), tau, digits)
     with mp.workprec(prec):
         scale = g2.to_mpc() * g3.to_mpc() / delta.to_mpc()
         X = scale * p.to_mpc()

@@ -161,7 +161,8 @@ def check_j_siegel_vs_eisenstein(taus: Sequence[BigComplex], digits: int) -> Che
 
 
 def check_torsion_coordinates(ctx: OrderContext, vs: Sequence, digits: int) -> Check:
-    """X_v = -f_v/(2^7 3^3), and (X_v, Y_v) lies on the Weierstrass model."""
+    """X_v = -f_v/(2^7 3^3), and (X_v, Y_v) lies on the Weierstrass model, for
+    each index v = (u1, u2, d)."""
     tau0 = ctx.tau(digits)
     model = modfun.elliptic_model(ctx, digits)
     errors = []
@@ -174,15 +175,16 @@ def check_torsion_coordinates(ctx: OrderContext, vs: Sequence, digits: int) -> C
 
 
 def check_conjugation_rule(ctxs: Sequence[OrderContext], vs: Sequence, digits: int) -> Check:
-    """conj f_v(tau0) = f_{vJ}(tau0) with J = [[1, b0], [0, -1]], on every order."""
+    """conj f_v(tau0) = f_{vJ}(tau0) with J = [[1, b0], [0, -1]], on every order,
+    for each index v = (u1, u2, d); vJ = (u1, b0 u1 - u2, d)."""
     errors = []
     for ctx in ctxs:
         tau0 = ctx.tau(digits)
-        for v in vs:
+        for u1, u2, d in vs:
             errors.append(
                 _rel(
-                    modfun.fricke(v, tau0, digits).to_mpc().conjugate(),
-                    modfun.fricke(v.act((1, ctx.b0, 0, -1)), tau0, digits).to_mpc(),
+                    modfun.fricke((u1, u2, d), tau0, digits).to_mpc().conjugate(),
+                    modfun.fricke((u1, ctx.b0 * u1 - u2, d), tau0, digits).to_mpc(),
                 )
             )
     return _relative_check("conjugation-rule", errors, digits)
@@ -203,20 +205,20 @@ def check_class_conjugation(groups: Sequence[Tuple[OrderContext, ClassGroup]], d
 
 
 def check_siegel_y_ratio(ctx: OrderContext, digits: int) -> Check:
-    """Y_v / Y_u = g_2v g_u^4 / (g_v^4 g_2u) for u = (0, 1/3) and five v."""
+    """Y_v / Y_u = g_2v g_u^4 / (g_v^4 g_2u) for u = (0, 1/3) and five v, all
+    indices rows over 3."""
     tau0 = ctx.tau(digits)
 
-    def g(v1, v2):
-        return modfun.siegel(modfun.FrickeIndex.of(v1, v2), tau0, digits).to_mpc()
+    def g(u1, u2):
+        return modfun.siegel((u1, u2, 3), tau0, digits).to_mpc()
 
-    t1, t2 = Fraction(1, 3), Fraction(2, 3)
-    _, Yu = modfun.torsion_xy(ctx, modfun.FrickeIndex.of(0, t1), digits)
-    gu, g2u = g(0, t1), g(0, t2)
+    _, Yu = modfun.torsion_xy(ctx, (0, 1, 3), digits)
+    gu, g2u = g(0, 1), g(0, 2)
     errors = []
-    for v1, v2 in [(t1, 0), (t1, t1), (t2, t1), (t1, t2), (t2, t2)]:
-        _, Yv = modfun.torsion_xy(ctx, modfun.FrickeIndex.of(v1, v2), digits)
+    for u1, u2 in [(1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]:
+        _, Yv = modfun.torsion_xy(ctx, (u1, u2, 3), digits)
         ratio = Yv.to_mpc() / Yu.to_mpc()
-        errors.append(_rel(g(2 * v1, 2 * v2) * gu**4 / (g(v1, v2) ** 4 * g2u), ratio))
+        errors.append(_rel(g(2 * u1, 2 * u2) * gu**4 / (g(u1, u2) ** 4 * g2u), ratio))
     return _relative_check("siegel-y-ratio", errors, digits)
 
 
@@ -235,10 +237,7 @@ def battery_modular(seed: int = DEFAULT_SEED, digits: int = 60) -> List[Check]:
         BigComplex(Fraction(rng.randint(-40, 40), 100), Fraction(rng.randint(20, 200), 100), prec)
         for _ in range(5)
     ]
-    vs = [
-        modfun.FrickeIndex.of(Fraction(rng.randint(0, 2), 3), Fraction(rng.randint(1, 2), 3))
-        for _ in range(5)
-    ]
+    vs = [(rng.randint(0, 2), rng.randint(1, 2), 3) for _ in range(5)]
     ctx = OrderContext.from_disc(refdata.D200_DISC)
     odd = OrderContext.from_disc(CONJUGATION_ODD_DISC)
     groups = [

@@ -20,6 +20,7 @@ from mpmath import mp
 
 from classfield import modfun
 from classfield.numerics import BigComplex, working_bits
+from fricke_reference import frac
 
 
 class Point(NamedTuple):
@@ -91,7 +92,7 @@ def siegel(v, tau: BigComplex, digits: int) -> BigComplex:
     turn = ((v.v2 * (a1 - 1 - m) + m + 1) / 2) % 1
     with mp.workprec(prec):
         t_ = tau.to_mpc()
-        w = modfun._qexp(modfun._frac(a1) * t_ + modfun._frac(v.v2 % 1))
-        lead = modfun._qexp(modfun._frac(b2 / 2) * t_ + modfun._frac(turn))
+        w = modfun._qexp(frac(a1) * t_ + frac(v.v2 % 1))
+        lead = modfun._qexp(frac(b2 / 2) * t_ + frac(turn))
         val = lead * triple(pt, w, float(a1)) / pt.euler
     return BigComplex.from_mpc(val, prec)

@@ -187,7 +187,7 @@ def test_criterion_11_well_definedness_suite(gamma1_word):
             # 100 randomized representative choices for the class invariant
             if D in (-3, -4):
                 continue
-            fam = FamilyId.siegel_power(N) if N >= 2 else None
+            fam = FamilyId.siegel_power()
             with mp.workprec(prec):
                 for _ in range(100):
                     Q = rng.choice(G.reps)
@@ -198,8 +198,8 @@ def test_criterion_11_well_definedness_suite(gamma1_word):
                         ref = general_invariant(fam, base_ideal, ctx, N, digits).to_mpc()
                         alt = general_invariant(fam, alt_ideal, ctx, N, digits).to_mpc()
                     else:
-                        ref = g_ON_from_ideal(base_ideal, ctx, 1, digits).to_mpc()
-                        alt = g_ON_from_ideal(alt_ideal, ctx, 1, digits).to_mpc()
+                        ref = g_ON_from_ideal(base_ideal, ctx, digits).to_mpc()
+                        alt = g_ON_from_ideal(alt_ideal, ctx, digits).to_mpc()
                     if abs(ref - alt) / abs(ref) > tolerance:
                         ok = False
     dt = time.perf_counter() - t0

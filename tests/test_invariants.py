@@ -10,7 +10,7 @@ from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 from classfield import invariants, modfun
@@ -20,6 +20,7 @@ from classfield.invariants import (
     _class_matrix,
     _expand_real,
     _family_value_at,
+    _index_row,
     _real_factors,
     class_invariant,
     conjugate_orbit,
@@ -38,11 +39,12 @@ from classfield.numerics import (
     recognize_integer,
     working_bits,
 )
-from classfield.modfun import FrickeIndex
 from classfield.orderideals import _ideal_form, form_to_lattice, integral_ideals
-from classfield.quadforms import Form, OrderContext, class_enumerate, reduce_form
+from classfield.quadforms import Form, OrderContext, class_enumerate, class_label, reduce_form
 from classfield.refdata import D200_MINPOLY
 from expansion_reference import expand_real
+from fricke_reference import FrickeIndex
+import fricke_reference
 from ideal_reference import QuadElem, scaled, to_lattice
 
 DIGITS = 50
@@ -69,7 +71,7 @@ def test_rejects_excluded_discriminants():
 
 
 def test_identity_invariant_is_poly_root(ctx200):
-    fam = FamilyId.siegel_power(3)
+    fam = FamilyId.siegel_power()
     val = class_invariant(fam, Form(1, 0, 50), ctx200, 3, DIGITS)
     with mp.workprec(PREC):
         v = val.to_mpc()
@@ -90,7 +92,7 @@ def _horner(v):
 
 
 def test_all_class_values_are_poly_roots(ctx200, G200):
-    fam = FamilyId.siegel_power(3)
+    fam = FamilyId.siegel_power()
     with mp.workprec(PREC):
         for Q in G200.reps:
             v = class_invariant(fam, Q, ctx200, 3, DIGITS).to_mpc()
@@ -99,7 +101,7 @@ def test_all_class_values_are_poly_roots(ctx200, G200):
 
 
 def test_general_route_matches_fmatrix_route(ctx200, G200):
-    fam = FamilyId.siegel_power(3)
+    fam = FamilyId.siegel_power()
     with mp.workprec(PREC):
         for Q in G200.reps:
             via_matrix = class_invariant(fam, Q, ctx200, 3, DIGITS).to_mpc()
@@ -113,7 +115,7 @@ def test_general_route_matches_fmatrix_route(ctx200, G200):
 def test_representative_independence(ctx200, G200):
     # Three alternates per class: scale by lambda = 1 mod 3O
     rng = random.Random(RNG_SEED)
-    fam = FamilyId.siegel_power(3)
+    fam = FamilyId.siegel_power()
     with mp.workprec(PREC):
         for Q in G200.reps[:4]:
             base_ideal = scaled(ctx200, form_to_lattice(ctx200, Q), Q.a)
@@ -129,7 +131,7 @@ def test_representative_independence(ctx200, G200):
 def test_conjugate_orbit(ctx200, G200):
     # one value per class, in class order; the partner of each conjugate pair
     # gets the conjugate, which must agree with evaluating its own class
-    fam = FamilyId.siegel_power(3)
+    fam = FamilyId.siegel_power()
     orbit = conjugate_orbit(fam, G200, ctx200, DIGITS)
     assert len(orbit) == 12
     tau_val = class_invariant(fam, ctx200.principal_form(), ctx200, 3, DIGITS)
@@ -140,6 +142,75 @@ def test_conjugate_orbit(ctx200, G200):
             assert abs(v.to_mpc() - ref) < tol() * abs(ref)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    N=st.integers(2, 12),
+    row=st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+    M=st.tuples(*[st.integers(-9, 9)] * 4),
+    gam=st.tuples(*[st.integers(-9, 9)] * 4),
+)
+def test_index_row_matches_the_fraction_action(N, row, M, gam):
+    # row M gam mod N, normalized, is N times the FrickeIndex route's
+    # v.act(M).act(gam).normalized() for v = row/N; both reject an index
+    # that is integral
+    try:
+        v = FrickeIndex.of(Fraction(row[0], N), Fraction(row[1], N)).act(M).act(gam).normalized()
+    except DomainError:
+        with pytest.raises(DomainError):
+            _index_row(row, M, gam, N)
+        return
+    assert _index_row(row, M, gam, N) == (v.v1 * N, v.v2 * N)
+
+
+FAMILY_POOL = [(-71, 5), (-200, 3), (-56, 4), (-15, 8), (-47, 7), (-20, 12)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.sampled_from(FAMILY_POOL),
+    row=st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+    pick=st.integers(0, 10**6),
+    seed=st.integers(0, 10**6),
+    siegel=st.booleans(),
+)
+def test_family_values_agree_on_gamma1_equivalent_representatives(gamma1_word, case, row, pick, seed, siegel):
+    # a Fricke or Siegel family at any row over N gives one value per level-N
+    # class, whichever representative of the class is evaluated
+    D, N = case
+    assume(row[0] % N or row[1] % N)
+    ctx, G = _halving_group(D, N)
+    fam = FamilyId.siegel_power(*row) if siegel else FamilyId.fricke(*row)
+    Q = G.reps[pick % len(G.reps)]
+    alt = Q.apply(gamma1_word(random.Random(seed), N))
+    digits = 30
+    a = class_invariant(fam, Q, ctx, N, digits).to_mpc()
+    b = class_invariant(fam, alt, ctx, N, digits).to_mpc()
+    with mp.workprec(working_bits(digits)):
+        assert abs(a - b) <= mpmath.mpf(10) ** -(digits - 10) * abs(a)
+
+
+def test_fricke_family_is_representative_free_at_every_row():
+    # (446, -179, 18) and (1, 1, 18) share their Gamma_1(5) class on D = -71;
+    # an index of level 3 over the level-5 classes once gave values 1.4e11
+    # apart there, and rows over N cannot express it; the zero row raises
+    ctx, G = _halving_group(-71, 5)
+    Q, alt = Form(446, -179, 18), Form(1, 1, 18)
+    assert class_label(Q, 5) == class_label(alt, 5)
+    for u1 in range(5):
+        for u2 in range(5):
+            fam = FamilyId.fricke(u1, u2)
+            if u1 == u2 == 0:
+                with pytest.raises(DomainError):
+                    class_invariant(fam, Q, ctx, 5, 20)
+                continue
+            a = class_invariant(fam, Q, ctx, 5, 20).to_mpc()
+            b = class_invariant(fam, alt, ctx, 5, 20).to_mpc()
+            with mp.workprec(working_bits(20)):
+                assert abs(a - b) <= mpmath.mpf(10) ** -10 * abs(a)
+    with pytest.raises(DomainError):
+        class_invariant(FamilyId.siegel_power(5, -10), Q, ctx, 5, 20)
+
+
 @pytest.mark.parametrize("D, N", [(-200, 3), (-71, 5), (-180, 8)])
 def test_class_conjugation_for_every_family(D, N):
     # g(conj C) = conj g(C), conj C the class of (a, -b, c): conjugate_orbit,
@@ -147,7 +218,7 @@ def test_class_conjugation_for_every_family(D, N):
     # here every class is evaluated on its own
     digits = 40
     ctx, G = _halving_group(D, N)
-    for fam in (FamilyId.siegel_power(N), FamilyId.fricke(0, Fraction(1, N)), FamilyId.j()):
+    for fam in (FamilyId.siegel_power(), FamilyId.fricke(), FamilyId.j()):
         values = [class_invariant(fam, Q, ctx, N, digits).to_mpc() for Q in G.reps]
         with mp.workprec(working_bits(digits)):
             for Q, v in zip(G.reps, values):
@@ -353,10 +424,10 @@ def test_integer_expansion_within_its_truncation_bound(D, N, digits):
 def reference_siegel_power(index_matrix, Qxi, N, digits):
     """The 12N-th Siegel power by the FrickeIndex route: the index (0, 1/N)
     moved by the index matrix and the reduction witness in Fractions and
-    normalized, then modfun.siegel and BigComplex ** 12N."""
+    normalized, then the reference Siegel value and BigComplex ** 12N."""
     R, gam = reduce_form(Qxi)
     idx = FrickeIndex.of(0, Fraction(1, N)).act(index_matrix).act(tuple(gam)).normalized()
-    return modfun.siegel(idx, R.omega(digits), digits) ** (12 * N)
+    return fricke_reference.siegel(idx, R.omega(digits), digits) ** (12 * N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,7 +441,7 @@ def test_siegel_power_matches_the_fraction_route(D, N, digits, pick):
     # the integer row, kernel and power against the FrickeIndex route, at every
     # class and at one ideal, within the gate's allowance 12N 2^(L - p)
     ctx, G = _halving_group(D, N)
-    fam = FamilyId.siegel_power(N)
+    fam = FamilyId.siegel_power()
     cases = [
         (class_invariant(fam, Q, ctx, N, digits), _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c))
         for Q in G.reps
@@ -482,10 +553,10 @@ def test_g_on_n1_positive_real_and_representative_free(ctx200):
     rng = random.Random(RNG_SEED)
     base = form_to_lattice(ctx200, Q)
     with mp.workprec(PREC):
-        ref = g_ON_from_ideal(base, ctx200, 1, DIGITS).to_mpc()
+        ref = g_ON_from_ideal(base, ctx200, DIGITS).to_mpc()
         for _ in range(3):
             lam = QuadElem.of(ctx200, rng.randint(1, 5), rng.randint(0, 3))
-            alt = g_ON_from_ideal(scaled(ctx200, base, lam), ctx200, 1, DIGITS).to_mpc()
+            alt = g_ON_from_ideal(scaled(ctx200, base, lam), ctx200, DIGITS).to_mpc()
             assert abs(ref - alt) / abs(ref) < tol()
 
 
@@ -521,7 +592,8 @@ def _point_form(ctx, xi):
 def reference_general_invariant(family, ideal, ctx, N, digits):
     """Slow-path general route: the Hermite basis {xi1, xi2} of the inverse
     ideal and the matrix A with (tau, 1)^t = A (xi1, xi2)^t solved in
-    Fractions; the family index moves by A and the point is xi1/xi2."""
+    Fractions; the family index moves by A and the point is xi1/xi2.  A
+    Fricke family's index moves as a FrickeIndex."""
     if not ideal.is_proper_ideal() or not ideal.is_integral():
         raise DomainError("need an integral proper O-ideal")
     if gcd(int(ideal.norm()), N) != 1:
@@ -538,7 +610,12 @@ def reference_general_invariant(family, ideal, ctx, N, digits):
     A = (int(A11), int(A12), int(A21), int(A22))
     if gcd(A[0] * A[3] - A[1] * A[2], N) != 1:
         raise InvariantViolation("det(A) shares a factor with the level")
-    return _family_value_at(family, A, _point_form(ctx, xi1 * xi2.inverse()), N, digits)
+    Qxi = _point_form(ctx, xi1 * xi2.inverse())
+    if family.kind != "fricke_f":
+        return _family_value_at(family, A, Qxi, N, digits)
+    R, gam = reduce_form(Qxi)
+    v = FrickeIndex.of(Fraction(family.row[0], N), Fraction(family.row[1], N))
+    return fricke_reference.fricke(v.act(A).act(tuple(gam)), R.omega(digits), digits)
 
 
 def reference_g_on_level_one(L, ctx, digits):
@@ -576,14 +653,12 @@ def test_general_invariant_matches_fraction_reference(D, N, pick, lam, v, siegel
     # lambda = 1 mod N*O keeps the ideal prime to N and moves every entry of A
     L = scaled(ctx, pool[pick % len(pool)], QuadElem.of(ctx, 1 + N * lam[0], N * lam[1]))
     if siegel:
-        fam = FamilyId.siegel_power(N)
+        fam = FamilyId.siegel_power()
     else:
-        # v1 != 0 mod 1, so the (1, 2) entry of A moves the index
-        fam = FamilyId.fricke(Fraction(v[0] % N or 1, N), Fraction(v[1], N))
+        # u1 != 0 mod N, so the (1, 2) entry of A moves the index
+        fam = FamilyId.fricke(v[0] % N or 1, v[1])
     got = general_invariant(fam, L, ctx, N, 20)
     assert _same_bits(got, reference_general_invariant(fam, to_lattice(ctx, L), ctx, N, 20))
-    if siegel:
-        assert _same_bits(g_ON_from_ideal(L, ctx, N, 20), got)
 
 
 @settings(max_examples=30, deadline=None)
@@ -598,4 +673,4 @@ def test_g_on_level_one_matches_fraction_reference(D, pick, lam, den):
     # the reference sees L/den, so the value's freedom from scale is checked
     L = scaled(ctx, pool[pick % len(pool)], QuadElem.of(ctx, *lam))
     fractional = to_lattice(ctx, L).scale(Fraction(1, den))
-    assert _same_bits(g_ON_from_ideal(L, ctx, 1, 20), reference_g_on_level_one(fractional, ctx, 20))
+    assert _same_bits(g_ON_from_ideal(L, ctx, 20), reference_g_on_level_one(fractional, ctx, 20))

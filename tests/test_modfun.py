@@ -1,19 +1,24 @@
+import ast
 import math
 import random
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+import classfield
 from classfield import modfun
 from classfield.invariants import G_ON_LOSS_BITS, PROBE_DIGITS, _real_factors, g_ON
-from classfield.modfun import FrickeIndex
 from classfield.numerics import GUARD_DIGITS, BigComplex, DomainError, PrecisionPolicy, bits_for_digits, working_bits
 from classfield.quadforms import Form, OrderContext, class_enumerate, enumerate_reduced
+from fricke_reference import FrickeIndex, frac
 from kronecker_reference import theta1
+import fricke_reference
 import series_reference
 
 DIGITS = 60
@@ -62,11 +67,11 @@ def reference_siegel_product(v, tau, digits):
     with mp.workprec(prec):
         t_ = tau.to_mpc()
         q = modfun._qexp(t_)
-        z = modfun._frac(v.v1) * t_ + modfun._frac(v.v2)
+        z = frac(v.v1) * t_ + frac(v.v2)
         qz = modfun._qexp(z)
         b2 = v.v1 * v.v1 - v.v1 + Fraction(1, 6)
-        lead = modfun._qexp(t_ * modfun._frac(b2 / 2))
-        phase = mpmath.exp(1j * mpmath.pi * modfun._frac(v.v2 * (v.v1 - 1)))
+        lead = modfun._qexp(t_ * frac(b2 / 2))
+        phase = mpmath.exp(1j * mpmath.pi * frac(v.v2 * (v.v1 - 1)))
         nmax = modfun._nterms(abs(q), digits, extra=2)
         prod = 1 - qz
         qn = mpmath.mpc(1)
@@ -125,10 +130,10 @@ def test_series_match_reference_products(xy, v, digits):
     prec = working_bits(digits)
     tau = BigComplex(*xy, prec)
     with mp.workprec(prec):
-        omega = BigComplex.from_mpc(modfun._frac(v.v1) * tau.to_mpc() + modfun._frac(v.v2), prec)
+        omega = BigComplex.from_mpc(frac(v.v1) * tau.to_mpc() + frac(v.v2), prec)
     pairs = [
         (modfun.eta(tau, digits), reference_eta_product(tau, digits)),
-        (modfun.siegel(v, tau, digits), reference_siegel_product(v, tau, digits)),
+        (modfun.siegel(v.row, tau, digits), reference_siegel_product(v, tau, digits)),
         (theta1(omega, tau, digits), reference_theta1_product(omega, tau, digits)),
     ]
     with mp.workprec(prec):
@@ -143,15 +148,14 @@ def test_series_truncation_rule(monkeypatch):
     # than 60 terms
     digits = 700
     prec = working_bits(digits)
-    fifths = [Fraction(k, 5) for k in range(5)]
-    indices = [FrickeIndex(a1, a2) for a1 in fifths for a2 in fifths if a1 or a2]
+    indices = [(u1, u2, 5) for u1 in range(5) for u2 in range(5) if u1 or u2]
     taus = [R.omega(digits) for R in enumerate_reduced(-104)]
     values = []
     for tau in taus:
         pt = modfun._point(tau.re, tau.im, prec, 5)
         assert 2 * pt.euler_terms + 1 <= 60
-        for v in indices:
-            b = float(v.v1)
+        for u1, _, _ in indices:
+            b = u1 / 5
             assert pt.terms(b) + pt.terms(1 - b) - 1 <= 60
         values.append([modfun.eta(tau, digits)] + [modfun.siegel(v, tau, digits) for v in indices])
     least_n = modfun._least_n
@@ -182,7 +186,7 @@ def test_fixed_point_siegel_matches_the_mpmath_series(xy, v, digits):
     # digits higher so that the bound measures the kernel's own error
     prec = working_bits(digits)
     tau = BigComplex(*xy, prec)
-    got = modfun.siegel(v, tau, digits)
+    got = modfun.siegel(v.row, tau, digits)
     assert got.prec == prec
     assert _relative_error_bits(got, series_reference.siegel(v, tau, digits + 20), prec) <= G_ON_LOSS_BITS
 
@@ -195,7 +199,7 @@ def test_fixed_point_siegel_keeps_values_below_two_to_the_minus_prec(digits):
     prec = working_bits(digits)
     tau = BigComplex(Fraction(-3, 10), Fraction(4 * prec, 3) + 8, prec)
     for v in [FrickeIndex.of(0, Fraction(1, 5)), FrickeIndex.of(-1, Fraction(1, 3)), FrickeIndex.of(2, Fraction(5, 12))]:
-        got = modfun.siegel(v, tau, digits)
+        got = modfun.siegel(v.row, tau, digits)
         ref = series_reference.siegel(v, tau, digits + 20)
         assert abs(ref.to_mpc()) < mpmath.mpf(2) ** -prec
         assert _relative_error_bits(got, ref, prec) <= G_ON_LOSS_BITS
@@ -385,7 +389,7 @@ def test_modularity_smoke():
 
 def test_siegel_j_relation_random_points():
     rng = random.Random(RNG_SEED + 2)
-    half = FrickeIndex.of(0, Fraction(1, 2))
+    half = (0, 1, 2)
     with mp.workprec(PREC):
         for _ in range(5):
             tau = rand_tau(rng)
@@ -400,15 +404,15 @@ def test_siegel_negation_antisymmetry():
     rng = random.Random(RNG_SEED + 3)
     for _ in range(4):
         tau = rand_tau(rng)
-        v = FrickeIndex.of(Fraction(rng.randint(0, 2), 3), Fraction(rng.randint(1, 5), 6))
-        mv = FrickeIndex.of(-v.v1, -v.v2)
+        u1, u2 = 2 * rng.randint(0, 2), rng.randint(1, 5)
+        v, mv = (u1, u2, 6), (-u1, -u2, 6)
         with mp.workprec(PREC):
             assert abs(modfun.siegel(v, tau, DIGITS).to_mpc() + modfun.siegel(mv, tau, DIGITS).to_mpc()) < tol()
 
 
 def test_siegel_lower_bound_nonprincipal_forms():
     # |g_[0,1/2](omega_Q)| > 1.98 exp(-pi sqrt(|D|)/24) off the principal class
-    half = FrickeIndex.of(0, Fraction(1, 2))
+    half = (0, 1, 2)
     with mp.workprec(PREC):
         bound = mpmath.mpf("1.98") * mpmath.exp(-mpmath.pi * mpmath.sqrt(200) / 24)
         for Q in enumerate_reduced(-200)[1:]:
@@ -416,13 +420,78 @@ def test_siegel_lower_bound_nonprincipal_forms():
             assert abs(g.to_mpc()) > bound
 
 
-def test_fricke_index_validation():
-    with pytest.raises(DomainError):
-        FrickeIndex.of(1, 2)
-    v = FrickeIndex.of(Fraction(1, 2), Fraction(1, 3))
-    assert v.level == 6
-    assert FrickeIndex.of(0, Fraction(2, 3)).normalized() == FrickeIndex.of(0, Fraction(1, 3))
-    assert FrickeIndex.of(0, Fraction(5, 3)).normalized() == FrickeIndex.of(0, Fraction(1, 3))
+def test_fricke_index_validation(ctx200):
+    # an index (u1, u2, d) with d | u1 and d | u2 is integral, and every
+    # evaluator rejects it, as it does a level below 1
+    tau = ctx200.tau(DIGITS)
+    for index in [(1, 2, 1), (3, 6, 3), (-4, 8, 4), (0, 0, 7), (1, 1, 0), (1, 1, -2)]:
+        with pytest.raises(DomainError):
+            modfun.siegel(index, tau, DIGITS)
+        with pytest.raises(DomainError):
+            modfun.fricke(index, tau, DIGITS)
+        with pytest.raises(DomainError):
+            modfun.torsion_xy(ctx200, index, DIGITS)
+    # a row names its index at the index's level
+    assert modfun._row((3, 2, 6)) == (3, 2, 6)
+    assert modfun._row((2, 4, 6)) == (1, 2, 3)
+    assert modfun._row((-6, 4, 8)) == (-3, 2, 4)
+
+
+
+def test_index_is_an_integer_row_everywhere_in_the_package():
+    # one index representation: no module of the package names FrickeIndex,
+    # and modfun and invariants, which evaluate and move indices, do no
+    # Fraction arithmetic
+    naming, importing = set(), set()
+    for path in Path(classfield.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = (
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+                getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+            )
+            if "FrickeIndex" in names:
+                naming.add(path.name)
+            if isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+                importing.add(path.name)
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                importing.add(path.name)
+    assert naming == set()
+    assert importing.isdisjoint({"modfun.py", "invariants.py"})
+
+@st.composite
+def index_rows(draw):
+    """(u1, u2, d) for d in 2..12: rows with negative entries, entries past
+    d, and rows that are not reduced or not primitive, like (2, 4, 6)."""
+    d = draw(st.integers(2, 12))
+    u1 = draw(st.integers(-3 * d, 3 * d))
+    u2 = draw(st.integers(-3 * d, 3 * d))
+    assume(u1 % d or u2 % d)
+    return u1, u2, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(index_rows(), series_points(), st.sampled_from([10, 30]), st.sampled_from([-20, -71, -200]))
+def test_row_index_matches_the_fraction_reference(row, xy, digits, D):
+    # siegel, fricke and torsion_xy on the integer row give the same bits as
+    # the Fraction-backed index at (u1/d, u2/d), and siegel runs the kernel at
+    # the index's level, with the same arguments as the reference
+    u1, u2, d = row
+    v = FrickeIndex.of(Fraction(u1, d), Fraction(u2, d))
+    ctx = OrderContext.from_disc(D)
+    tau = BigComplex(*xy, working_bits(digits))
+    kernel, calls = modfun.siegel_fixed, []
+    with mock.patch.object(modfun, "siegel_fixed", lambda *args: calls.append(args[:3]) or kernel(*args)):
+        siegel = modfun.siegel(row, tau, digits), fricke_reference.siegel(v, tau, digits)
+    assert calls[0] == calls[1] == v.row
+    pairs = [
+        siegel,
+        (modfun.fricke(row, tau, digits), fricke_reference.fricke(v, tau, digits)),
+        *zip(modfun.torsion_xy(ctx, row, digits), fricke_reference.torsion_xy(ctx, v, digits)),
+    ]
+    for got, ref in pairs:
+        assert (got.re, got.im, got.prec) == (ref.re, ref.im, ref.prec)
 
 
 # -- theta --------------------------------------------------------------------
@@ -450,7 +519,7 @@ def test_theta1_matches_siegel_magnitude(ctx200):
         for ap in (1, 2):
             th = theta1(BigComplex(Fraction(ap, 3), 0, PREC), z, DIGITS).to_mpc()
             e = modfun.eta(z, DIGITS).to_mpc()
-            g = modfun.siegel(FrickeIndex.of(0, Fraction(ap, 3)), z, DIGITS).to_mpc()
+            g = modfun.siegel((0, ap, 3), z, DIGITS).to_mpc()
             assert abs(abs(th / e) - abs(g)) < tol()
 
 
@@ -537,8 +606,7 @@ def test_wp_pole():
 def test_fricke_even_in_index():
     rng = random.Random(RNG_SEED + 8)
     tau = rand_tau(rng)
-    v = FrickeIndex.of(Fraction(1, 3), Fraction(2, 3))
-    mv = FrickeIndex.of(Fraction(-1, 3), Fraction(-2, 3))
+    v, mv = (1, 2, 3), (-1, -2, 3)
     with mp.workprec(PREC):
         assert abs(modfun.fricke(v, tau, DIGITS).to_mpc() - modfun.fricke(mv, tau, DIGITS).to_mpc()) < tol()
 
@@ -551,12 +619,12 @@ def test_family_index_action_modular():
         for g in gammas:
             tau = rand_tau(rng)
             v = FrickeIndex.of(Fraction(rng.randint(0, 4), 5), Fraction(rng.randint(1, 4), 5))
-            lhs = modfun.fricke(v, moebius(g, tau), DIGITS).to_mpc()
-            rhs = modfun.fricke(v.act(g), tau, DIGITS).to_mpc()
+            lhs = modfun.fricke(v.row, moebius(g, tau), DIGITS).to_mpc()
+            rhs = modfun.fricke(v.act(g).row, tau, DIGITS).to_mpc()
             assert abs(lhs - rhs) / max(1, abs(rhs)) < tol(5)
             N = 5
-            lhs = modfun.siegel(v.normalized(), moebius(g, tau), DIGITS).to_mpc() ** (12 * N)
-            rhs = modfun.siegel(v.act(g).normalized(), tau, DIGITS).to_mpc() ** (12 * N)
+            lhs = modfun.siegel(v.normalized().row, moebius(g, tau), DIGITS).to_mpc() ** (12 * N)
+            rhs = modfun.siegel(v.act(g).normalized().row, tau, DIGITS).to_mpc() ** (12 * N)
             assert abs(lhs - rhs) / max(1, abs(rhs)) < tol(5)
 
 
@@ -566,8 +634,8 @@ def test_fricke_conjugation_rule(ctx200):
     with mp.workprec(PREC):
         for _ in range(3):
             v = FrickeIndex.of(Fraction(rng.randint(0, 2), 3), Fraction(rng.randint(1, 2), 3))
-            lhs = modfun.fricke(v, tau0, DIGITS).to_mpc().conjugate()
-            rhs = modfun.fricke(v.act((1, ctx200.b0, 0, -1)), tau0, DIGITS).to_mpc()
+            lhs = modfun.fricke(v.row, tau0, DIGITS).to_mpc().conjugate()
+            rhs = modfun.fricke(v.act((1, ctx200.b0, 0, -1)).row, tau0, DIGITS).to_mpc()
             assert abs(lhs - rhs) / max(1, abs(rhs)) < tol()
 
 
@@ -590,20 +658,20 @@ def test_elliptic_model_rejects_small_disc():
 
 
 def test_torsion_y_vanishes_at_two_torsion(ctx200):
-    _, Y = modfun.torsion_xy(ctx200, FrickeIndex.of(0, Fraction(1, 2)), DIGITS)
+    _, Y = modfun.torsion_xy(ctx200, (0, 1, 2), DIGITS)
     assert abs(Y.to_mpc()) < tol()
 
 
 def test_torsion_x_is_real(ctx200):
     for N in (3, 5):
-        X, _ = modfun.torsion_xy(ctx200, FrickeIndex.of(0, Fraction(1, N)), DIGITS)
+        X, _ = modfun.torsion_xy(ctx200, (0, 1, N), DIGITS)
         with mp.workprec(PREC):
             assert abs(X.im) / abs(X.to_mpc()) < tol(5)
 
 
 def test_torsion_weierstrass_relation(ctx200):
     model = modfun.elliptic_model(ctx200, DIGITS)
-    X, Y = modfun.torsion_xy(ctx200, FrickeIndex.of(Fraction(1, 3), Fraction(2, 3)), DIGITS)
+    X, Y = modfun.torsion_xy(ctx200, (1, 2, 3), DIGITS)
     with mp.workprec(PREC):
         res = Y.to_mpc() ** 2 - (
             4 * X.to_mpc() ** 3 - model.A.to_mpc() * X.to_mpc() - model.B.to_mpc()
@@ -613,22 +681,21 @@ def test_torsion_weierstrass_relation(ctx200):
 
 def test_torsion_y_ratio_siegel_identity(ctx200):
     tau0 = ctx200.tau(DIGITS)
-    u = FrickeIndex.of(0, Fraction(1, 3))
-    v = FrickeIndex.of(Fraction(1, 3), 0)
+    u, v = (0, 1, 3), (1, 0, 3)
     _, Yu = modfun.torsion_xy(ctx200, u, DIGITS)
     _, Yv = modfun.torsion_xy(ctx200, v, DIGITS)
     with mp.workprec(PREC):
         gu = modfun.siegel(u, tau0, DIGITS).to_mpc()
         gv = modfun.siegel(v, tau0, DIGITS).to_mpc()
-        g2u = modfun.siegel(FrickeIndex.of(0, Fraction(2, 3)), tau0, DIGITS).to_mpc()
-        g2v = modfun.siegel(FrickeIndex.of(Fraction(2, 3), 0), tau0, DIGITS).to_mpc()
+        g2u = modfun.siegel((0, 2, 3), tau0, DIGITS).to_mpc()
+        g2v = modfun.siegel((2, 0, 3), tau0, DIGITS).to_mpc()
         lhs = Yv.to_mpc() / Yu.to_mpc()
         rhs = g2v * gu**4 / (gv**4 * g2u)
         assert abs(lhs - rhs) / abs(rhs) < tol(5)
 
 
 def test_doubling_precision_stability(ctx200):
-    v = FrickeIndex.of(0, Fraction(1, 3))
+    v = (0, 1, 3)
     tau0 = ctx200.tau(DIGITS)
     tau0b = ctx200.tau(2 * DIGITS)
     a = modfun.siegel(v, tau0, DIGITS)

@@ -144,7 +144,7 @@ def _immutable(value):
 
 def test_cached_functions_are_few_and_return_immutable_values():
     # a cache hands its result to every later caller in the process, so only
-    # these four functions cache, and none returns state a caller could
+    # these five functions cache, and none returns state a caller could
     # change: a cached memo would make a call's result depend on earlier ones
     cached = set()
     for path in Path(classfield.__file__).parent.glob("*.py"):
@@ -167,15 +167,20 @@ def test_cached_functions_are_few_and_return_immutable_values():
     assert cached == {
         "orderideals._factor_table",
         "modfun._point",
+        "quadforms._form_point",
         "lfunctions._roots_of_unity",
         "lfunctions._hurwitz_pair",
     }
-    from classfield import lfunctions, modfun, orderideals
+    from classfield import lfunctions, modfun, orderideals, quadforms
 
     spf = orderideals._factor_table(100)
     assert isinstance(spf, memoryview) and spf.readonly
     point = modfun._point(mpmath.mpf(0), mpmath.mpf(1), 64, 5)
     assert isinstance(point, tuple) and _immutable(point)
+    z = quadforms._form_point(3, 1, 20, -23)
+    assert isinstance(z, BigComplex) and _immutable((z.re, z.im, z.prec))
+    with pytest.raises(AttributeError):
+        z.re = mpmath.mpf(0)
     roots = lfunctions._roots_of_unity(6, 64)
     assert isinstance(roots, tuple) and _immutable(roots)
     assert _immutable(lfunctions._hurwitz_pair(mpmath.mpc(2, 1), Fraction(1, 3), 64))
