@@ -15,7 +15,9 @@ of +-row.  The 12N-th Siegel power g_ON runs in integers from there to the
 minimal polynomial: the Siegel value is the fixed-point pair of
 `modfun.siegel_fixed`, its power `numerics.int_power` on that pair, and
 `minimal_polynomial` multiplies the real factors as fixed-point ints
-(`_expand_real`).  Fricke values take the same row to `modfun.fricke`.
+(`_expand_real`) and recognizes their coefficients on those ints
+(`numerics.recognize_int`).  Fricke values take the same row to
+`modfun.fricke`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from math import gcd
-from typing import Callable, Iterator, List, Literal, Optional, Tuple
+from typing import Callable, Iterator, List, Literal, Optional, Sequence, Tuple, TypeVar
 
 import mpmath
 from mpmath import mp
@@ -36,11 +38,11 @@ from .numerics import (
     InvariantViolation,
     PrecisionPolicy,
     int_power,
-    recognize_integer,
+    recognize_int,
     working_bits,
 )
 from .orderideals import Ideal, _ideal_form, form_to_lattice
-from .quadforms import ClassGroup, Form, OrderContext, class_enumerate, class_label, reduce_form
+from .quadforms import ClassGroup, Form, OrderContext, class_label, class_labels, reduce_form
 
 log = logging.getLogger(__name__)
 
@@ -56,6 +58,7 @@ __all__ = [
 ]
 
 FamilyKind = Literal["fricke_f", "siegel_12N", "j_rational"]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -87,20 +90,19 @@ def _check_ctx(ctx: OrderContext) -> None:
 
 def _family_value_at(family: FamilyId, index_matrix, Qxi: Form, N: int, digits: int) -> BigComplex:
     """Family member at index v*M, evaluated at the root xi of Qxi via a
-    Gauss-reduced point.
+    Gauss-reduced point: `_reduced_index`, then the value there.
 
     h_w(xi) = h_{w gamma}(omega_R) for the reduction witness Q_xi^gamma = R,
     which keeps the evaluation point high in the upper half-plane regardless
     of the representative's size.
     """
-    if family.kind == "siegel_12N":
-        x, y, e, _, _ = _siegel_power(family.row, index_matrix, Qxi, N, digits)
-        return BigComplex.from_ints(x, y, e, working_bits(digits))
-    R, gam = reduce_form(Qxi)
-    point = R.omega(digits)
     if family.kind == "j_rational":
-        return modfun.delta_j(point, digits)[1]
-    return modfun.fricke((*_index_row(family.row, index_matrix, gam, N), N), point, digits)
+        return modfun.delta_j(reduce_form(Qxi)[0].omega(digits), digits)[1]
+    R, u, v = _reduced_index(family.row, index_matrix, Qxi, N)
+    if family.kind == "siegel_12N":
+        x, y, e, _ = _siegel_power(R, u, v, N, digits)
+        return BigComplex.from_ints(x, y, e, working_bits(digits))
+    return modfun.fricke((u, v, N), R.omega(digits), digits)
 
 
 def _index_row(row, M, gam, N: int) -> Tuple[int, int]:
@@ -118,24 +120,30 @@ def _index_row(row, M, gam, N: int) -> Tuple[int, int]:
     return min((u1, u2), (-u1 % N, -u2 % N))
 
 
-def _siegel_power(row, index_matrix, Qxi: Form, N: int, digits: int):
-    """g_{v M}(xi)^(12N), v = row/N, at the root xi of Qxi, in integers: (x, y,
-    e, R, F) with the power (x + iy) 2^e before its rounding to p =
-    working_bits(digits) bits, R the reduced form of Qxi whose root is the
-    evaluation point, and F the fixed-point bits of the Siegel series there.
+def _reduced_index(row, index_matrix, Qxi: Form, N: int) -> Tuple[Form, int, int]:
+    """(R, u, v), the precision-free half of an evaluation at the root xi of
+    Qxi: R the reduced form of Qxi, whose root is the evaluation point, and
+    (u, v) the row over N of the index v M gamma of v = row/N, for the
+    reduction witness Qxi^gamma = R (`_index_row`).
 
-    With the reduction witness gamma (as in _family_value_at), the index
-    v M gamma is the row `_index_row` gives, over N.  For g_ON's row (0, 1)
-    and the matrices of class_invariant and general_invariant it is a unit
-    times gamma's bottom row, so it is primitive mod N and the index has
-    level N.  int_power keeps the power within relative 2^-(p+1) of the
-    12N-th power of the kernel's value.
+    For g_ON's row (0, 1) and the matrices of class_invariant and
+    general_invariant the row is a unit times gamma's bottom row, so it is
+    primitive mod N and the index has level N.
     """
     R, gam = reduce_form(Qxi)
-    u, v = _index_row(row, index_matrix, gam, N)
+    return (R, *_index_row(row, index_matrix, gam, N))
+
+
+def _siegel_power(R: Form, u: int, v: int, N: int, digits: int) -> Tuple[int, int, int, int]:
+    """g_(u/N, v/N)(omega_R)^(12N) in integers, the evaluation half after
+    `_reduced_index`: (x, y, e, F) with the power (x + iy) 2^e before its
+    rounding to p = working_bits(digits) bits, and F the fixed-point bits of
+    the Siegel series at omega_R.  int_power keeps the power within relative
+    2^-(p+1) of the 12N-th power of the kernel's value.
+    """
     prec = working_bits(digits)
     x, y, F = modfun.siegel_fixed(u, v, N, R.omega(digits), prec)
-    return (*int_power(x, y, -F, 12 * N, prec), R, F)
+    return (*int_power(x, y, -F, 12 * N, prec), F)
 
 
 def _class_matrix(Q: Form, ctx: OrderContext, N: int):
@@ -212,7 +220,7 @@ def conjugate_orbit(
     conjugate pair; the other class of a pair gets the complex conjugate.
     """
     out: List[Optional[BigComplex]] = [None] * G.order
-    for i, j, z in _conjugate_pairs(G, G.level, lambda Q: class_invariant(family, Q, ctx, G.level, digits)):
+    for i, j, z in _conjugate_pairs(G.reps, G.level, lambda Q: class_invariant(family, Q, ctx, G.level, digits)):
         out[i] = z
         if j != i:
             # negate inside z's precision; the ambient 53 bits would round it
@@ -266,17 +274,17 @@ class MinimalPolynomialResult:
         return out
 
 
-def _conjugate_partners(G: ClassGroup, N: int) -> List[int]:
+def _conjugate_partners(reps: Sequence[Form], N: int) -> List[int]:
     """partner[i] = index of the class of (a, -b, c) for reps[i] = (a, b, c).
 
     Complex conjugation maps the class of (a, b, c) to that of (a, -b, c) and
     g(conj C) = conj g(C).  The partner is found by class_label among the
     given reps, so any choice and order of representatives works.
     """
-    index = {class_label(Q, N): i for i, Q in enumerate(G.reps)}
-    partner = [index.get(class_label(Form(Q.a, -Q.b, Q.c), N)) for Q in G.reps]
+    index = {class_label(Q, N): i for i, Q in enumerate(reps)}
+    partner = [index.get(class_label(Form(Q.a, -Q.b, Q.c), N)) for Q in reps]
     if None in partner:
-        Q = G.reps[partner.index(None)]
+        Q = reps[partner.index(None)]
         raise InvariantViolation(f"the conjugate of the class of {Q} is not among the classes")
     if any(partner[j] != i for i, j in enumerate(partner)):
         raise InvariantViolation("class conjugation is not an involution")
@@ -284,21 +292,33 @@ def _conjugate_partners(G: ClassGroup, N: int) -> List[int]:
 
 
 def _conjugate_pairs(
-    G: ClassGroup, N: int, value: Callable[[Form], BigComplex]
-) -> Iterator[Tuple[int, int, BigComplex]]:
+    reps: Sequence[Form], N: int, value: Callable[[Form], T]
+) -> Iterator[Tuple[int, int, T]]:
     """(i, j, value(reps[i])) for each self-conjugate class i = j and each
-    conjugate pair i < j: the one walk over the partners.  The class values
-    g here have g(conj C) = conj g(C), so value(reps[j]) is never evaluated.
+    conjugate pair i < j of the classes of reps: the one walk over the
+    partners.  The class values g here have g(conj C) = conj g(C), so
+    value(reps[j]) is never evaluated.
     """
-    for i, j in enumerate(_conjugate_partners(G, N)):
+    for i, j in enumerate(_conjugate_partners(reps, N)):
         if i <= j:
-            yield i, j, value(G.reps[i])
+            yield i, j, value(reps[i])
 
 
-def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
-    """One g_ON per self-conjugate class and per conjugate pair, the roots of
-    the real factors x - g(C) and x^2 - 2 Re g(C) x + |g(C)|^2 of
-    prod_C (x - g(C)).
+def _siegel_plan(reps: Sequence[Form], ctx: OrderContext, N: int) -> List[Tuple[int, int, Form, int, int]]:
+    """(i, j, R, u, v) for each class i = j and pair i < j of _conjugate_pairs:
+    g_ON of class i is the Siegel power at the row (u, v) over N and the root
+    of R (_reduced_index).  The plan holds no precision, so the probe and
+    every pass of minimal_polynomial evaluate it as it is."""
+    def point(Q: Form):
+        return _reduced_index((0, 1), _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N)
+
+    return [(i, j, *p) for i, j, p in _conjugate_pairs(reps, N, point)]
+
+
+def _real_factors(plan, N: int, digits: int, tol):
+    """One g_ON per self-conjugate class and per conjugate pair of the
+    _siegel_plan, the roots of the real factors x - g(C) and
+    x^2 - 2 Re g(C) x + |g(C)|^2 of prod_C (x - g(C)).
 
     Returns (linear, quadratic, log2 M, bits): the real roots as (x, e) and
     the pairs' roots as (x, y, e), each (x + iy) 2^e the 12N-th power before
@@ -312,11 +332,8 @@ def _real_factors(G: ClassGroup, ctx: OrderContext, N: int, digits: int, tol):
     log2_m = 0.0
     points = {}
 
-    def value(Q: Form):
-        return _siegel_power((0, 1), _class_matrix(Q, ctx, N), Form(Q.a, -Q.b, Q.c), N, digits)
-
-    for i, j, (x, y, e, R, bits) in _conjugate_pairs(G, N, value):
-        points[R] = bits
+    for i, j, R, u, v in plan:
+        x, y, e, points[R] = _siegel_power(R, u, v, N, digits)
         log2_g = math.log2(x * x + y * y) / 2 + e
         if j == i:
             if y and math.log2(abs(y)) + e >= log2_tol + max(0.0, log2_g):
@@ -372,19 +389,25 @@ def _expand_real(linear, quadratic, prec: int) -> Tuple[List[int], int]:
 
 # the largest float: a residual past it reads as this, so the JSON stays finite
 _FLOAT_MAX = float.fromhex("0x1.fffffffffffffp+1023")
+_LOG10_2 = math.log10(2)
 
 
-def _residual(c: int, e: int, prec: int) -> float:
-    """max(|x - nint(x)|, |x| 2^-prec, 2^e) for the expanded coefficient
-    x = c 2^e: its distance from the nearest integer, or its rounding unit
-    (at prec bits, or the expansion's 2^e) when that is larger; as a float,
-    at most the largest float."""
+def _residual(c: int, e: int, prec: int) -> Tuple[int, int]:
+    """(r, k), the residual r 2^-k >= 2^-k of the expanded coefficient
+    x = c 2^e: max(|x - nint(x)|, |x| 2^-prec, 2^e), its distance from the
+    nearest integer, or its rounding unit (at prec bits, or the expansion's
+    2^e) when that is larger."""
     f = max(-e, 0)
     c <<= e + f
     one = 1 << f
     frac = (c + (one >> 1)) % one - (one >> 1)
+    return max(abs(frac) << prec, abs(c), 1 << e + f + prec), f + prec
+
+
+def _float(r: int, k: int) -> float:
+    """r 2^-k as a float, at most the largest float."""
     try:
-        return max(abs(frac) << prec, abs(c), 1 << e + f + prec) / (one << prec)
+        return r / (1 << k)
     except OverflowError:
         return _FLOAT_MAX
 
@@ -441,9 +464,10 @@ def gate_bits(n: int, N: int, log2_m: float, tol) -> float:
     return spread + log2_m + math.log2(12 * N) + G_ON_LOSS_BITS - float(mpmath.log(tol, 2))
 
 
-def probe_digits(G: ClassGroup, ctx: OrderContext, N: int, tol) -> int:
-    """Fewest digits d with working_bits(d) > gate_bits + PROBE_MARGIN_BITS,
-    log2 M taken from the real factors at PROBE_DIGITS.
+def probe_digits(plan, n: int, N: int, tol) -> int:
+    """Fewest digits d with working_bits(d) > gate_bits + PROBE_MARGIN_BITS
+    for n classes, log2 M taken from the real factors of the _siegel_plan at
+    PROBE_DIGITS.
 
     log2 M needs each |g(C)| to a few bits only, so the probe is cheap; the
     pass it sizes recomputes log2 M from its own values and gates on those.
@@ -451,9 +475,9 @@ def probe_digits(G: ClassGroup, ctx: OrderContext, N: int, tol) -> int:
     from time import perf_counter
 
     start = perf_counter()
-    _, _, log2_m, _ = _real_factors(G, ctx, N, PROBE_DIGITS, tol)
+    _, _, log2_m, _ = _real_factors(plan, N, PROBE_DIGITS, tol)
     seconds = perf_counter() - start
-    need = gate_bits(G.order, N, log2_m, tol)
+    need = gate_bits(n, N, log2_m, tol)
     digits = 1
     while working_bits(digits) <= need + PROBE_MARGIN_BITS:
         digits += 1
@@ -474,55 +498,66 @@ def minimal_polynomial(
     """Expand prod_C (x - g_ON(C)) over the real factors and recognize
     integer coefficients.
 
+    The classes are class_group's reps, or without one the label_form reps
+    of quadforms.class_labels: no composition, table or structure is built.
     g(conj C) = conj g(C), so each self-conjugate class gives a real linear
-    factor and each conjugate pair {C, conj C} one real quadratic; a pass
-    evaluates g_ON once per factor at working_bits(digits), expands the
-    factors in integers a little above that and rounds, and is trusted only
-    when gate_bits, the precision its error bound needs, is below
-    working_bits(digits).  A residual is the distance of a
-    coefficient c from the nearest integer, or |c| 2^-prec when larger, so
-    only a coefficient with residual below tol is recognized.  On a failed
-    gate or recognition the target precision doubles, up to the policy's
-    escalation budget; the last pass always expands, and a failure returns
-    its coefficients and residuals instead of rounding anything silently.
-    A policy without target digits starts at probe_digits.
+    factor and each conjugate pair {C, conj C} one real quadratic; the
+    _siegel_plan names each factor's reduced point and index row once, and
+    the probe and every pass only evaluate it.  A pass evaluates g_ON once
+    per factor at working_bits(digits), expands the factors in integers a
+    little above that and rounds, and is trusted only when gate_bits, the
+    precision its error bound needs, is below working_bits(digits).  A
+    residual is the distance of a coefficient c from the nearest integer, or
+    |c| 2^-prec when larger, so only a coefficient with residual below tol
+    is recognized; recognition is numerics.recognize_int on the expansion's
+    ints, exact and with no mpmath.  The pass's INFO line reports the worst
+    margin, the least log10(tol/residual) over the coefficients.  On a
+    failed gate or recognition the target precision doubles, up to the
+    policy's escalation budget; the last pass always expands, and a failure
+    returns its coefficients and residuals instead of rounding anything
+    silently.  A policy without target digits starts at probe_digits.
     """
     from time import perf_counter
 
     _check_ctx(ctx)
     if N < 2:
         raise DomainError("minimal polynomial needs level >= 2")
-    G = class_group or class_enumerate(ctx, N)
-    n = G.order
+    reps = class_labels(ctx, N)[1] if class_group is None else class_group.reps
+    plan = _siegel_plan(reps, ctx, N)
+    n = len(reps)
     tol = policy.recognition_tol()
+    log10_tol = math.log10(float(tol))
     if policy.target_decimal_digits is None:
-        policy = replace(policy, target_decimal_digits=probe_digits(G, ctx, N, tol))
+        policy = replace(policy, target_decimal_digits=probe_digits(plan, n, N, tol))
     pol = policy
     for attempt in range(policy.max_escalations + 1):
         digits, working = pol.target_decimal_digits, pol.working_digits
         prec = working_bits(digits)
         start = perf_counter()
-        linear, quadratic, log2_m, bits = _real_factors(G, ctx, N, digits, tol)
+        linear, quadratic, log2_m, bits = _real_factors(plan, N, digits, tol)
         evaluated = expanded = recognized = perf_counter()
         need = gate_bits(n, N, log2_m, tol)
         last = attempt == policy.max_escalations
-        ok, worst = False, "-"
+        ok, worst, margin = False, "-", "-"
         if need < prec or last:
             coeffs, e = _expand_real(linear, quadratic, prec)
             coeffs.reverse()
             expanded = perf_counter()
-            residuals = [_residual(c, e, prec) for c in coeffs]
+            exact = [_residual(c, e, prec) for c in coeffs]
+            residuals = [_float(r, k) for r, k in exact]
             worst = f"{max(residuals):.3e}"
+            least = min(log10_tol - math.log10(r) + k * _LOG10_2 for r, k in exact)
+            margin = f"{least:.2f} digits"
             if need < prec:
-                ints = [recognize_integer(BigComplex.from_ints(c, 0, e, prec), tol) for c in coeffs]
+                ints = [recognize_int(c, e, prec, tol) for c in coeffs]
                 ok = None not in ints
             recognized = perf_counter()
         log.info(
             "minpoly pass %d: %d digits, %d of %d classes evaluated at %d points "
             "(fixed point %d to %d bits), gate needs %.1f of %d bits, %s, worst residual %s, "
-            "%.3f s evaluating, %.3f s expanding, %.3f s recognizing",
+            "worst margin %s, %.3f s evaluating, %.3f s expanding, %.3f s recognizing",
             attempt, digits, len(linear) + len(quadratic), n, len(bits), bits[0], bits[-1], need, prec,
-            "ok" if ok else "failed" if last else "escalating", worst,
+            "ok" if ok else "failed" if last else "escalating", worst, margin,
             evaluated - start, expanded - evaluated, recognized - expanded,
         )
         if ok:

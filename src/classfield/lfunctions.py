@@ -324,7 +324,7 @@ def log_g_values(G: ClassGroup, ctx: OrderContext, digits: int) -> List[mpmath.m
     """
     prec = working_bits(digits)
     out: List[mpmath.mpf] = [None] * G.order
-    for i, j, g in _conjugate_pairs(G, G.level, lambda Q: g_ON(Q, ctx, G.level, digits)):
+    for i, j, g in _conjugate_pairs(G.reps, G.level, lambda Q: g_ON(Q, ctx, G.level, digits)):
         with mp.workprec(prec):
             out[i] = out[j] = mpmath.log(abs(g.to_mpc()))
     return out

@@ -6,9 +6,10 @@ immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
 happens on mpmath numbers inside ``mp.workprec``, or on Python ints where that
 is cheaper: `int_power` squares an integer mantissa pair under one binary
 exponent, for `BigComplex.__pow__` and for the 12N-th Siegel powers that
-`invariants` takes on `modfun`'s fixed-point kernel values.  The precision
-travels with the value rather than living in the global context, so the
-ambient precision never rounds it.
+`invariants` takes on `modfun`'s fixed-point kernel values.
+`recognize_int`, the one integer recognition rule, compares an integer c 2^e
+with its tolerance exactly.  The precision travels with the value rather
+than living in the global context, so the ambient precision never rounds it.
 Every evaluator that targets `digits` decimal digits works at
 `working_bits(digits)`, that is `GUARD_DIGITS` more, and its evaluation point
 (`Form.omega`, `OrderContext.tau`) is built at the same precision.  Error
@@ -35,6 +36,7 @@ __all__ = [
     "PrecisionPolicy",
     "GUARD_DIGITS",
     "recognize_integer",
+    "recognize_int",
     "int_power",
     "bits_for_digits",
     "working_bits",
@@ -230,20 +232,60 @@ def int_power(x: int, y: int, e: int, n: int, prec: int) -> Tuple[int, int, int]
     return x, y, ex
 
 
-def recognize_integer(x: BigComplex, tol) -> Optional[int]:
-    """Nearest integer n when |x - n| < tol and |im x| < tol, else None.
+def _exact(x) -> Fraction:
+    """x as an exact rational: an mpf by its binary value, else Fraction(x)."""
+    if isinstance(x, mpmath.mpf):
+        man, exp = _man_exp(x)
+        return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+    return Fraction(x)
 
-    Also None when |re x| * 2^-prec >= tol: at that magnitude the precision
-    cannot place x within tol of an integer, and every value would pass as
-    its own nearest integer.
+
+def _below(a: int, k: int, tol: Fraction) -> bool:
+    """a 2^k < tol, exactly."""
+    p, q = tol.numerator, tol.denominator
+    return (a * q << k) < p if k >= 0 else a * q < p << -k
+
+
+def recognize_int(c: int, e: int, prec: int, tol) -> Optional[int]:
+    """The integer rule of `recognize_integer` for x = c 2^e, in integers.
+
+    x is first rounded to prec bits, ties to even, as BigComplex.from_ints
+    rounds it.  Then x is refused when |x| 2^-prec >= tol, since at that
+    magnitude the precision cannot place x within tol of an integer and every
+    value would pass as its own nearest integer; else n = nint(x) is returned
+    when |x - n| < tol, and None when not.  tol is any exact rational (an
+    int, Fraction, float or mpf, taken at its exact value) below 1/2, and
+    every comparison is exact.
+    """
+    tol = _exact(tol)
+    if not tol < Fraction(1, 2):
+        raise DomainError("tolerance must be below 1/2")
+    s = abs(c).bit_length() - prec
+    if s > 0:
+        c, r = divmod(c, 1 << s)
+        half = 1 << s - 1
+        c, e = c + (r > half or (r == half and c & 1)), e + s
+    if not _below(abs(c), e - prec, tol):
+        return None
+    if e >= 0:
+        return c << e
+    # the nearest integer; at a tie |x - n| = 1/2 > tol, so either one is refused
+    n = (c + (1 << -e - 1)) >> -e
+    return n if _below(abs(c - (n << -e)), e, tol) else None
+
+
+def recognize_integer(x: BigComplex, tol) -> Optional[int]:
+    """Nearest integer n when |x - n| < tol and |im x| < tol, else None:
+    recognize_int on each part of x, tol first rounded at x's precision.
+
+    Also None when |re x| * 2^-prec >= tol (see recognize_int), and for a
+    part that is not finite.
     """
     with mp.workprec(x.prec):
         tol = _to_mpf(tol)
-        if not tol < mpmath.mpf("0.5"):
-            raise DomainError("tolerance must be below 1/2")
-        if abs(x.im) >= tol or mpmath.ldexp(abs(x.re), -x.prec) >= tol:
-            return None
-        n = int(mpmath.nint(x.re))
-        if abs(x.re - n) >= tol:
-            return None
-    return n
+    if not (mpmath.isfinite(x.re) and mpmath.isfinite(x.im)):
+        return None
+    # |im x| < tol exactly when its nearest integer is 0 and lies within tol
+    if recognize_int(*_man_exp(x.im), x.prec, tol) != 0:
+        return None
+    return recognize_int(*_man_exp(x.re), x.prec, tol)

@@ -35,6 +35,7 @@ __all__ = [
     "class_label",
     "label_form",
     "compose_level",
+    "class_labels",
     "class_enumerate",
 ]
 
@@ -599,13 +600,36 @@ def _unit_coords(ctx: OrderContext) -> List[Tuple[int, int]]:
     return units
 
 
-def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
-    """Build C_N(D) straight from its class labels.
+def class_labels(ctx: OrderContext, N: int) -> Tuple[List[Label], List[Form]]:
+    """The class labels of C_N(D), sorted, and the label_form of each.
 
     The labels are (R, least row of (u, v)*Aut(R) mod N) over the reduced
     forms R and the rows (u, v) mod N with R(v, -u) coprime to N, since
     label_form gives R^(sigma^-1), whose leading coefficient is R(v, -u) mod N.
-    Classes are numbered by sorted label, so index 0 is the principal class.
+    Sorted, the principal class comes first.  Their number is checked against
+    the class number formula (_expected_order).  No composition is made, so
+    a caller that needs only one representative per class, as
+    invariants.minimal_polynomial does, takes them from here.
+    """
+    if N < 1:
+        raise DomainError("level must be positive")
+    labels = set()
+    for R in enumerate_reduced(ctx.disc):
+        auts = _reduced_automorphisms(R)
+        for u in range(N):
+            for v in range(N):
+                if gcd(R.evaluate(v, -u), N) == 1:
+                    labels.add((R, _least_row(u, v, auts, N)))
+    labels = sorted(labels)
+    target = _expected_order(ctx, N)
+    if len(labels) != target:
+        raise InvariantViolation(f"found {len(labels)} class labels, expected {target}")
+    return labels, [label_form(label, N) for label in labels]
+
+
+def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
+    """Build C_N(D) straight from its class labels (class_labels), the
+    classes numbered by sorted label, so index 0 is the principal class.
 
     The table is filled by a coset walk.  Each stage takes as generator s
     the least class outside the subgroup H built so far and composes each
@@ -621,21 +645,8 @@ def class_enumerate(ctx: OrderContext, N: int) -> ClassGroup:
     class z = y*s of the stage gets row z = (cay_s[v] for v in row y),
     since z*j = (y*j)*s.
     """
-    if N < 1:
-        raise DomainError("level must be positive")
-    labels = set()
-    for R in enumerate_reduced(ctx.disc):
-        auts = _reduced_automorphisms(R)
-        for u in range(N):
-            for v in range(N):
-                if gcd(R.evaluate(v, -u), N) == 1:
-                    labels.add((R, _least_row(u, v, auts, N)))
-    labels = sorted(labels)
+    labels, reps = class_labels(ctx, N)
     n = len(labels)
-    target = _expected_order(ctx, N)
-    if n != target:
-        raise InvariantViolation(f"found {n} class labels, expected {target}")
-    reps = [label_form(label, N) for label in labels]
     index = {label: i for i, label in enumerate(labels)}
 
     def product(y: int, s: int) -> int:

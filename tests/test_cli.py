@@ -355,6 +355,25 @@ def test_out_of_range_option_exit_2_with_one_line(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "where",
+    [["--disc", "-200", "--level", "0"], ["--disc", "-200", "--level", "1"],
+     ["--disc", "-3", "--level", "5"], ["--disc", "5", "--level", "5"]],
+)
+def test_minpoly_invalid_input_exits_2_before_any_enumeration(capsys, monkeypatch, where):
+    # the order and level checks come ahead of the class labels
+    def refuse(*args):
+        raise AssertionError("enumerated the classes of an invalid input")
+
+    monkeypatch.setattr(invariants, "class_labels", refuse)
+    code = cli.main(["minpoly", *where])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 FUZZ_DISCS = [-3, -4, -12, -27, -71, -200, 0, 5, -1, -6]
 # small values from -1 up, and "x", which argparse rejects with exit 2
 FUZZ_VALUES = st.integers(-1, 7).map(lambda k: "x" if k == 7 else str(k))

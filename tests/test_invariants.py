@@ -1,6 +1,7 @@
 import ast
 import json
 import logging
+import math
 import random
 import re
 from fractions import Fraction
@@ -22,6 +23,7 @@ from classfield.invariants import (
     _family_value_at,
     _index_row,
     _real_factors,
+    _siegel_plan,
     class_invariant,
     conjugate_orbit,
     g_ON,
@@ -242,7 +244,7 @@ def test_only_the_pair_pass_walks_conjugate_partners():
     assert callers == {
         "_conjugate_partners": {"invariants._conjugate_pairs"},
         "_conjugate_pairs": {
-            "invariants._real_factors",
+            "invariants._siegel_plan",
             "invariants.conjugate_orbit",
             "lfunctions.log_g_values",
         },
@@ -390,7 +392,7 @@ def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
     tol = policy.recognition_tol()
     prec = working_bits(45)
     truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
-    linear, quadratic, _, _ = _real_factors(G, ctx, 5, 45, tol)
+    linear, quadratic, _, _ = _real_factors(_siegel_plan(G.reps, ctx, 5), 5, 45, tol)
     coeffs, e = _expand_real(linear, quadratic, prec)
     with mp.workprec(prec):
         coeffs = [mpmath.mpf((c, e)) for c in coeffs[::-1]]
@@ -408,7 +410,7 @@ def test_integer_expansion_within_its_truncation_bound(D, N, digits):
     # W = prod_C (1 + |g(C)|)
     ctx, G = _halving_group(D, N)
     n, prec = G.order, working_bits(digits)
-    linear, quadratic, _, _ = _real_factors(G, ctx, N, digits, PrecisionPolicy().recognition_tol())
+    linear, quadratic, _, _ = _real_factors(_siegel_plan(G.reps, ctx, N), N, digits, PrecisionPolicy().recognition_tol())
     got, e = _expand_real(linear, quadratic, prec)
     assert len(got) == n + 1 == len(linear) + 2 * len(quadratic) + 1
     with mp.workprec(2 * prec):
@@ -513,6 +515,36 @@ def test_probe_sized_pass_recognizes_in_one_pass(D, N):
     want = D200_MINPOLY if (D, N) == (-200, 3) else [int(c) for c in FROZEN_MINPOLYS["polynomials"][f"{D},{N}"]]
     assert res.ok and res.escalations == 0
     assert res.coefficients == want
+
+
+@pytest.mark.parametrize("D, N", [(-200, 3), *(tuple(map(int, k.split(","))) for k in FROZEN_MINPOLYS["polynomials"])])
+def test_labels_only_path_matches_the_class_group_path(D, N, monkeypatch):
+    # without a class group the reps come from class_labels: the same result,
+    # with no composition and no group structure
+    from classfield import quadforms
+
+    ctx, G = _halving_group(D, N)
+    want = minimal_polynomial(ctx, N, PrecisionPolicy(), class_group=G)
+
+    def refuse(*args):
+        raise AssertionError("the labels-only path composed or built a structure")
+
+    monkeypatch.setattr(quadforms, "compose_level", refuse)
+    monkeypatch.setattr(quadforms, "group_structure_from_table", refuse)
+    got = minimal_polynomial(ctx, N, PrecisionPolicy())
+    assert got.ok and got.coefficients == want.coefficients
+    assert (got.residuals, got.precision_used, got.escalations) == (want.residuals, want.precision_used, want.escalations)
+
+
+def test_pass_logs_the_worst_margin(caplog, ctx200, G200):
+    # the least log10(tol/residual) over the coefficients, from the exact
+    # residuals; -200, 3 at 80 digits keeps every residual in the float range
+    with caplog.at_level(logging.INFO, logger="classfield"):
+        res = minimal_polynomial(ctx200, 3, PrecisionPolicy(80), class_group=G200)
+    [line] = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
+    margin = float(re.search(r", worst margin (-?[0-9.]+) digits, ", line).group(1))
+    log10_tol = float(mpmath.log10(PrecisionPolicy().recognition_tol()))
+    assert res.ok and margin == pytest.approx(min(log10_tol - math.log10(r) for r in res.residuals), abs=0.01)
 
 
 @settings(max_examples=8, deadline=None)

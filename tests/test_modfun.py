@@ -13,7 +13,7 @@ from mpmath import mp
 
 import classfield
 from classfield import modfun
-from classfield.invariants import G_ON_LOSS_BITS, PROBE_DIGITS, _real_factors, g_ON
+from classfield.invariants import G_ON_LOSS_BITS, PROBE_DIGITS, _real_factors, _siegel_plan, g_ON
 from classfield.numerics import GUARD_DIGITS, BigComplex, DomainError, PrecisionPolicy, bits_for_digits, working_bits
 from classfield.quadforms import Form, OrderContext, class_enumerate, enumerate_reduced
 from fricke_reference import FrickeIndex, frac
@@ -243,7 +243,7 @@ def test_one_pass_takes_two_exponentials_per_evaluation_point(monkeypatch):
     monkeypatch.setattr(modfun, "siegel_fixed", lambda u1, u2, d, tau, p: points.add((tau.re, tau.im)) or kernel(u1, u2, d, tau, p))
     modfun._point.cache_clear()
     try:
-        linear, quadratic, _, bits = _real_factors(G, ctx, 5, 272, PrecisionPolicy().recognition_tol())
+        linear, quadratic, _, bits = _real_factors(_siegel_plan(G.reps, ctx, 5), 5, 272, PrecisionPolicy().recognition_tol())
     finally:
         modfun._point.cache_clear()
     assert len(linear) + len(quadratic) == 28 and len(points) == len(bits) == 4

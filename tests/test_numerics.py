@@ -16,6 +16,7 @@ from classfield.numerics import (
     FormatError,
     PrecisionPolicy,
     bits_for_digits,
+    recognize_int,
     recognize_integer,
 )
 
@@ -105,6 +106,78 @@ def test_recognize_integer_refuses_unresolvable_magnitudes():
     assert recognize_integer(BigComplex(-(10**80), 0, 128), 1e-10) is None
     # near 10^20 the same precision resolves far below tol
     assert recognize_integer(BigComplex(10**20 + 3, 0, 128), 1e-10) == 10**20 + 3
+
+
+def reference_rule(c, e, prec, tol):
+    """recognize_integer's rule for x = c 2^e in Fractions: x rounded to prec
+    bits with ties to even, None when |x| 2^-prec >= tol, else the nearest
+    integer n when |x - n| < tol."""
+    x = Fraction(c) * Fraction(2) ** e
+    s = abs(c).bit_length() - prec
+    if s > 0:
+        unit = Fraction(2) ** (e + s)
+        x = round(x / unit) * unit  # Fraction rounds half to even
+    tol = Fraction(tol)
+    if abs(x) * Fraction(2) ** -prec >= tol:
+        return None
+    n = round(x)
+    return n if abs(x - n) < tol else None
+
+
+@st.composite
+def rounding_ties(draw):
+    # c = 2m + 1 has prec + 1 bits, a tie between m and m + 1 at prec bits;
+    # m u = n is an integer for u = 2^-j, so at tol = u the even neighbour is
+    # recognized and the odd one refused
+    prec, j = draw(st.integers(64, 160)), draw(st.integers(2, 50))
+    n = draw(st.integers(1 << prec - j - 1, (1 << prec - j) - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * ((n << j + 1) + 1), -j - 1, prec, 2.0**-j
+
+
+@st.composite
+def guard_edges(draw):
+    # |x| 2^-prec = tol + delta 2^(e - prec): just below, at, or just above tol
+    prec, k = draw(st.integers(64, 160)), draw(st.integers(2, 50))
+    e, delta = draw(st.integers(-3, 3)), draw(st.sampled_from([-1, 0, 1]))
+    sign = draw(st.sampled_from([1, -1]))
+    return sign * ((1 << prec - k - e) + delta), e, prec, 2.0**-k
+
+
+@st.composite
+def half_ties(draw):
+    # x = n + 1/2 exactly: no integer lies within any tol below 1/2
+    n = draw(st.integers(-(10**30), 10**30))
+    return 2 * n + 1, -1, draw(st.integers(64, 160)), draw(st.sampled_from([2.0**-3, 1e-10, 0.49]))
+
+
+@st.composite
+def anywhere(draw):
+    prec = draw(st.integers(64, 160))
+    c = draw(st.integers(-(1 << prec + 40), 1 << prec + 40))
+    return c, draw(st.integers(-prec - 60, 40)), prec, draw(st.sampled_from([2.0**-3, 1e-10, 2.0**-40, 0.49]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.one_of(rounding_ties(), guard_edges(), half_ties(), anywhere()))
+def test_integer_rule_matches_the_bigcomplex_route_and_the_fraction_rule(case):
+    # the one rule on ints, against the BigComplex route (mpmath's rounding to
+    # prec bits) and against the rule written in Fractions
+    c, e, prec, tol = case
+    want = reference_rule(c, e, prec, tol)
+    assert recognize_int(c, e, prec, tol) == want
+    assert recognize_integer(BigComplex.from_ints(c, 0, e, prec), tol) == want
+
+
+def test_integer_rule_takes_tol_at_its_exact_value():
+    # an mpf or a Fraction tol is compared exactly, and 1/2 or more is refused
+    tol = PrecisionPolicy().recognition_tol()
+    # 2^-50 < 1e-15 < 2^-49
+    assert recognize_int((7 << 80) + (1 << 30), -80, 128, tol) == 7
+    assert recognize_int((7 << 80) + (1 << 31), -80, 128, tol) is None
+    assert recognize_int(-13, 0, 64, Fraction(1, 3)) == -13
+    with pytest.raises(DomainError):
+        recognize_int(1, 0, 64, Fraction(1, 2))
 
 
 def test_precision_policy():
