@@ -184,14 +184,13 @@ def cmd_invariants(args) -> int:
     ctx = _context(args)
     if args.level < 2:
         raise DomainError("invariant orbits need level >= 2")
-    G = class_enumerate(ctx, args.level)
     if args.family == "siegel":
         fam = invariants.FamilyId.siegel_power()
     elif args.family == "fricke":
         fam = invariants.FamilyId.fricke()
     else:
         fam = invariants.FamilyId.j()
-    orbit = invariants.conjugate_orbit(fam, G, ctx, args.digits)
+    orbit = invariants.conjugate_orbit(fam, ctx, args.level, args.digits)
     # a part below |z| 10^-digits is below the value's accuracy: print it as zero
     scale = mpmath.mpf(10) ** -args.digits
     shown = [_zero_below(z, abs(z.to_mpc()) * scale) for z in orbit]

@@ -42,7 +42,7 @@ from .numerics import (
     working_bits,
 )
 from .orderideals import Ideal, _ideal_form, form_to_lattice
-from .quadforms import ClassGroup, Form, OrderContext, class_label, class_labels, reduce_form
+from .quadforms import Form, OrderContext, class_label, class_labels, reduce_form
 
 log = logging.getLogger(__name__)
 
@@ -211,16 +211,16 @@ def g_ON_from_ideal(L: Ideal, ctx: OrderContext, digits: int) -> BigComplex:
     return BigComplex.from_mpc(val, e.prec)
 
 
-def conjugate_orbit(
-    family: FamilyId, G: ClassGroup, ctx: OrderContext, digits: int
-) -> List[BigComplex]:
-    """All Galois conjugates f(C), in class order, with no field arithmetic.
+def conjugate_orbit(family: FamilyId, ctx: OrderContext, N: int, digits: int) -> List[BigComplex]:
+    """All Galois conjugates f(C), in the class order of quadforms.class_labels,
+    with no field arithmetic and no group law.
 
     The family is evaluated once per self-conjugate class and once per
     conjugate pair; the other class of a pair gets the complex conjugate.
     """
-    out: List[Optional[BigComplex]] = [None] * G.order
-    for i, j, z in _conjugate_pairs(G.reps, G.level, lambda Q: class_invariant(family, Q, ctx, G.level, digits)):
+    reps = class_labels(ctx, N)[1]
+    out: List[Optional[BigComplex]] = [None] * len(reps)
+    for i, j, z in _conjugate_pairs(reps, N, lambda Q: class_invariant(family, Q, ctx, N, digits)):
         out[i] = z
         if j != i:
             # negate inside z's precision; the ambient 53 bits would round it
@@ -387,8 +387,10 @@ def _expand_real(linear, quadratic, prec: int) -> Tuple[List[int], int]:
     return polys[0]
 
 
-# the largest float: a residual past it reads as this, so the JSON stays finite
+# the largest float: a residual past it reads as this, so the JSON stays finite;
+# one below the float range reads as the least positive float, so it stays > 0
 _FLOAT_MAX = float.fromhex("0x1.fffffffffffffp+1023")
+_FLOAT_MIN = math.ulp(0.0)
 _LOG10_2 = math.log10(2)
 
 
@@ -405,9 +407,10 @@ def _residual(c: int, e: int, prec: int) -> Tuple[int, int]:
 
 
 def _float(r: int, k: int) -> float:
-    """r 2^-k as a float, at most the largest float."""
+    """r 2^-k > 0 as a float, at least the least positive float and at most
+    the largest."""
     try:
-        return r / (1 << k)
+        return r / (1 << k) or _FLOAT_MIN
     except OverflowError:
         return _FLOAT_MAX
 
@@ -489,17 +492,12 @@ def probe_digits(plan, n: int, N: int, tol) -> int:
     return digits
 
 
-def minimal_polynomial(
-    ctx: OrderContext,
-    N: int,
-    policy: PrecisionPolicy,
-    class_group: Optional[ClassGroup] = None,
-) -> MinimalPolynomialResult:
+def minimal_polynomial(ctx: OrderContext, N: int, policy: PrecisionPolicy) -> MinimalPolynomialResult:
     """Expand prod_C (x - g_ON(C)) over the real factors and recognize
     integer coefficients.
 
-    The classes are class_group's reps, or without one the label_form reps
-    of quadforms.class_labels: no composition, table or structure is built.
+    The classes are the label_form reps of quadforms.class_labels: no
+    composition, table or structure is built.
     g(conj C) = conj g(C), so each self-conjugate class gives a real linear
     factor and each conjugate pair {C, conj C} one real quadratic; the
     _siegel_plan names each factor's reduced point and index row once, and
@@ -522,7 +520,7 @@ def minimal_polynomial(
     _check_ctx(ctx)
     if N < 2:
         raise DomainError("minimal polynomial needs level >= 2")
-    reps = class_labels(ctx, N)[1] if class_group is None else class_group.reps
+    reps = class_labels(ctx, N)[1]
     plan = _siegel_plan(reps, ctx, N)
     n = len(reps)
     tol = policy.recognition_tol()

@@ -174,8 +174,8 @@ def zeta_lattice_partial(
     """The form-side partial zeta, by Poisson summation over a reduced basis.
 
     The value is (N^2 a)^-s / gamma * sum |m w + n + a'/N|^-2s over (m, n) in
-    Z^2, with w = Q.point, a' = a^-1 mod N and the zero point left out: that
-    is 1/gamma * sum P(u, v)^-s over the coset (u, v) = (0, a') mod N of
+    Z^2, with w = (b + sqrt(D))/(2a), a' = a^-1 mod N and the zero point left
+    out: that is 1/gamma * sum P(u, v)^-s over the coset (u, v) = (0, a') mod N of
     P = c u^2 + b u v + a v^2.  Reducing P to R = (A, B, C) = A |x + y tau|^2
     in exact integers moves the coset to (x, y) = N (n + t, m + mu), and
     Poisson summation in n gives each row j = m + mu != 0 (Chowla-Selberg) as

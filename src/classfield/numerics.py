@@ -5,8 +5,8 @@ Every analytic value that passes between modules is a :class:`BigComplex`: an
 immutable (re, im, prec) value backed by mpmath binary floats.  Arithmetic
 happens on mpmath numbers inside ``mp.workprec``, or on Python ints where that
 is cheaper: `int_power` squares an integer mantissa pair under one binary
-exponent, for `BigComplex.__pow__` and for the 12N-th Siegel powers that
-`invariants` takes on `modfun`'s fixed-point kernel values.
+exponent, for the 12N-th Siegel powers that `invariants` takes on `modfun`'s
+fixed-point kernel values.
 `recognize_int`, the one integer recognition rule, compares an integer c 2^e
 with its tolerance exactly.  The precision travels with the value rather
 than living in the global context, so the ambient precision never rounds it.
@@ -161,27 +161,6 @@ class BigComplex:
         with mp.workprec(prec):
             return cls(mpmath.mpf((x, exp)), mpmath.mpf((y, exp)), prec)
 
-    def __pow__(self, n: int):
-        """self^n by `int_power` on the integer mantissa pair under one binary
-        exponent, the parts aligned at its P bits; for n < 0 the inverse is
-        taken at P bits, so the power is within relative 2^-(prec+1) of
-        self^n exactly, before the final rounding to prec bits."""
-        if not isinstance(n, int):
-            return NotImplemented
-        parts = (_man_exp(self.re), _man_exp(self.im))
-        if not any(man for man, _ in parts):
-            if n < 0:
-                raise ZeroDivisionError("zero to a negative power")
-            return BigComplex(int(n == 0), 0, self.prec)
-        P = _power_bits(self.prec, abs(n))
-        e = max(exp + man.bit_length() for man, exp in parts if man) - P
-        bx, by = (man << exp - e if exp >= e else man >> e - exp for man, exp in parts)
-        x, y, ex = int_power(bx, by, e, abs(n), self.prec)
-        if n < 0:
-            den = x * x + y * y
-            x, y, ex = (x << 2 * P) // den, (-y << 2 * P) // den, -ex - 2 * P
-        return BigComplex.from_ints(x, y, ex, self.prec)
-
     def __repr__(self):
         with mp.workprec(self.prec):
             return f"BigComplex({mpmath.nstr(self.re, 12)}, {mpmath.nstr(self.im, 12)}, prec={self.prec})"
@@ -207,10 +186,6 @@ def _cut(x: int, y: int, e: int, P: int):
     return (x >> s, y >> s, e + s) if s > 0 else (x, y, e)
 
 
-def _power_bits(prec: int, n: int) -> int:
-    return prec + n.bit_length() + 4
-
-
 def int_power(x: int, y: int, e: int, n: int, prec: int) -> Tuple[int, int, int]:
     """((x + iy) 2^e)^n for n >= 0 as (u, v, f), the power (u + iv) 2^f, by
     squaring at P = prec + bitlen(n) + 4 bits.
@@ -222,7 +197,7 @@ def int_power(x: int, y: int, e: int, n: int, prec: int) -> Tuple[int, int, int]
     products leave below 2^(bitlen(n) + 2.5 - P) = 2^-(prec+1.5): the power is
     within relative 2^-(prec+1) of ((x + iy) 2^e)^n exactly.
     """
-    P = _power_bits(prec, n)
+    P = prec + n.bit_length() + 4
     bx, by, be = _cut(x, y, e, P)
     x, y, ex = 1, 0, 0
     for bit in bin(n)[2:]:

@@ -207,23 +207,30 @@ def integral_ideals(
     ideal of each class in this order.  The roots b come from the
     least-prime-factor table up to the bound (4 bytes a number, shared
     through _factor_table's cache) and one square root of D per prime,
-    built once per call.
+    built once per call.  A bound below 1, which no ideal meets, raises
+    DomainError at the call, before any ideal or table.
     """
+    if bound < 1:
+        raise DomainError(f"the norm bound {bound} is below 1")
     spf = _factor_table(bound)
     sqrts: Dict[int, Optional[int]] = {}
-    for a in range(1, bound + 1):
-        if gcd(a, coprime_to) != 1:
-            continue
-        for b in _disc_roots(ctx.disc, a, spf, sqrts):
-            c = (b * b - ctx.disc) // (4 * a)
-            if gcd(gcd(a, b), c) != 1:
-                continue  # not a proper O-ideal
-            h = (ctx.b0 - b) // 2
-            m = 1
-            while m * m * a <= bound:
-                if gcd(m, coprime_to) == 1:
-                    yield m * m * a, Ideal(m, m * h % (m * a), m * a)
-                m += 1
+
+    def stream() -> Iterator[Tuple[int, Ideal]]:
+        for a in range(1, bound + 1):
+            if gcd(a, coprime_to) != 1:
+                continue
+            for b in _disc_roots(ctx.disc, a, spf, sqrts):
+                c = (b * b - ctx.disc) // (4 * a)
+                if gcd(gcd(a, b), c) != 1:
+                    continue  # not a proper O-ideal
+                h = (ctx.b0 - b) // 2
+                m = 1
+                while m * m * a <= bound:
+                    if gcd(m, coprime_to) == 1:
+                        yield m * m * a, Ideal(m, m * h % (m * a), m * a)
+                    m += 1
+
+    return stream()
 
 
 def labelled_ideals(
@@ -254,10 +261,11 @@ def labelled_ideals(
     orbit of m*w) for L's label (R, w): the orbit of m*w is m times the
     orbit of w.
     """
+    ideals = integral_ideals(ctx, bound, coprime_to)
     spf = _factor_table(bound)
     labels, products = bases.labels, bases.label_products
     a, parts = 0, []
-    for norm, L in integral_ideals(ctx, bound, coprime_to):
+    for norm, L in ideals:
         if L.g > 1:
             lab = (R, _unit_orbit_min(bases.units, (L.g * w[0], L.g * w[1]), N))
         else:

@@ -156,10 +156,6 @@ class Form(tuple):
         at working_bits(digits) for an evaluation that targets `digits` digits."""
         return _form_point(self.a, -self.b, digits, self.disc)
 
-    def point(self, digits: int) -> BigComplex:
-        """-conj(omega_Q) = (b + sqrt(D))/(2a), at working_bits(digits)."""
-        return _form_point(self.a, self.b, digits, self.disc)
-
     def __repr__(self):
         return f"Form({self[0]}, {self[1]}, {self[2]})"
 

@@ -80,8 +80,8 @@ def check_group_table(G: ClassGroup) -> Check:
     return _check("group-table", len(set(perm)) == len(perm) and bad == 0, f"{cells - bad}/{cells} cells")
 
 
-def check_minimal_polynomial(ctx: OrderContext, G: ClassGroup, digits: Optional[int]) -> Check:
-    res = invariants.minimal_polynomial(ctx, G.level, PrecisionPolicy(digits), class_group=G)
+def check_minimal_polynomial(ctx: OrderContext, N: int, digits: Optional[int]) -> Check:
+    res = invariants.minimal_polynomial(ctx, N, PrecisionPolicy(digits))
     worst = max(res.residuals) if res.residuals else float("nan")
     return _check(
         "minimal-polynomial",
@@ -98,7 +98,7 @@ def battery_paper(minpoly_digits: Optional[int] = None) -> List[Check]:
         check_class_count(G),
         check_invariant_factors(G),
         check_group_table(G),
-        check_minimal_polynomial(ctx, G, minpoly_digits),
+        check_minimal_polynomial(ctx, G.level, minpoly_digits),
     ]
 
 

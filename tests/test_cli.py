@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -183,6 +184,19 @@ def test_minpoly_failure_prints_strict_json(capsys, schema):
     jsonschema.validate(payload, schema)
     assert len(payload["residuals"]) == 361
     assert max(payload["residuals"]) == sys.float_info.max
+
+
+def test_minpoly_residuals_below_the_float_range_stay_positive(capsys, schema):
+    # at 1200 digits every exact residual of (-200, 3) is below the least
+    # float; each reads as that float, 5e-324, not as 0.0
+    code, payload = run_json(
+        capsys, "minpoly", "--disc", "-200", "--level", "3", "--digits", "1200", "--format", "json"
+    )
+    assert code == 0 and payload["ok"] is True
+    jsonschema.validate(payload, schema)
+    assert len(payload["residuals"]) == 13
+    assert all(r > 0 for r in payload["residuals"])
+    assert min(payload["residuals"]) == math.ulp(0.0)
 
 
 def test_minpoly_and_verify_paper_without_digits_use_the_probe(capsys, schema):
@@ -461,6 +475,23 @@ def test_invariants_evaluates_once_per_conjugate_pair(capsys, monkeypatch):
     )
     assert code == 0 and len(payload["values"]) == 64
     assert len(calls) == 40
+
+
+@pytest.mark.parametrize("family", ["siegel", "fricke", "j"])
+def test_invariants_builds_no_class_group(capsys, monkeypatch, family):
+    # the orbit takes its classes from class_labels: with composition and
+    # the group structure refused, the command prints what it printed before
+    from classfield import quadforms
+
+    argv = ["invariants", "--disc", "-200", "--level", "3", "--family", family, "--digits", "20", "--format", "json"]
+    want = run_json(capsys, *argv)
+
+    def refuse(*args):
+        raise AssertionError("invariants composed or built a structure")
+
+    monkeypatch.setattr(quadforms, "compose_level", refuse)
+    monkeypatch.setattr(quadforms, "group_structure_from_table", refuse)
+    assert run_json(capsys, *argv) == want and want[0] == cli.EXIT_OK
 
 
 def test_invariants_prints_parts_below_accuracy_as_zero(capsys):

@@ -38,6 +38,7 @@ from classfield.numerics import (
     DomainError,
     InvariantViolation,
     PrecisionPolicy,
+    recognize_int,
     recognize_integer,
     working_bits,
 )
@@ -134,7 +135,7 @@ def test_conjugate_orbit(ctx200, G200):
     # one value per class, in class order; the partner of each conjugate pair
     # gets the conjugate, which must agree with evaluating its own class
     fam = FamilyId.siegel_power()
-    orbit = conjugate_orbit(fam, G200, ctx200, DIGITS)
+    orbit = conjugate_orbit(fam, ctx200, 3, DIGITS)
     assert len(orbit) == 12
     tau_val = class_invariant(fam, ctx200.principal_form(), ctx200, 3, DIGITS)
     with mp.workprec(PREC):
@@ -251,49 +252,50 @@ def test_only_the_pair_pass_walks_conjugate_partners():
     }
 
 
+def plan_polynomial(reps, ctx, N, digits):
+    """The recognized coefficients (descending) of the product over the given
+    reps, through the plan, the integer expansion and recognize_int: the
+    pass of minimal_polynomial on any choice and order of representatives."""
+    tol, prec = PrecisionPolicy().recognition_tol(), working_bits(digits)
+    linear, quadratic, _, _ = _real_factors(_siegel_plan(reps, ctx, N), N, digits, tol)
+    coeffs, e = _expand_real(linear, quadratic, prec)
+    return [recognize_int(c, e, prec, tol) for c in reversed(coeffs)]
+
+
 def test_minimal_polynomial_relabeling_invariance(ctx200, G200):
     # the coefficient vector must not depend on representative choices or
     # on the ordering of the classes
-    import copy
-
     from classfield.quadforms import SL2
 
     rng = random.Random(RNG_SEED)
     moves = [SL2(1, 1, 0, 1), SL2(1, -1, 0, 1), SL2(1, 0, 3, 1), SL2(1, 0, -3, 1)]
-    shuffled = copy.copy(G200)
     reps = []
     for Q in G200.reps:
         for _ in range(rng.randint(1, 4)):
             Q = Q.apply(rng.choice(moves))
         reps.append(Q)
     rng.shuffle(reps)
-    shuffled.reps = reps
-    r1 = minimal_polynomial(ctx200, 3, PrecisionPolicy(140), class_group=G200)
-    r2 = minimal_polynomial(ctx200, 3, PrecisionPolicy(140), class_group=shuffled)
-    assert r1.ok and r2.ok and r1.coefficients == r2.coefficients
+    assert plan_polynomial(G200.reps, ctx200, 3, 140) == D200_MINPOLY
+    assert plan_polynomial(reps, ctx200, 3, 140) == D200_MINPOLY
 
 
-def test_minimal_polynomial_matches_reference(ctx200, G200):
-    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(140), class_group=G200)
+def test_minimal_polynomial_matches_reference(ctx200):
+    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(140))
     assert res.ok and res.escalations == 0
     assert res.degree == 12
     assert res.coefficients == D200_MINPOLY
     assert all(r < 1e-20 for r in res.residuals)
 
 
-def test_minimal_polynomial_escalates(ctx200, G200):
+def test_minimal_polynomial_escalates(ctx200):
     # 40 digits cannot absorb coefficients of size 1e70; one doubling fixes it
-    res = minimal_polynomial(
-        ctx200, 3, PrecisionPolicy(40, max_escalations=2), class_group=G200
-    )
+    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(40, max_escalations=2))
     assert res.ok and res.escalations >= 1
     assert res.coefficients == D200_MINPOLY
 
 
-def test_minimal_polynomial_honest_failure(ctx200, G200):
-    res = minimal_polynomial(
-        ctx200, 3, PrecisionPolicy(40, max_escalations=0), class_group=G200
-    )
+def test_minimal_polynomial_honest_failure(ctx200):
+    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(40, max_escalations=0))
     assert not res.ok
     assert res.coefficients is None
     assert res.unrecognized is not None and len(res.unrecognized) == 13
@@ -303,10 +305,10 @@ def _significant_digits(part):
     return len(part.lstrip("+-").split("e")[0].replace(".", "").lstrip("0"))
 
 
-def test_minimal_polynomial_failure_prints_last_pass_digits(ctx200, G200):
+def test_minimal_polynomial_failure_prints_last_pass_digits(ctx200):
     # a failed 40-digit pass works at 70 digits; printing more would show noise
     policy = PrecisionPolicy(40, max_escalations=0)
-    res = minimal_polynomial(ctx200, 3, policy, class_group=G200)
+    res = minimal_polynomial(ctx200, 3, policy)
     assert not res.ok
     # the expansion is real, so each coefficient prints as one real number
     for c in res.unrecognized:
@@ -315,10 +317,10 @@ def test_minimal_polynomial_failure_prints_last_pass_digits(ctx200, G200):
             assert _significant_digits(c) == policy.working_digits, c
 
 
-def test_precision_monotonicity(ctx200, G200):
+def test_precision_monotonicity(ctx200):
     # recognized-integer residuals shrink at least quadratically in added digits
-    r1 = minimal_polynomial(ctx200, 3, PrecisionPolicy(90), class_group=G200)
-    r2 = minimal_polynomial(ctx200, 3, PrecisionPolicy(180), class_group=G200)
+    r1 = minimal_polynomial(ctx200, 3, PrecisionPolicy(90))
+    r2 = minimal_polynomial(ctx200, 3, PrecisionPolicy(180))
     assert r1.ok and r2.ok
     # guard digits do not double, so the quadratic law carries a 10^guard offset
     slack = 10.0 ** (GUARD_DIGITS + 10)
@@ -379,7 +381,7 @@ def _halving_group(D, N):
 def test_conjugate_pair_expansion_matches_full_product(case, digits):
     ctx, G = _halving_group(*case)
     policy = PrecisionPolicy(digits)
-    res = minimal_polynomial(ctx, case[1], policy, class_group=G)
+    res = minimal_polynomial(ctx, case[1], policy)
     ref = reference_minimal_polynomial(ctx, case[1], policy, G)
     assert (res.ok, res.coefficients, res.escalations, res.precision_used) == ref
 
@@ -391,14 +393,14 @@ def test_gate_escalates_where_the_ungated_real_expansion_is_wrong():
     policy = PrecisionPolicy(45)
     tol = policy.recognition_tol()
     prec = working_bits(45)
-    truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700), class_group=G).coefficients
+    truth = minimal_polynomial(ctx, 5, PrecisionPolicy(700)).coefficients
     linear, quadratic, _, _ = _real_factors(_siegel_plan(G.reps, ctx, 5), 5, 45, tol)
     coeffs, e = _expand_real(linear, quadratic, prec)
     with mp.workprec(prec):
         coeffs = [mpmath.mpf((c, e)) for c in coeffs[::-1]]
         assert all(abs(c - mpmath.nint(c)) < tol for c in coeffs)
         assert sum(int(mpmath.nint(c)) != t for c, t in zip(coeffs, truth)) > 0
-    res = minimal_polynomial(ctx, 5, policy, class_group=G)
+    res = minimal_polynomial(ctx, 5, policy)
     assert res.ok and res.escalations >= 1 and res.coefficients == truth
 
 
@@ -426,10 +428,13 @@ def test_integer_expansion_within_its_truncation_bound(D, N, digits):
 def reference_siegel_power(index_matrix, Qxi, N, digits):
     """The 12N-th Siegel power by the FrickeIndex route: the index (0, 1/N)
     moved by the index matrix and the reduction witness in Fractions and
-    normalized, then the reference Siegel value and BigComplex ** 12N."""
+    normalized, then the reference Siegel value to the 12N-th power in
+    mpmath, 64 bits above its precision (an mpc)."""
     R, gam = reduce_form(Qxi)
     idx = FrickeIndex.of(0, Fraction(1, N)).act(index_matrix).act(tuple(gam)).normalized()
-    return fricke_reference.siegel(idx, R.omega(digits), digits) ** (12 * N)
+    z = fricke_reference.siegel(idx, R.omega(digits), digits)
+    with mp.workprec(z.prec + 64):
+        return z.to_mpc() ** (12 * N)
 
 
 @settings(max_examples=40, deadline=None)
@@ -459,7 +464,7 @@ def test_siegel_power_matches_the_fraction_route(D, N, digits, pick):
         ref = reference_siegel_power(M, Qxi, N, digits)
         assert got.prec == prec
         with mp.workprec(prec + 64):
-            assert abs(got.to_mpc() - ref.to_mpc()) <= allowance * abs(ref.to_mpc())
+            assert abs(got.to_mpc() - ref) <= allowance * abs(ref)
 
 
 @pytest.mark.parametrize("D, N", [(-200, 3), (-71, 5), (-15, 8)])
@@ -478,21 +483,18 @@ def test_g_on_relative_error_within_the_gate_allowance(D, N):
 def test_minimal_polynomial_rejects_reps_without_their_conjugates():
     # conjugate partners are looked up among the given reps by class label;
     # a missing partner is an error, not a silently different polynomial
-    import copy
-
     ctx, G = _halving_group(-200, 3)
     conj = [G.index_of(Form(Q.a, -Q.b, Q.c)) for Q in G.reps]
     i = next(i for i, j in enumerate(conj) if j != i)
-    missing = copy.copy(G)
-    missing.reps = [Q for k, Q in enumerate(G.reps) if k != conj[i]]
+    missing = [Q for k, Q in enumerate(G.reps) if k != conj[i]]
     with pytest.raises(InvariantViolation, match="conjugate"):
-        minimal_polynomial(ctx, 3, PrecisionPolicy(140), class_group=missing)
+        plan_polynomial(missing, ctx, 3, 140)
 
 
-def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200, G200):
+def test_minimal_polynomial_logs_one_line_per_pass(caplog, ctx200):
     policy = PrecisionPolicy(40, max_escalations=2)
     with caplog.at_level(logging.INFO, logger="classfield"):
-        res = minimal_polynomial(ctx200, 3, policy, class_group=G200)
+        res = minimal_polynomial(ctx200, 3, policy)
     lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
     assert res.ok and len(lines) == res.escalations + 1
     assert all("8 of 12 classes evaluated at 4 points (fixed point " in line for line in lines)
@@ -510,8 +512,8 @@ FROZEN_MINPOLYS = json.loads((Path(__file__).parents[1] / "perfbench" / "minpoly
 
 @pytest.mark.parametrize("D, N", [(-200, 3), *(tuple(map(int, k.split(","))) for k in FROZEN_MINPOLYS["polynomials"])])
 def test_probe_sized_pass_recognizes_in_one_pass(D, N):
-    ctx, G = _halving_group(D, N)
-    res = minimal_polynomial(ctx, N, PrecisionPolicy(), class_group=G)
+    ctx = OrderContext.from_disc(D)
+    res = minimal_polynomial(ctx, N, PrecisionPolicy())
     want = D200_MINPOLY if (D, N) == (-200, 3) else [int(c) for c in FROZEN_MINPOLYS["polynomials"][f"{D},{N}"]]
     assert res.ok and res.escalations == 0
     assert res.coefficients == want
@@ -519,28 +521,35 @@ def test_probe_sized_pass_recognizes_in_one_pass(D, N):
 
 @pytest.mark.parametrize("D, N", [(-200, 3), *(tuple(map(int, k.split(","))) for k in FROZEN_MINPOLYS["polynomials"])])
 def test_labels_only_path_matches_the_class_group_path(D, N, monkeypatch):
-    # without a class group the reps come from class_labels: the same result,
-    # with no composition and no group structure
+    # the class values take their reps from class_labels and make no
+    # composition and no group structure: minimal_polynomial gives the frozen
+    # polynomial, and conjugate_orbit the class_invariant of every rep of
+    # class_enumerate's group, in its class order
     from classfield import quadforms
 
     ctx, G = _halving_group(D, N)
-    want = minimal_polynomial(ctx, N, PrecisionPolicy(), class_group=G)
+    want = D200_MINPOLY if (D, N) == (-200, 3) else [int(c) for c in FROZEN_MINPOLYS["polynomials"][f"{D},{N}"]]
+    fam, digits = FamilyId.siegel_power(), 20
+    values = [class_invariant(fam, Q, ctx, N, digits).to_mpc() for Q in G.reps]
 
     def refuse(*args):
-        raise AssertionError("the labels-only path composed or built a structure")
+        raise AssertionError("a class value composed or built a structure")
 
     monkeypatch.setattr(quadforms, "compose_level", refuse)
     monkeypatch.setattr(quadforms, "group_structure_from_table", refuse)
-    got = minimal_polynomial(ctx, N, PrecisionPolicy())
-    assert got.ok and got.coefficients == want.coefficients
-    assert (got.residuals, got.precision_used, got.escalations) == (want.residuals, want.precision_used, want.escalations)
+    res = minimal_polynomial(ctx, N, PrecisionPolicy())
+    assert res.ok and res.coefficients == want
+    orbit = conjugate_orbit(fam, ctx, N, digits)
+    with mp.workprec(working_bits(digits)):
+        assert all(abs(z.to_mpc() - v) <= mpmath.mpf(10) ** -(digits - 10) * abs(v) for z, v in zip(orbit, values))
+    assert len(orbit) == len(values)
 
 
-def test_pass_logs_the_worst_margin(caplog, ctx200, G200):
+def test_pass_logs_the_worst_margin(caplog, ctx200):
     # the least log10(tol/residual) over the coefficients, from the exact
     # residuals; -200, 3 at 80 digits keeps every residual in the float range
     with caplog.at_level(logging.INFO, logger="classfield"):
-        res = minimal_polynomial(ctx200, 3, PrecisionPolicy(80), class_group=G200)
+        res = minimal_polynomial(ctx200, 3, PrecisionPolicy(80))
     [line] = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
     margin = float(re.search(r", worst margin (-?[0-9.]+) digits, ", line).group(1))
     log10_tol = float(mpmath.log10(PrecisionPolicy().recognition_tol()))
@@ -550,24 +559,24 @@ def test_pass_logs_the_worst_margin(caplog, ctx200, G200):
 @settings(max_examples=8, deadline=None)
 @given(case=st.sampled_from(HALVING_POOL))
 def test_probe_sized_pass_matches_a_pass_at_twice_its_digits(case):
-    ctx, G = _halving_group(*case)
-    res = minimal_polynomial(ctx, case[1], PrecisionPolicy(), class_group=G)
-    ref = minimal_polynomial(ctx, case[1], PrecisionPolicy(2 * res.precision_used), class_group=G)
+    ctx = OrderContext.from_disc(case[0])
+    res = minimal_polynomial(ctx, case[1], PrecisionPolicy())
+    ref = minimal_polynomial(ctx, case[1], PrecisionPolicy(2 * res.precision_used))
     assert res.ok and ref.ok and res.escalations == 0
     assert res.coefficients == ref.coefficients
 
 
-def test_probe_too_low_falls_back_to_doubling(monkeypatch, ctx200, G200):
+def test_probe_too_low_falls_back_to_doubling(monkeypatch, ctx200):
     # the probe only sizes the first pass; the gate still decides, and doubles
     monkeypatch.setattr(invariants, "probe_digits", lambda *args: 20)
-    res = minimal_polynomial(ctx200, 3, PrecisionPolicy(), class_group=G200)
+    res = minimal_polynomial(ctx200, 3, PrecisionPolicy())
     assert res.ok and res.coefficients == D200_MINPOLY
     assert res.escalations == 2 and res.precision_used == 80
 
 
-def test_probe_logs_its_choice_before_the_pass(caplog, ctx200, G200):
+def test_probe_logs_its_choice_before_the_pass(caplog, ctx200):
     with caplog.at_level(logging.INFO, logger="classfield"):
-        res = minimal_polynomial(ctx200, 3, PrecisionPolicy(), class_group=G200)
+        res = minimal_polynomial(ctx200, 3, PrecisionPolicy())
     lines = [r.getMessage() for r in caplog.records if r.name.startswith("classfield")]
     assert res.ok and len(lines) == 2
     assert re.fullmatch(

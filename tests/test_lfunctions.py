@@ -66,8 +66,10 @@ def test_zeta_partial_agreement_single_class(ctx200):
 
 
 def test_zeta_empty_truncation(ctx200):
+    # a norm bound that no ideal meets is an input error, not an empty table
     s = BigComplex(2, 0, PREC)
-    assert zeta_ideal_partial_all(ctx200, 3, s, 0) == {}
+    with pytest.raises(DomainError, match="norm bound 0 is below 1"):
+        zeta_ideal_partial_all(ctx200, 3, s, 0)
 
 
 def reference_ideal_sums(ctx, N, s, bound, digits):
@@ -168,7 +170,7 @@ def reference_box_sum(
     a_inv = pow(a, -1, N) if N > 1 else 1
     gamma = gamma_ON(ctx, N)
     prec = working_bits(digits)
-    w = Q.point(digits)
+    w = Form(Q.a, -Q.b, Q.c).omega(digits)
     with mp.workprec(prec):
         wx, wy = w.re, w.im
         shift = mpmath.mpf(a_inv) / N
@@ -218,7 +220,7 @@ def test_zeta_lattice_level_one_is_epstein(ctx200):
     s = BigComplex(2, 0, PREC)
     Q = ctx200.principal_form()
     z = reference_box_sum(Q, ctx200, 1, s, 40)
-    w = Q.point(DIGITS)
+    w = Form(Q.a, -Q.b, Q.c).omega(DIGITS)
     with mp.workprec(PREC):
         direct = mpmath.mpc(0)
         for m in range(-40, 41):
@@ -392,7 +394,7 @@ def test_kronecker_xi_gives_log_g(ctx200, G200, logs200):
     gamma = gamma_ON(ctx200, N)
     for i, Q in enumerate(G200.reps[:4]):
         ap = pow(Q.a, -1, N)
-        z = Q.point(60)
+        z = Form(Q.a, -Q.b, Q.c).omega(60)
         _, xi1 = kronecker_xi(False, BigComplex(Fraction(ap, N), 0, z.prec), z, 60)
         with mp.workprec(z.prec):
             lhs = xi1.to_mpc() / gamma

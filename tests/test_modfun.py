@@ -514,7 +514,7 @@ def test_theta1_matches_siegel_magnitude(ctx200):
     from classfield.quadforms import Form
 
     Q = Form(17, 2, 3)
-    z = Q.point(DIGITS)
+    z = Form(Q.a, -Q.b, Q.c).omega(DIGITS)
     with mp.workprec(PREC):
         for ap in (1, 2):
             th = theta1(BigComplex(Fraction(ap, 3), 0, PREC), z, DIGITS).to_mpc()

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import classfield
+from classfield import numerics
 from classfield.numerics import (
     GUARD_DIGITS,
     MAX_ESCALATIONS,
@@ -15,7 +16,9 @@ from classfield.numerics import (
     DomainError,
     FormatError,
     PrecisionPolicy,
+    _man_exp,
     bits_for_digits,
+    int_power,
     recognize_int,
     recognize_integer,
 )
@@ -42,45 +45,107 @@ def test_bigcomplex_rejects_malformed_input():
         BigComplex(1, 0, 32)
 
 
+def int_parts(z):
+    """(x, y, e) with z = (x + iy) 2^e: the parts of a BigComplex as ints
+    under their lesser binary exponent, exactly."""
+    (x, ex), (y, ey) = _man_exp(z.re), _man_exp(z.im)
+    e = min(ex, ey)
+    return x << ex - e, y << ey - e, e
+
+
+def power_mpc(u, v, f):
+    """(u + iv) 2^f as an mpc, rounded to the ambient precision."""
+    return mpmath.mpc(mpmath.mpf((u, f)), mpmath.mpf((v, f)))
+
+
 @pytest.mark.parametrize("digits", [60, 700])
-@pytest.mark.parametrize("n", [0, 1, 2, 24, 60, -3])
+@pytest.mark.parametrize("n", [0, 1, 2, 24, 60])
 def test_bigcomplex_pow_matches_mpmath(digits, n):
-    # repeated squaring against mpmath's power, taken with 64 extra bits
+    # int_power on a BigComplex's parts against mpmath's power, taken with
+    # 64 extra bits
     prec = bits_for_digits(digits)
     z = BigComplex(Fraction(-7, 9), Fraction(5, 11), prec)
-    got = z**n
-    assert got.prec == prec
+    got = int_power(*int_parts(z), n, prec)
     with mp.workprec(prec + 64):
         ref = z.to_mpc() ** n
-        assert abs(got.to_mpc() - ref) <= abs(ref) * mpmath.mpf(2) ** (12 - prec)
+        assert abs(power_mpc(*got) - ref) <= abs(ref) * mpmath.mpf(2) ** (12 - prec)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(1, 144),
-    sign=st.sampled_from([1, -1]),
     scale=st.integers(-3000, 3000),
     parts=st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)).filter(any),
     prec=st.sampled_from([64, 140, 1011]),
 )
-def test_bigcomplex_pow_keeps_relative_precision_at_any_modulus(n, sign, scale, parts, prec):
+def test_bigcomplex_pow_keeps_relative_precision_at_any_modulus(n, scale, parts, prec):
     # the integer mantissa and its binary exponent keep every power within
     # 2^(1 - prec) relative, for moduli from 2^-3000 to 2^3000 and exponents
-    # to +-144, far outside what a fixed point at 2^-prec could hold
-    with mp.workprec(prec):
-        z = BigComplex(mpmath.ldexp(parts[0], scale - 40), mpmath.ldexp(parts[1], scale - 40), prec)
-    got = z ** (sign * n)
-    assert got.prec == prec
+    # to 144, far outside what a fixed point at 2^-prec could hold
+    got = int_power(*parts, scale - 40, n, prec)
     with mp.workprec(4 * prec):
-        ref = z.to_mpc() ** (sign * n)
-        assert abs(got.to_mpc() - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec)
+        ref = power_mpc(*parts, scale - 40) ** n
+        assert abs(power_mpc(*got) - ref) <= abs(ref) * mpmath.mpf(2) ** (1 - prec)
 
 
 def test_bigcomplex_pow_of_zero():
-    zero = BigComplex(0, 0, 64)
-    assert (zero**3).to_mpc() == 0 and (zero**0).to_mpc() == 1
-    with pytest.raises(ZeroDivisionError):
-        zero**-1
+    # a zero base gives 0 at every n >= 1, and 1 at n = 0
+    for n in (1, 3, 144):
+        u, v, _ = int_power(0, 0, -70, n, 64)
+        assert u == v == 0
+    assert int_power(0, 0, -70, 0, 64) == (1, 0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(-(2**200), 2**200),
+    y=st.integers(-(2**200), 2**200),
+    e=st.integers(-500, 500),
+    prec=st.sampled_from([64, 140]),
+)
+def test_int_power_at_n_0_and_1(x, y, e, prec):
+    # n = 0 is exactly 1; n = 1 is the base, exactly when it fits in
+    # P = prec + 5 bits, else floored to P bits
+    assert int_power(x, y, e, 0, prec) == (1, 0, 0)
+    P = prec + 5
+    u, v, f = int_power(x, y, e, 1, prec)
+    if max(abs(x).bit_length(), abs(y).bit_length()) <= P:
+        assert (u, v, f) == (x, y, e)
+    else:
+        s = f - e
+        assert max(abs(u).bit_length(), abs(v).bit_length()) == P
+        assert (u, v) == (x >> s, y >> s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 144),
+    width=st.integers(1, 3000),
+    parts=st.tuples(st.integers(-(2**40), 2**40), st.integers(-(2**40), 2**40)).filter(any),
+    prec=st.sampled_from([64, 140, 1011]),
+)
+def test_int_power_cuts_the_base_and_every_product_to_p_bits(n, width, parts, prec):
+    # every product int_power forms is of two ints of at most
+    # P = prec + bitlen(n) + 4 bits, however wide the base: the work per
+    # step does not grow with the base's width or with n
+    P = prec + n.bit_length() + 4
+    base = (parts[0] << width, parts[1] << width)
+    widths = []
+    cut = numerics._cut
+
+    def recording(x, y, e, bits):
+        widths.append(max(abs(x).bit_length(), abs(y).bit_length()))
+        return cut(x, y, e, bits)
+
+    numerics._cut = recording
+    try:
+        int_power(*base, 0, n, prec)
+    finally:
+        numerics._cut = cut
+    # the base is cut first, then each cut takes sums of two products of
+    # P-bit ints
+    assert widths[0] == max(abs(b).bit_length() for b in base)
+    assert max(widths[1:]) <= 2 * P + 1
 
 
 def test_bigcomplex_immutable():

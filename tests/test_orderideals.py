@@ -273,6 +273,19 @@ def disc_and_a(draw):
     return D, p**e * k
 
 
+@pytest.mark.parametrize("bound", [0, -5])
+def test_norm_bound_below_one_is_a_domain_error(ctx200, bound):
+    # one check where the ideal stream starts, with a one-line message, for
+    # the stream, its labelled form and the zeta route on it
+    message = f"^the norm bound {bound} is below 1$"
+    with pytest.raises(DomainError, match=message):
+        integral_ideals(ctx200, bound)
+    with pytest.raises(DomainError, match=message):
+        next(labelled_ideals(ctx200, bound, 3, _class_bases(ctx200, 3), 3))
+    with pytest.raises(DomainError, match=message):
+        zeta_ideal_partial_all(ctx200, 3, BigComplex(2, 0, 64), bound)
+
+
 # least prime factors of every a the strategy draws
 SPF_3000 = _factor_table(3000)
 
